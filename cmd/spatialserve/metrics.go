@@ -160,7 +160,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Ingest sessions with a tracked high-water mark (bounded table).", nil,
 		func(emit func([]string, float64)) {
 			s.sessions.mu.Lock()
-			n := len(s.sessions.entries)
+			n := s.sessions.n
 			s.sessions.mu.Unlock()
 			emit(nil, float64(n))
 		})

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -666,17 +668,19 @@ func (p *persister) checkpoint(ctx context.Context) (res checkpointResult, err e
 	m := manifest{Version: manifestVersion, Seq: seq, WALSegment: cut.Seg, WALOffset: cut.Off, Tenants: tenants, Sessions: sessions}
 	for i, s := range snaps {
 		file := fmt.Sprintf("est-%d-%d.spe1", seq, i)
-		if err := p.writeFile(filepath.Join(dir, file), s.data); err != nil {
+		if err := p.writeFile(filepath.Join(dir, file), func(w io.Writer) error {
+			_, err := w.Write(s.data)
+			return err
+		}); err != nil {
 			return checkpointResult{}, err
 		}
 		m.Estimators = append(m.Estimators, manifestEntry{Name: s.name, File: file})
 	}
-	body, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return checkpointResult{}, err
-	}
+	// The manifest streams into the file rather than through one encoded
+	// []byte: it carries every session mark, so a whole-document buffer
+	// would be garbage proportional to the marks at every checkpoint.
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := p.writeFile(tmp, body); err != nil {
+	if err := p.writeFile(tmp, func(w io.Writer) error { return json.NewEncoder(w).Encode(&m) }); err != nil {
 		return checkpointResult{}, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
@@ -708,23 +712,26 @@ func (p *persister) currentManifestEntries() []manifestEntry {
 	return m.Estimators
 }
 
-// writeFile writes data to path, fsyncing when configured.
-func (p *persister) writeFile(path string, data []byte) error {
+// writeFile creates path and fills it through write over a buffered
+// writer, then flushes, fsyncs when configured, and closes, checking
+// each step.
+func (p *persister) writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if p.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err == nil && p.opts.Fsync {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // gcCheckpointFiles removes checkpoint-directory files the current

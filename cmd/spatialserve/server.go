@@ -449,14 +449,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 
 // writeSnapshot serves SPE1 snapshot bytes with a strong ETag (truncated
 // SHA-256 of the uncompressed snapshot) honoring If-None-Match, and gzip
-// content encoding when the client accepts it - snapshots cross the
-// network during rebalances and replica bootstraps, and the envelope's
-// counter planes compress well.
+// content encoding when an external client accepts it. Node-to-node
+// reads (cluster gathers, replica fallback) always get the identity
+// body: on a LAN hop, compressing a few-KB partition on the owner and
+// inflating it on the router costs more than the bytes it saves, and
+// Go's transport asks for gzip by default.
 func writeSnapshot(w http.ResponseWriter, r *http.Request, kind spatial.Kind, data []byte) {
 	// Strong ETags are representation-specific (RFC 9110): the gzip
 	// variant gets its own tag (nginx's convention) so a cache can never
 	// pair an identity body with a gzip validator or vice versa.
-	gz := acceptsGzip(r)
+	gz := acceptsGzip(r) && !isInternal(r)
 	etag := snapshotETag(data)
 	if gz {
 		etag = etag[:len(etag)-1] + `-gzip"`

@@ -352,6 +352,29 @@ func TestSnapshotGzipAndETag(t *testing.T) {
 		t.Errorf("gzip did not shrink the snapshot (%d >= %d)", len(w.Body.Bytes()), len(unzipped))
 	}
 
+	// A node-to-node read sends Accept-Encoding: gzip (Go's transport
+	// does by default) but gets the identity body and validator, and
+	// revalidates against the identity validator.
+	reqInt := httptest.NewRequest("GET", "/v1/estimators/j/snapshot", nil)
+	reqInt.Header.Set("Accept-Encoding", "gzip")
+	reqInt.Header.Set(headerInternal, "1")
+	wInt := httptest.NewRecorder()
+	h.ServeHTTP(wInt, reqInt)
+	mustStatus(t, wInt, http.StatusOK)
+	if enc := wInt.Header().Get("Content-Encoding"); enc != "" {
+		t.Fatalf("internal snapshot read encoded as %q, want identity", enc)
+	}
+	if got := wInt.Header().Get("ETag"); got != etag {
+		t.Fatalf("internal snapshot ETag %q, want identity %q", got, etag)
+	}
+	if !bytes.Equal(wInt.Body.Bytes(), plain.Body.Bytes()) {
+		t.Fatal("internal snapshot body differs from the plain snapshot")
+	}
+	reqInt.Header.Set("If-None-Match", etag)
+	wInt = httptest.NewRecorder()
+	h.ServeHTTP(wInt, reqInt)
+	mustStatus(t, wInt, http.StatusNotModified)
+
 	// Conditional GET.
 	req = httptest.NewRequest("GET", "/v1/estimators/j/snapshot", nil)
 	req.Header.Set("If-None-Match", etag)

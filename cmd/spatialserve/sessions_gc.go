@@ -64,18 +64,21 @@ func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, l
 		last int64
 	}
 	var live []aged
-	for k, e := range t.entries {
-		if t.pinned[k] > 0 {
-			continue
+	for key, marks := range t.byKey {
+		for session, e := range marks {
+			k := sessionKey{session, key}
+			if t.pinned[k] > 0 {
+				continue
+			}
+			last := e.last.Load()
+			if ttl > 0 && now.Sub(time.Unix(0, last)) > ttl {
+				out = append(out, gcCandidate{key: k, minIdle: ttl})
+				continue
+			}
+			live = append(live, aged{k, last})
 		}
-		last := e.last.Load()
-		if ttl > 0 && now.Sub(time.Unix(0, last)) > ttl {
-			out = append(out, gcCandidate{key: k, minIdle: ttl})
-			continue
-		}
-		live = append(live, aged{k, last})
 	}
-	if remain := len(t.entries) - len(out); remain > lruHigh && lruHigh > 0 {
+	if remain := t.n - len(out); remain > lruHigh && lruHigh > 0 {
 		sort.Slice(live, func(i, j int) bool { return live[i].last < live[j].last })
 		for _, a := range live {
 			if remain <= lruLow {
@@ -95,9 +98,7 @@ func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, l
 // was dropped.
 func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now time.Time) (bool, error) {
 	t := &s.sessions
-	t.mu.Lock()
-	ent := t.entries[sessionKey{session, key}]
-	t.mu.Unlock()
+	ent := t.lookup(session, key)
 	if ent == nil || t.isPinned(session, key) {
 		return false, nil
 	}
@@ -217,21 +218,23 @@ type sessionListResponse struct {
 func (t *sessionTable) listSessions(now time.Time, session, key string) ([]sessionInfo, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]sessionInfo, 0, len(t.entries))
-	for k, e := range t.entries {
-		if session != "" && k.session != session {
+	out := make([]sessionInfo, 0, t.n)
+	for k, marks := range t.byKey {
+		if key != "" && k != key {
 			continue
 		}
-		if key != "" && k.key != key {
-			continue
+		for sess, e := range marks {
+			if session != "" && sess != session {
+				continue
+			}
+			out = append(out, sessionInfo{
+				Session:     sess,
+				Estimator:   k,
+				Seq:         e.seq.Load(),
+				IdleSeconds: now.Sub(time.Unix(0, e.last.Load())).Seconds(),
+				Attached:    t.pinned[sessionKey{sess, k}] > 0,
+			})
 		}
-		out = append(out, sessionInfo{
-			Session:     k.session,
-			Estimator:   k.key,
-			Seq:         e.seq.Load(),
-			IdleSeconds: now.Sub(time.Unix(0, e.last.Load())).Seconds(),
-			Attached:    t.pinned[k] > 0,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Estimator != out[j].Estimator {
@@ -239,7 +242,7 @@ func (t *sessionTable) listSessions(now time.Time, session, key string) ([]sessi
 		}
 		return out[i].Session < out[j].Session
 	})
-	return out, len(t.entries)
+	return out, t.n
 }
 
 // handleSessionList serves GET /admin/sessions: every live watermark

@@ -106,8 +106,14 @@ type sessionMark struct {
 // sessionTable holds every session's high-water mark. The zero value is
 // ready to use.
 type sessionTable struct {
-	mu      sync.Mutex
-	entries map[sessionKey]*sessionEntry
+	mu sync.Mutex
+	// byKey indexes the marks by estimator key, then session: deleting or
+	// shipping one estimator's marks is a lookup rather than a scan of
+	// every mark, and each key string is held once per estimator instead
+	// of once per mark.
+	byKey map[string]map[string]*sessionEntry
+	// n counts the marks across every key (the cap and the gauge read it).
+	n int
 	// pinned counts the live stream connections attached to each
 	// (session, key): the GC never expires a mark a stream is using,
 	// however idle.
@@ -122,19 +128,47 @@ type sessionTable struct {
 func (t *sessionTable) entry(session, key string, enforceCap bool) *sessionEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.entries == nil {
-		t.entries = make(map[sessionKey]*sessionEntry)
-	}
-	k := sessionKey{session, key}
-	if e, ok := t.entries[k]; ok {
+	if e := t.byKey[key][session]; e != nil {
 		return e
 	}
-	if enforceCap && len(t.entries) >= maxSessionEntries {
+	if enforceCap && t.n >= maxSessionEntries {
 		return nil
+	}
+	if t.byKey == nil {
+		t.byKey = make(map[string]map[string]*sessionEntry)
+	}
+	marks := t.byKey[key]
+	if marks == nil {
+		marks = make(map[string]*sessionEntry)
+		t.byKey[key] = marks
 	}
 	e := &sessionEntry{}
 	e.touch()
-	t.entries[k] = e
+	marks[session] = e
+	t.n++
+	return e
+}
+
+// lookup returns the session's entry, or nil, without creating one.
+func (t *sessionTable) lookup(session, key string) *sessionEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byKey[key][session]
+}
+
+// deleteLocked removes one mark and returns it (nil when absent); the
+// caller holds t.mu.
+func (t *sessionTable) deleteLocked(session, key string) *sessionEntry {
+	marks := t.byKey[key]
+	e := marks[session]
+	if e == nil {
+		return nil
+	}
+	delete(marks, session)
+	if len(marks) == 0 {
+		delete(t.byKey, key)
+	}
+	t.n--
 	return e
 }
 
@@ -190,7 +224,7 @@ func (t *sessionTable) isPinned(session, key string) bool {
 func (t *sessionTable) remove(session, key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.entries, sessionKey{session, key})
+	t.deleteLocked(session, key)
 }
 
 // removeMark drops one mark outright - the replay form of a logged
@@ -198,19 +232,15 @@ func (t *sessionTable) remove(session, key string) {
 func (t *sessionTable) removeMark(session, key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := sessionKey{session, key}
-	if e, ok := t.entries[k]; ok {
+	if e := t.deleteLocked(session, key); e != nil {
 		e.dropped.Store(true)
-		delete(t.entries, k)
 	}
 }
 
 // peek returns the session's watermark (0 when unknown) without
 // creating an entry.
 func (t *sessionTable) peek(session, key string) uint64 {
-	t.mu.Lock()
-	e := t.entries[sessionKey{session, key}]
-	t.mu.Unlock()
+	e := t.lookup(session, key)
 	if e == nil {
 		return 0
 	}
@@ -224,37 +254,39 @@ func (t *sessionTable) peek(session, key string) uint64 {
 func (t *sessionTable) dropKey(key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for k, e := range t.entries {
-		if k.key == key {
-			e.dropped.Store(true)
-			delete(t.entries, k)
-		}
+	marks := t.byKey[key]
+	for _, e := range marks {
+		e.dropped.Store(true)
 	}
+	t.n -= len(marks)
+	delete(t.byKey, key)
 }
 
-// marksFor returns the marks of one estimator key (rebalance ships a
-// shard's marks to the new owner at seal time).
+// marksFor returns the marks of one estimator key, sorted by session
+// (rebalance ships a shard's marks to the new owner at seal time).
 func (t *sessionTable) marksFor(key string) []sessionMark {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []sessionMark
-	for k, e := range t.entries {
-		if k.key == key {
-			out = append(out, sessionMark{Session: k.session, Estimator: k.key, Seq: e.seq.Load()})
-		}
+	marks := t.byKey[key]
+	out := make([]sessionMark, 0, len(marks))
+	for session, e := range marks {
+		out = append(out, sessionMark{Session: session, Estimator: key, Seq: e.seq.Load()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Session < out[j].Session })
 	return out
 }
 
-// export returns every mark, sorted, for the checkpoint manifest.
-// Callers hold the exclusive mutation gate, so no mark is mid-advance.
+// export returns every mark, sorted by (estimator, session), for the
+// checkpoint manifest. Callers hold the exclusive mutation gate, so no
+// mark is mid-advance.
 func (t *sessionTable) export() []sessionMark {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]sessionMark, 0, len(t.entries))
-	for k, e := range t.entries {
-		out = append(out, sessionMark{Session: k.session, Estimator: k.key, Seq: e.seq.Load()})
+	out := make([]sessionMark, 0, t.n)
+	for key, marks := range t.byKey {
+		for session, e := range marks {
+			out = append(out, sessionMark{Session: session, Estimator: key, Seq: e.seq.Load()})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Estimator != out[j].Estimator {

@@ -17,8 +17,9 @@ import (
 // Mutations are never hedged - a duplicated update would be applied twice,
 // and sketch counters, unlike idempotent KV puts, would keep both.
 type Client struct {
-	// HTTP is the underlying client. Its transport's automatic gzip
-	// handling is relied on for snapshot transfer compression.
+	// HTTP is the underlying client. Peers answer node-to-node snapshot
+	// reads identity-encoded, whatever Accept-Encoding the transport
+	// sends, so partition transfers pay no compression.
 	HTTP *http.Client
 	// Timeout bounds one attempt against one node.
 	Timeout time.Duration

@@ -1,16 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 )
 
 // Binary serialization of sketches. A sketch is fully determined by its
 // configuration (the xi-families derive deterministically from the seed)
 // and its counters, so synopses can be shipped between processes - e.g.
 // built at the edge of a stream and merged or queried centrally - at a cost
-// of a few bytes per counter.
+// of a few bytes per counter. All integers are little-endian; the layout
+// is in docs/SNAPSHOT_FORMAT.md. Encoding appends into one pre-sized slice
+// and decoding indexes the input, so neither allocates per field.
 
 const (
 	marshalMagic   = 0x53504b31 // "SPK1"
@@ -21,24 +23,29 @@ const (
 	kindRange      = 5
 )
 
-func marshalConfig(w *bytes.Buffer, c Config) {
-	binary.Write(w, binary.LittleEndian, uint32(c.Dims))
+var le = binary.LittleEndian
+
+// configSize is the encoded length of marshalConfig's output for c.
+func configSize(c Config) int {
+	return 4 + 4*len(c.LogDomain) + 4 + 4*len(c.MaxLevel) + 3*8
+}
+
+func marshalConfig(b []byte, c Config) []byte {
+	b = le.AppendUint32(b, uint32(c.Dims))
 	for _, h := range c.LogDomain {
-		binary.Write(w, binary.LittleEndian, int32(h))
+		b = le.AppendUint32(b, uint32(int32(h)))
 	}
 	hasML := uint32(0)
 	if c.MaxLevel != nil {
 		hasML = 1
 	}
-	binary.Write(w, binary.LittleEndian, hasML)
-	if c.MaxLevel != nil {
-		for _, ml := range c.MaxLevel {
-			binary.Write(w, binary.LittleEndian, int32(ml))
-		}
+	b = le.AppendUint32(b, hasML)
+	for _, ml := range c.MaxLevel {
+		b = le.AppendUint32(b, uint32(int32(ml)))
 	}
-	binary.Write(w, binary.LittleEndian, uint64(c.Instances))
-	binary.Write(w, binary.LittleEndian, uint64(c.Groups))
-	binary.Write(w, binary.LittleEndian, c.Seed)
+	b = le.AppendUint64(b, uint64(c.Instances))
+	b = le.AppendUint64(b, uint64(c.Groups))
+	return le.AppendUint64(b, c.Seed)
 }
 
 // maxWireInstances bounds the instance count accepted from the wire. It
@@ -47,11 +54,42 @@ func marshalConfig(w *bytes.Buffer, c Config) {
 // hostile headers are rejected before any allocation scales with them.
 const maxWireInstances = 1 << 30
 
-func unmarshalConfig(r *bytes.Reader) (Config, error) {
+// errTruncated reports a serialized sketch that ends inside a field.
+var errTruncated = fmt.Errorf("core: truncated sketch: %w", io.ErrUnexpectedEOF)
+
+// reader decodes little-endian fields off the front of a byte slice. A
+// read past the end yields zero and sets short, so a decoder can read a
+// run of fields and check once before acting on any of them.
+type reader struct {
+	b     []byte
+	short bool
+}
+
+func (r *reader) u32() uint32 {
+	if len(r.b) < 4 {
+		r.b, r.short = nil, true
+		return 0
+	}
+	v := le.Uint32(r.b)
+	r.b = r.b[4:]
+	return v
+}
+
+func (r *reader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.b, r.short = nil, true
+		return 0
+	}
+	v := le.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func unmarshalConfig(r *reader) (Config, error) {
 	var c Config
-	var dims uint32
-	if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
-		return c, err
+	dims := r.u32()
+	if r.short {
+		return c, errTruncated
 	}
 	if dims == 0 || dims > MaxDims {
 		return c, fmt.Errorf("core: bad dims %d in serialized sketch", dims)
@@ -59,35 +97,18 @@ func unmarshalConfig(r *bytes.Reader) (Config, error) {
 	c.Dims = int(dims)
 	c.LogDomain = make([]int, c.Dims)
 	for i := range c.LogDomain {
-		var h int32
-		if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
-			return c, err
-		}
-		c.LogDomain[i] = int(h)
+		c.LogDomain[i] = int(int32(r.u32()))
 	}
-	var hasML uint32
-	if err := binary.Read(r, binary.LittleEndian, &hasML); err != nil {
-		return c, err
-	}
-	if hasML == 1 {
+	if hasML := r.u32(); hasML == 1 {
 		c.MaxLevel = make([]int, c.Dims)
 		for i := range c.MaxLevel {
-			var ml int32
-			if err := binary.Read(r, binary.LittleEndian, &ml); err != nil {
-				return c, err
-			}
-			c.MaxLevel[i] = int(ml)
+			c.MaxLevel[i] = int(int32(r.u32()))
 		}
 	}
-	var inst, groups uint64
-	if err := binary.Read(r, binary.LittleEndian, &inst); err != nil {
-		return c, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &groups); err != nil {
-		return c, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &c.Seed); err != nil {
-		return c, err
+	inst, groups := r.u64(), r.u64()
+	c.Seed = r.u64()
+	if r.short {
+		return c, errTruncated
 	}
 	if inst == 0 || inst > maxWireInstances {
 		return c, fmt.Errorf("core: instances %d in serialized sketch outside [1, %d]", inst, maxWireInstances)
@@ -115,29 +136,29 @@ func countersPerInstance(kind uint32, dims int) uint64 {
 }
 
 func marshalSketch(kind uint32, cfg Config, count int64, counters []int64) ([]byte, error) {
-	var w bytes.Buffer
-	binary.Write(&w, binary.LittleEndian, uint32(marshalMagic))
-	binary.Write(&w, binary.LittleEndian, kind)
-	marshalConfig(&w, cfg)
-	binary.Write(&w, binary.LittleEndian, count)
-	binary.Write(&w, binary.LittleEndian, uint64(len(counters)))
+	b := make([]byte, 0, 2*4+configSize(cfg)+2*8+8*len(counters))
+	b = le.AppendUint32(b, marshalMagic)
+	b = le.AppendUint32(b, kind)
+	b = marshalConfig(b, cfg)
+	b = le.AppendUint64(b, uint64(count))
+	b = le.AppendUint64(b, uint64(len(counters)))
 	for _, c := range counters {
-		binary.Write(&w, binary.LittleEndian, c)
+		b = le.AppendUint64(b, uint64(c))
 	}
-	return w.Bytes(), nil
+	return b, nil
 }
 
-func unmarshalSketch(kind uint32, data []byte) (Config, int64, []int64, error) {
-	r := bytes.NewReader(data)
-	var magic, gotKind uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return Config{}, 0, nil, err
+// unmarshalSketch parses a serialized sketch of the given kind up to its
+// counter payload, which it returns undecoded: exactly 8 bytes per
+// declared counter, a sub-slice of data.
+func unmarshalSketch(kind uint32, data []byte) (Config, int64, []byte, error) {
+	r := &reader{b: data}
+	magic, gotKind := r.u32(), r.u32()
+	if r.short {
+		return Config{}, 0, nil, errTruncated
 	}
 	if magic != marshalMagic {
 		return Config{}, 0, nil, fmt.Errorf("core: bad sketch magic %#x", magic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &gotKind); err != nil {
-		return Config{}, 0, nil, err
 	}
 	if gotKind != kind {
 		return Config{}, 0, nil, fmt.Errorf("core: sketch kind %d, want %d", gotKind, kind)
@@ -146,16 +167,12 @@ func unmarshalSketch(kind uint32, data []byte) (Config, int64, []int64, error) {
 	if err != nil {
 		return Config{}, 0, nil, err
 	}
-	var count int64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return Config{}, 0, nil, err
+	count, n := int64(r.u64()), r.u64()
+	if r.short {
+		return Config{}, 0, nil, errTruncated
 	}
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return Config{}, 0, nil, err
-	}
-	if n > uint64(r.Len()/8) {
-		return Config{}, 0, nil, fmt.Errorf("core: truncated sketch: %d counters declared, %d bytes left", n, r.Len())
+	if n > uint64(len(r.b)/8) {
+		return Config{}, 0, nil, fmt.Errorf("core: truncated sketch: %d counters declared, %d bytes left", n, len(r.b))
 	}
 	// Cross-check the declared instance count against the counter payload
 	// BEFORE the caller builds a plan: a corrupted ~60-byte header claiming
@@ -166,13 +183,31 @@ func unmarshalSketch(kind uint32, data []byte) (Config, int64, []int64, error) {
 		return Config{}, 0, nil, fmt.Errorf("core: sketch declares %d counters, config (%d instances, %d dims) requires %d",
 			n, cfg.Instances, cfg.Dims, want)
 	}
-	counters := make([]int64, n)
-	for i := range counters {
-		if err := binary.Read(r, binary.LittleEndian, &counters[i]); err != nil {
-			return Config{}, 0, nil, err
-		}
+	return cfg, count, r.b[:8*n], nil
+}
+
+// decodeSketch rebuilds a sketch of the given kind from MarshalBinary
+// output: it plans the decoded configuration, lets newSketch allocate the
+// empty sketch on that plan, and fills the counter slice and count
+// newSketch returns.
+func decodeSketch(kind uint32, data []byte, newSketch func(*Plan) ([]int64, *int64)) error {
+	cfg, count, raw, err := unmarshalSketch(kind, data)
+	if err != nil {
+		return err
 	}
-	return cfg, count, counters, nil
+	p, err := NewPlan(cfg)
+	if err != nil {
+		return err
+	}
+	counters, dstCount := newSketch(p)
+	if len(counters) != len(raw)/8 {
+		return fmt.Errorf("core: counter count %d does not match config (%d)", len(raw)/8, len(counters))
+	}
+	for i := range counters {
+		counters[i] = int64(le.Uint64(raw[8*i:]))
+	}
+	*dstCount = count
+	return nil
 }
 
 // MarshalBinary serializes the sketch together with its configuration.
@@ -183,20 +218,14 @@ func (s *JoinSketch) MarshalBinary() ([]byte, error) {
 // UnmarshalJoinSketch reconstructs a JoinSketch (and its plan) from
 // MarshalBinary output.
 func UnmarshalJoinSketch(data []byte) (*JoinSketch, error) {
-	cfg, count, counters, err := unmarshalSketch(kindJoinSketch, data)
+	var s *JoinSketch
+	err := decodeSketch(kindJoinSketch, data, func(p *Plan) ([]int64, *int64) {
+		s = p.NewJoinSketch()
+		return s.counters, &s.count
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := p.NewJoinSketch()
-	if len(counters) != len(s.counters) {
-		return nil, fmt.Errorf("core: counter count %d does not match config (%d)", len(counters), len(s.counters))
-	}
-	copy(s.counters, counters)
-	s.count = count
 	return s, nil
 }
 
@@ -207,20 +236,14 @@ func (s *CESketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCESketch reconstructs a CESketch from MarshalBinary output.
 func UnmarshalCESketch(data []byte) (*CESketch, error) {
-	cfg, count, counters, err := unmarshalSketch(kindCESketch, data)
+	var s *CESketch
+	err := decodeSketch(kindCESketch, data, func(p *Plan) ([]int64, *int64) {
+		s = p.NewCESketch()
+		return s.counters, &s.count
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := p.NewCESketch()
-	if len(counters) != len(s.counters) {
-		return nil, fmt.Errorf("core: counter count %d does not match config (%d)", len(counters), len(s.counters))
-	}
-	copy(s.counters, counters)
-	s.count = count
 	return s, nil
 }
 
@@ -231,20 +254,14 @@ func (s *PointSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalPointSketch reconstructs a PointSketch from MarshalBinary output.
 func UnmarshalPointSketch(data []byte) (*PointSketch, error) {
-	cfg, count, counters, err := unmarshalSketch(kindPoint, data)
+	var s *PointSketch
+	err := decodeSketch(kindPoint, data, func(p *Plan) ([]int64, *int64) {
+		s = p.NewPointSketch()
+		return s.counters, &s.count
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := p.NewPointSketch()
-	if len(counters) != len(s.counters) {
-		return nil, fmt.Errorf("core: counter count mismatch")
-	}
-	copy(s.counters, counters)
-	s.count = count
 	return s, nil
 }
 
@@ -255,20 +272,14 @@ func (s *BoxSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBoxSketch reconstructs a BoxSketch from MarshalBinary output.
 func UnmarshalBoxSketch(data []byte) (*BoxSketch, error) {
-	cfg, count, counters, err := unmarshalSketch(kindBox, data)
+	var s *BoxSketch
+	err := decodeSketch(kindBox, data, func(p *Plan) ([]int64, *int64) {
+		s = p.NewBoxSketch()
+		return s.counters, &s.count
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := p.NewBoxSketch()
-	if len(counters) != len(s.counters) {
-		return nil, fmt.Errorf("core: counter count mismatch")
-	}
-	copy(s.counters, counters)
-	s.count = count
 	return s, nil
 }
 
@@ -279,19 +290,13 @@ func (s *RangeSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalRangeSketch reconstructs a RangeSketch from MarshalBinary output.
 func UnmarshalRangeSketch(data []byte) (*RangeSketch, error) {
-	cfg, count, counters, err := unmarshalSketch(kindRange, data)
+	var s *RangeSketch
+	err := decodeSketch(kindRange, data, func(p *Plan) ([]int64, *int64) {
+		s = p.NewRangeSketch()
+		return s.counters, &s.count
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := p.NewRangeSketch()
-	if len(counters) != len(s.counters) {
-		return nil, fmt.Errorf("core: counter count mismatch")
-	}
-	copy(s.counters, counters)
-	s.count = count
 	return s, nil
 }

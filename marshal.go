@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -149,87 +148,82 @@ func (h snapHeader) compatible(in snapHeader) error {
 // carries more than two sketches).
 const maxSnapshotBlobs = 2
 
+// envelopeHeaderLen is the fixed-size envelope prefix: magic, version,
+// kind, side, dims, domainSize, mode, maxLevel, eps, seed, instances,
+// groups and nblobs.
+const envelopeHeaderLen = 5*4 + 8 + 4 + 4 + 4*8 + 4
+
+// marshalEnvelope encodes into one slice sized up front; the header is
+// written in the field order of the layout above.
 func marshalEnvelope(h snapHeader, blobs [][]byte) []byte {
-	var w bytes.Buffer
-	for _, v := range []uint32{envelopeMagic, SnapshotVersion, uint32(h.kind), uint32(h.side), h.dims} {
-		binary.Write(&w, binary.LittleEndian, v)
-	}
-	binary.Write(&w, binary.LittleEndian, h.domainSize)
-	binary.Write(&w, binary.LittleEndian, h.mode)
-	binary.Write(&w, binary.LittleEndian, h.maxLevel)
-	for _, v := range []uint64{h.eps, h.seed, h.instances, h.groups} {
-		binary.Write(&w, binary.LittleEndian, v)
-	}
-	binary.Write(&w, binary.LittleEndian, uint32(len(blobs)))
+	n := envelopeHeaderLen
 	for _, b := range blobs {
-		binary.Write(&w, binary.LittleEndian, uint64(len(b)))
-		w.Write(b)
+		n += 8 + len(b)
 	}
-	return w.Bytes()
+	le := binary.LittleEndian
+	w := make([]byte, 0, n)
+	for _, v := range [...]uint32{envelopeMagic, SnapshotVersion, uint32(h.kind), uint32(h.side), h.dims} {
+		w = le.AppendUint32(w, v)
+	}
+	w = le.AppendUint64(w, h.domainSize)
+	w = le.AppendUint32(w, h.mode)
+	w = le.AppendUint32(w, uint32(h.maxLevel))
+	for _, v := range [...]uint64{h.eps, h.seed, h.instances, h.groups} {
+		w = le.AppendUint64(w, v)
+	}
+	w = le.AppendUint32(w, uint32(len(blobs)))
+	for _, b := range blobs {
+		w = le.AppendUint64(w, uint64(len(b)))
+		w = append(w, b...)
+	}
+	return w
 }
 
+// unmarshalEnvelope decodes by indexing data: the returned blobs are
+// sub-slices of data, not copies, so callers must not retain them past
+// data's lifetime or write through them.
 func unmarshalEnvelope(data []byte) (snapHeader, [][]byte, error) {
-	r := bytes.NewReader(data)
 	var h snapHeader
-	var magic, version, kind, side uint32
-	for _, p := range []*uint32{&magic, &version, &kind, &side, &h.dims} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return h, nil, fmt.Errorf("spatial: truncated snapshot header: %w", err)
-		}
+	kind, err := SnapshotKind(data)
+	if err != nil {
+		return h, nil, err
 	}
-	if magic != envelopeMagic {
-		return h, nil, fmt.Errorf("spatial: bad snapshot magic %#x (not an SPE1 estimator snapshot)", magic)
+	if len(data) < envelopeHeaderLen {
+		return h, nil, fmt.Errorf("spatial: truncated snapshot header: %d bytes, want %d", len(data), envelopeHeaderLen)
 	}
-	if version != SnapshotVersion {
-		return h, nil, fmt.Errorf("spatial: snapshot version %d, this build reads version %d", version, SnapshotVersion)
-	}
-	h.kind, h.side = Kind(kind), snapSide(side)
-	if h.kind < KindJoin || h.kind > KindContainment {
-		return h, nil, fmt.Errorf("spatial: unknown snapshot kind %d", kind)
-	}
+	le := binary.LittleEndian
+	p := data[12:] // past magic, version and kind, which SnapshotKind checked
+	u32 := func() uint32 { v := le.Uint32(p); p = p[4:]; return v }
+	u64 := func() uint64 { v := le.Uint64(p); p = p[8:]; return v }
+	side := u32()
+	h.kind, h.side, h.dims = kind, snapSide(side), u32()
 	if h.side > sideRight {
 		return h, nil, fmt.Errorf("spatial: unknown snapshot side %d", side)
 	}
 	if h.dims == 0 || h.dims > core.MaxDims {
 		return h, nil, fmt.Errorf("spatial: snapshot dims %d outside [1, %d]", h.dims, core.MaxDims)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &h.domainSize); err != nil {
-		return h, nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &h.mode); err != nil {
-		return h, nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &h.maxLevel); err != nil {
-		return h, nil, err
-	}
-	for _, p := range []*uint64{&h.eps, &h.seed, &h.instances, &h.groups} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return h, nil, err
-		}
-	}
-	var nblobs uint32
-	if err := binary.Read(r, binary.LittleEndian, &nblobs); err != nil {
-		return h, nil, err
-	}
+	h.domainSize = u64()
+	h.mode = u32()
+	h.maxLevel = int32(u32())
+	h.eps, h.seed, h.instances, h.groups = u64(), u64(), u64(), u64()
+	nblobs := u32()
 	if nblobs > maxSnapshotBlobs {
 		return h, nil, fmt.Errorf("spatial: snapshot declares %d sub-sketches, max is %d", nblobs, maxSnapshotBlobs)
 	}
 	blobs := make([][]byte, nblobs)
 	for i := range blobs {
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return h, nil, err
+		if len(p) < 8 {
+			return h, nil, fmt.Errorf("spatial: truncated snapshot: sub-sketch %d length cut off", i)
 		}
-		if n > uint64(r.Len()) {
-			return h, nil, fmt.Errorf("spatial: truncated snapshot: sub-sketch %d declares %d bytes, %d left", i, n, r.Len())
+		n := u64()
+		if n > uint64(len(p)) {
+			return h, nil, fmt.Errorf("spatial: truncated snapshot: sub-sketch %d declares %d bytes, %d left", i, n, len(p))
 		}
-		blobs[i] = make([]byte, n)
-		if _, err := r.Read(blobs[i]); err != nil {
-			return h, nil, err
-		}
+		blobs[i], p = p[:n:n], p[n:]
 	}
-	if r.Len() != 0 {
-		return h, nil, fmt.Errorf("spatial: %d trailing bytes after snapshot payload", r.Len())
+	if len(p) != 0 {
+		return h, nil, fmt.Errorf("spatial: %d trailing bytes after snapshot payload", len(p))
 	}
 	// Bound the declared sizing against the payload actually carried
 	// BEFORE any decoder builds an estimator from the header: every sketch
@@ -439,13 +433,11 @@ func MergeSnapshots(snaps ...[]byte) ([]byte, Kind, error) {
 // the fixed-size header prefix is examined - the payload is not parsed,
 // so peeking at a large snapshot costs nothing.
 func SnapshotKind(data []byte) (Kind, error) {
-	r := bytes.NewReader(data)
-	var magic, version, kind uint32
-	for _, p := range []*uint32{&magic, &version, &kind} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return 0, fmt.Errorf("spatial: truncated snapshot header: %w", err)
-		}
+	if len(data) < 12 {
+		return 0, fmt.Errorf("spatial: truncated snapshot header: %d bytes", len(data))
 	}
+	le := binary.LittleEndian
+	magic, version, kind := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:])
 	if magic != envelopeMagic {
 		return 0, fmt.Errorf("spatial: bad snapshot magic %#x (not an SPE1 estimator snapshot)", magic)
 	}
