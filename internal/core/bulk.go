@@ -10,16 +10,6 @@ import (
 // goroutine (plus its private counter shard) pays for itself.
 const minRectsPerWorker = 16
 
-// shardBulk runs a bulk load of n objects split across GOMAXPROCS workers.
-// Each worker folds its contiguous share of objects into a private counter
-// shard via work(start, end, dst); shards are then merged into counters by
-// addition. Sketches are linear projections of their input, so the sharded
-// result is bit-identical to a sequential load - the same linearity that
-// makes Merge exact.
-//
-// work must be safe to run concurrently against the (read-only) plan and
-// must allocate any per-worker scratch itself. The first worker writes
-// straight into counters; small loads skip the fan-out entirely.
 // bulkWorkers decides the fan-out for a bulk load of n objects. It is a
 // variable so tests can pin a multi-worker run regardless of host CPUs.
 var bulkWorkers = func(n int) int {
@@ -35,6 +25,16 @@ var bulkWorkers = func(n int) int {
 	return workers
 }
 
+// shardBulk runs a bulk load of n objects split across GOMAXPROCS workers.
+// Each worker folds its contiguous share of objects into a private counter
+// shard via work(start, end, dst); shards are then merged into counters by
+// addition. Sketches are linear projections of their input, so the sharded
+// result is bit-identical to a sequential load - the same linearity that
+// makes Merge exact.
+//
+// work must be safe to run concurrently against the shared plan and
+// must allocate any per-worker scratch itself. The first worker writes
+// straight into counters; small loads skip the fan-out entirely.
 func shardBulk(n int, counters []int64, work func(start, end int, dst []int64)) {
 	workers := bulkWorkers(n)
 	if workers <= 1 {
@@ -84,7 +84,7 @@ func mergeSketch(dstPlan, srcPlan *Plan, dst, src []int64, dstCount *int64, srcC
 
 // letterSums is the scratch of one batched counter update: per (dimension,
 // letter) a contiguous plane of Instances partial sums, filled id-major by
-// xi.Bank.SumSignsMany and then folded into the counters instance by
+// Plan.sumSigns and then folded into the counters instance by
 // instance.
 type letterSums struct {
 	letters int

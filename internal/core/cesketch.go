@@ -79,13 +79,13 @@ func (s *CESketch) applyCovers(rect geo.HyperRect, buf *coverBuf, sign int64, ds
 	nw := pow4(d)
 	sums.reset()
 	for i := 0; i < d; i++ {
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(buf.cover[i], lo, hi, sums.plane(i, ceI))
+		p.sumSigns(i, buf.cover[i], sums.plane(i, ceI))
 		eAcc := sums.plane(i, ceE)
-		p.bank.SumSignsMany(buf.ptLo[i], lo, hi, eAcc)
-		p.bank.SumSignsMany(buf.ptHi[i], lo, hi, eAcc)
-		p.bank.AddSigns(p.doms[i].LeafID(rect[i].Lo), lo, hi, sums.plane(i, ceL))
-		p.bank.AddSigns(p.doms[i].LeafID(rect[i].Hi), lo, hi, sums.plane(i, ceU))
+		p.sumSigns(i, buf.ptLo[i], eAcc)
+		p.sumSigns(i, buf.ptHi[i], eAcc)
+		leaves := [2]uint64{p.doms[i].LeafID(rect[i].Lo), p.doms[i].LeafID(rect[i].Hi)}
+		p.sumSigns(i, leaves[:1], sums.plane(i, ceL))
+		p.sumSigns(i, leaves[1:], sums.plane(i, ceU))
 	}
 	var lp [MaxDims][4][]int64
 	for i := 0; i < d; i++ {

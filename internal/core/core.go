@@ -24,7 +24,10 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
+	"weak"
 
 	"repro/geo"
 	"repro/internal/dyadic"
@@ -61,6 +64,14 @@ type Config struct {
 	Seed uint64
 }
 
+// clone returns c with its own copies of the slices (a nil MaxLevel stays
+// nil).
+func (c Config) clone() Config {
+	c.LogDomain = slices.Clone(c.LogDomain)
+	c.MaxLevel = slices.Clone(c.MaxLevel)
+	return c
+}
+
 func (c Config) validate() error {
 	if c.Dims < 1 || c.Dims > MaxDims {
 		return fmt.Errorf("core: dims %d outside [1, %d]", c.Dims, MaxDims)
@@ -93,21 +104,89 @@ func (c Config) validate() error {
 // The families live in a single xi.Bank: four contiguous coefficient planes
 // in dimension-major order (family index dim*Instances + inst), so the
 // update kernels can evaluate one dyadic id against every instance of a
-// dimension with a single streaming pass (see xi.Bank.SumSignsMany).
+// dimension with a single streaming pass (see xi.Bank.SumSignsMany). Each
+// dimension also has a sign plane memoizing the signs of its top dyadic
+// levels (see signPlane and sumSigns).
+//
+// A plan is immutable apart from its sign planes and scratch pool, both
+// safe for concurrent use, so NewPlan shares one plan among every caller
+// asking for the same configuration.
 type Plan struct {
 	cfg      Config
 	doms     []dyadic.Domain
 	maxLevel []int
-	bank     *xi.Bank  // [dim*Instances + inst]
-	scratch  sync.Pool // of *EstScratch; see GetScratch
+	bank     *xi.Bank    // [dim*Instances + inst]
+	planes   []signPlane // per dimension
+	scratch  sync.Pool   // of *EstScratch; see GetScratch
 }
 
-// NewPlan validates the configuration and derives all xi-families from the
-// seed.
+// planKey identifies a configuration in the plan table: every field of
+// Config, with a nil MaxLevel distinct from an explicit one so that
+// Config() round-trips exactly.
+type planKey struct {
+	dims, instances, groups int
+	seed                    uint64
+	logDomain, maxLevel     [MaxDims]int
+	capped                  bool
+}
+
+func keyOf(cfg Config) planKey {
+	k := planKey{dims: cfg.Dims, instances: cfg.Instances, groups: cfg.Groups, seed: cfg.Seed, capped: cfg.MaxLevel != nil}
+	copy(k.logDomain[:], cfg.LogDomain)
+	copy(k.maxLevel[:], cfg.MaxLevel)
+	return k
+}
+
+// plans interns plans by configuration. Entries are weak, so a plan lives
+// as long as some sketch or estimator holds it; a cleanup deletes the entry
+// of a collected plan.
+var plans = struct {
+	sync.Mutex
+	m map[planKey]weak.Pointer[Plan]
+}{m: make(map[planKey]weak.Pointer[Plan])}
+
+// planEntry is the intern-table entry a plan's cleanup deletes, unless a
+// newer plan of the same configuration has replaced it.
+type planEntry struct {
+	key planKey
+	wp  weak.Pointer[Plan]
+}
+
+func dropPlan(e planEntry) {
+	plans.Lock()
+	if plans.m[e.key] == e.wp {
+		delete(plans.m, e.key)
+	}
+	plans.Unlock()
+}
+
+// NewPlan validates the configuration and returns its plan, deriving all
+// xi-families from the seed the first time a configuration is asked for.
+// Equal configurations share one plan, and with it the sign planes, for as
+// long as any caller holds it.
 func NewPlan(cfg Config) (*Plan, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	key := keyOf(cfg)
+	plans.Lock()
+	defer plans.Unlock()
+	if p := plans.m[key].Value(); p != nil {
+		return p, nil
+	}
+	p, err := newPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	wp := weak.Make(p)
+	plans.m[key] = wp
+	runtime.AddCleanup(p, dropPlan, planEntry{key, wp})
+	return p, nil
+}
+
+// newPlan builds a plan of a validated configuration, copying its slices.
+func newPlan(cfg Config) (*Plan, error) {
+	cfg = cfg.clone()
 	p := &Plan{cfg: cfg}
 	p.doms = make([]dyadic.Domain, cfg.Dims)
 	p.maxLevel = make([]int, cfg.Dims)
@@ -128,10 +207,12 @@ func NewPlan(cfg Config) (*Plan, error) {
 		}
 	}
 	p.bank = xi.NewBank(cfg.Instances * cfg.Dims)
+	p.planes = make([]signPlane, cfg.Dims)
 	for dim := 0; dim < cfg.Dims; dim++ {
 		for inst := 0; inst < cfg.Instances; inst++ {
 			p.bank.SetSeed(p.famIndex(inst, dim), famSeed(cfg.Seed, inst, dim))
 		}
+		p.planes[dim].init(p.bank, p.famIndex(0, dim), cfg.Instances, cfg.LogDomain[dim])
 	}
 	return p, nil
 }
@@ -139,12 +220,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 // famIndex returns the bank slot of the (instance, dimension) family:
 // dimension-major, so instances of one dimension are contiguous.
 func (p *Plan) famIndex(inst, dim int) int { return dim*p.cfg.Instances + inst }
-
-// famRange returns the bank range [lo, hi) covering every instance of one
-// dimension.
-func (p *Plan) famRange(dim int) (lo, hi int) {
-	return dim * p.cfg.Instances, (dim + 1) * p.cfg.Instances
-}
 
 // family returns a standalone view of one (instance, dimension) family, for
 // tests and single-evaluation paths.
@@ -169,31 +244,20 @@ func famSeed(seed uint64, inst, dim int) uint64 {
 	return z ^ (z >> 33)
 }
 
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
+// Config returns a copy of the plan's configuration.
+func (p *Plan) Config() Config { return p.cfg.clone() }
 
-// Domains returns the dyadic domain of each dimension.
-func (p *Plan) Domains() []dyadic.Domain { return p.doms }
+// Domains returns a copy of the dyadic domain of each dimension.
+func (p *Plan) Domains() []dyadic.Domain { return slices.Clone(p.doms) }
 
-// MaxLevels returns the effective per-dimension level caps.
-func (p *Plan) MaxLevels() []int { return p.maxLevel }
+// MaxLevels returns a copy of the effective per-dimension level caps.
+func (p *Plan) MaxLevels() []int { return slices.Clone(p.maxLevel) }
 
 // Instances returns the total number of atomic estimator instances.
 func (p *Plan) Instances() int { return p.cfg.Instances }
 
 // Groups returns the number of median groups (k2).
 func (p *Plan) Groups() int { return p.cfg.Groups }
-
-// Materialize precomputes sign tables for every family (an optional
-// speed/space trade-off; see xi.Bank.Materialize). The extra memory is
-// Instances * Dims * IDSpace bytes.
-func (p *Plan) Materialize() {
-	for dim := 0; dim < p.cfg.Dims; dim++ {
-		for inst := 0; inst < p.cfg.Instances; inst++ {
-			p.bank.Materialize(p.famIndex(inst, dim), p.doms[dim].IDSpace())
-		}
-	}
-}
 
 // coverBuf holds scratch cover id lists for one object, reused across
 // instances so covers are computed once per object (they do not depend on

@@ -63,10 +63,9 @@ func (s *JoinSketch) update(rect geo.HyperRect, sign int64) error {
 }
 
 // applyCovers folds one object's covers into dst. The loop order is
-// id-major: each dyadic id of each cover is evaluated once against the
-// contiguous family plane of its dimension (xi.Bank.SumSignsMany), filling
-// per-letter sum planes that are then folded into the 2^d counters of every
-// instance.
+// id-major: each dyadic id of each cover is summed once over every instance
+// of its dimension (Plan.sumSigns), filling per-letter sum planes that are
+// then folded into the 2^d counters of every instance.
 func (s *JoinSketch) applyCovers(buf *coverBuf, sign int64, dst []int64, sums *letterSums) {
 	p := s.plan
 	d := p.cfg.Dims
@@ -74,11 +73,10 @@ func (s *JoinSketch) applyCovers(buf *coverBuf, sign int64, dst []int64, sums *l
 	nw := 1 << uint(d)
 	sums.reset()
 	for i := 0; i < d; i++ {
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(buf.cover[i], lo, hi, sums.plane(i, 0))
+		p.sumSigns(i, buf.cover[i], sums.plane(i, 0))
 		eAcc := sums.plane(i, 1)
-		p.bank.SumSignsMany(buf.ptLo[i], lo, hi, eAcc)
-		p.bank.SumSignsMany(buf.ptHi[i], lo, hi, eAcc)
+		p.sumSigns(i, buf.ptLo[i], eAcc)
+		p.sumSigns(i, buf.ptHi[i], eAcc)
 	}
 	switch d {
 	case 1:

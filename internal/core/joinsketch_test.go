@@ -444,25 +444,3 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("cross-plan estimate should fail")
 	}
 }
-
-// TestMaterializedPlanMatches: materializing xi tables changes no counter.
-func TestMaterializedPlanMatches(t *testing.T) {
-	cfg := Config{Dims: 1, LogDomain: []int{8}, Instances: 16, Groups: 4, Seed: 9}
-	rects := datagen.MustRects(datagen.Spec{N: 50, Dims: 1, Domain: 256, Seed: 4})
-	plain := MustPlan(cfg)
-	s1 := plain.NewJoinSketch()
-	if err := s1.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	mat := MustPlan(cfg)
-	mat.Materialize()
-	s2 := mat.NewJoinSketch()
-	if err := s2.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	for i := range s1.counters {
-		if s1.counters[i] != s2.counters[i] {
-			t.Fatalf("materialized counters differ at %d", i)
-		}
-	}
-}

@@ -66,15 +66,14 @@ func (s *PointSketch) update(pt geo.Point, sign int64) error {
 	return nil
 }
 
-// apply folds one point's covers into dst, id-major over the bank.
+// apply folds one point's covers into dst, id-major over the plan's families.
 func (s *PointSketch) apply(pt geo.Point, sign int64, dst []int64, ptBuf [][]uint64, sums *letterSums) {
 	p := s.plan
 	d := p.cfg.Dims
 	sums.reset()
 	for i := 0; i < d; i++ {
 		ptBuf[i] = p.doms[i].PointCoverMax(pt[i], p.maxLevel[i], ptBuf[i][:0])
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(ptBuf[i], lo, hi, sums.plane(i, 0))
+		p.sumSigns(i, ptBuf[i], sums.plane(i, 0))
 	}
 	for inst := 0; inst < p.cfg.Instances; inst++ {
 		prod := sign
@@ -152,15 +151,14 @@ func (s *BoxSketch) update(rect geo.HyperRect, sign int64) error {
 	return nil
 }
 
-// apply folds one box's interval covers into dst, id-major over the bank.
+// apply folds one box's interval covers into dst, id-major over the plan's families.
 func (s *BoxSketch) apply(rect geo.HyperRect, sign int64, dst []int64, covBuf [][]uint64, sums *letterSums) {
 	p := s.plan
 	d := p.cfg.Dims
 	sums.reset()
 	for i := 0; i < d; i++ {
 		covBuf[i] = p.doms[i].CoverMax(rect[i].Lo, rect[i].Hi, p.maxLevel[i], covBuf[i][:0])
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(covBuf[i], lo, hi, sums.plane(i, 0))
+		p.sumSigns(i, covBuf[i], sums.plane(i, 0))
 	}
 	for inst := 0; inst < p.cfg.Instances; inst++ {
 		prod := sign

@@ -70,9 +70,8 @@ func (s *RangeSketch) applyCovers(buf *coverBuf, sign int64, dst []int64, sums *
 	nw := 1 << uint(d)
 	sums.reset()
 	for i := 0; i < d; i++ {
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(buf.cover[i], lo, hi, sums.plane(i, 0))
-		p.bank.SumSignsMany(buf.ptHi[i], lo, hi, sums.plane(i, 1))
+		p.sumSigns(i, buf.cover[i], sums.plane(i, 0))
+		p.sumSigns(i, buf.ptHi[i], sums.plane(i, 1))
 	}
 	var lp [MaxDims][2][]int64
 	for i := 0; i < d; i++ {
@@ -147,9 +146,8 @@ func (s *RangeSketch) EstimateRangeWith(q geo.HyperRect, sc *EstScratch) (Estima
 	qv.reset()
 	var lp [MaxDims][2][]int64
 	for i := 0; i < d; i++ {
-		lo, hi := p.famRange(i)
-		p.bank.SumSignsMany(qb.ptHi[i], lo, hi, qv.plane(i, 0))  // pairs with data I
-		p.bank.SumSignsMany(qb.cover[i], lo, hi, qv.plane(i, 1)) // pairs with data U
+		p.sumSigns(i, qb.ptHi[i], qv.plane(i, 0))  // pairs with data I
+		p.sumSigns(i, qb.cover[i], qv.plane(i, 1)) // pairs with data U
 		lp[i][0], lp[i][1] = qv.plane(i, 0), qv.plane(i, 1)
 	}
 	zs := sc.instSums(p)

@@ -21,7 +21,6 @@ import (
 // every sign - is bit-identical to Family.Hash/Family.Sign.
 type Bank struct {
 	c0, c1, c2, c3 []uint64
-	tables         [][]int8 // optional memoized signs per family (see Materialize)
 }
 
 // NewBank returns a bank with room for n families, all initialized to the
@@ -47,14 +46,9 @@ func (b *Bank) Set(j int, f *Family) {
 	b.c0[j], b.c1[j], b.c2[j], b.c3[j] = f.a[0], f.a[1], f.a[2], f.a[3]
 }
 
-// Family returns a standalone copy of family j (sharing the memoized sign
-// table, if any).
+// Family returns a standalone copy of family j.
 func (b *Bank) Family(j int) *Family {
-	f := &Family{a: [4]uint64{b.c0[j], b.c1[j], b.c2[j], b.c3[j]}}
-	if b.tables != nil {
-		f.table = b.tables[j]
-	}
-	return f
+	return &Family{a: [4]uint64{b.c0[j], b.c1[j], b.c2[j], b.c3[j]}}
 }
 
 // lazyMul returns a value < 2^62 congruent to a*b mod Prime, for lazy
@@ -103,23 +97,6 @@ func (b *Bank) HashMany(i uint64, lo, hi int, dst []uint64) {
 	}
 }
 
-// AddSigns folds the signs of index id into acc: acc[j-lo] += xi_id of
-// family j, for j in [lo, hi). acc must have length hi-lo.
-func (b *Bank) AddSigns(id uint64, lo, hi int, acc []int64) {
-	if b.tables != nil {
-		b.addSignsTable(id, lo, hi, acc)
-		return
-	}
-	i2 := lazyMul(id, id)
-	i3 := lazyMul(i2, id)
-	c0, c1, c2, c3 := b.c0[lo:hi], b.c1[lo:hi], b.c2[lo:hi], b.c3[lo:hi]
-	_ = acc[len(c0)-1]
-	for j := range c0 {
-		h := canon(c0[j] + lazyMul(c1[j], id) + lazyMul(c2[j], i2) + lazyMul(c3[j], i3))
-		acc[j] += 1 - 2*int64(h&1)
-	}
-}
-
 // powerChunk bounds the per-call stack scratch of SumSignsMany. Cover lists
 // are at most 2*MaxLog + a few ids, comfortably below it; longer lists are
 // processed in chunks.
@@ -134,12 +111,6 @@ const powerChunk = 192
 // length hi-lo; it is accumulated into, not overwritten, so interval and
 // endpoint covers can share a plane.
 func (b *Bank) SumSignsMany(ids []uint64, lo, hi int, acc []int64) {
-	if b.tables != nil {
-		for _, id := range ids {
-			b.addSignsTable(id, lo, hi, acc)
-		}
-		return
-	}
 	var p2, p3 [powerChunk]uint64
 	for len(ids) > 0 {
 		m := len(ids)
@@ -183,37 +154,6 @@ func (b *Bank) SumSignsMany(ids []uint64, lo, hi int, acc []int64) {
 	}
 }
 
-// addSignsTable is AddSigns through the memoized tables, falling back to
-// evaluation for out-of-table ids.
-func (b *Bank) addSignsTable(id uint64, lo, hi int, acc []int64) {
-	i2 := lazyMul(id, id)
-	i3 := lazyMul(i2, id)
-	for j := lo; j < hi; j++ {
-		if t := b.tables[j]; id < uint64(len(t)) {
-			acc[j-lo] += int64(t[id])
-			continue
-		}
-		h := canon(b.c0[j] + lazyMul(b.c1[j], id) + lazyMul(b.c2[j], i2) + lazyMul(b.c3[j], i3))
-		acc[j-lo] += 1 - 2*int64(h&1)
-	}
-}
-
-// Materialize memoizes the signs of indices [0, n) of family j, the Bank
-// counterpart of Family.Materialize. It changes no value the bank produces.
-func (b *Bank) Materialize(j int, n uint64) {
-	if b.tables == nil {
-		b.tables = make([][]int8, b.Len())
-	}
-	t := make([]int8, n)
-	for i := uint64(0); i < n; i++ {
-		t[i] = int8(1 - 2*int64(b.Hash(j, i)&1))
-	}
-	b.tables[j] = t
-}
-
-// Materialized reports whether any family carries a memoized table.
-func (b *Bank) Materialized() bool { return b.tables != nil }
-
 // BankSeedBytes returns the serialized size of a bank of n families.
 func BankSeedBytes(n int) int { return n * SeedBytes }
 
@@ -230,8 +170,7 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a bank produced by MarshalBinary. Any memoized
-// tables are discarded.
+// UnmarshalBinary decodes a bank produced by MarshalBinary.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	if len(data)%SeedBytes != 0 {
 		return fmt.Errorf("xi: bank data length %d not a multiple of %d", len(data), SeedBytes)

@@ -65,7 +65,7 @@ func TestBankSumSignsMatchesFamily(t *testing.T) {
 }
 
 // TestBankAccumulates: SumSignsMany adds into acc rather than overwriting,
-// and AddSigns matches Sign.
+// and a single id matches Sign.
 func TestBankAccumulates(t *testing.T) {
 	const n = 16
 	b, fams := testBank(t, n)
@@ -74,37 +74,11 @@ func TestBankAccumulates(t *testing.T) {
 	acc := make([]int64, n)
 	b.SumSignsMany(idsA, 0, n, acc)
 	b.SumSignsMany(idsB, 0, n, acc)
-	b.AddSigns(3, 0, n, acc)
+	b.SumSignsMany([]uint64{3}, 0, n, acc)
 	for j := 0; j < n; j++ {
 		want := fams[j].SumSigns(idsA) + fams[j].SumSigns(idsB) + fams[j].Sign(3)
 		if acc[j] != want {
 			t.Fatalf("accumulated signs family %d = %d, want %d", j, acc[j], want)
-		}
-	}
-}
-
-// TestBankMaterialize: memoized tables change no value; out-of-table ids
-// fall back to evaluation.
-func TestBankMaterialize(t *testing.T) {
-	const n = 8
-	b, fams := testBank(t, n)
-	ids := []uint64{0, 3, 63, 64, 1000, 1 << 40}
-	plain := make([]int64, n)
-	b.SumSignsMany(ids, 0, n, plain)
-	for j := 0; j < n; j++ {
-		b.Materialize(j, 64)
-	}
-	if !b.Materialized() {
-		t.Fatal("Materialized() = false after Materialize")
-	}
-	memo := make([]int64, n)
-	b.SumSignsMany(ids, 0, n, memo)
-	for j := 0; j < n; j++ {
-		if plain[j] != memo[j] {
-			t.Fatalf("materialized sums differ for family %d: %d vs %d", j, memo[j], plain[j])
-		}
-		if f := b.Family(j); f.Sign(3) != fams[j].Sign(3) {
-			t.Fatalf("Family view %d disagrees", j)
 		}
 	}
 }

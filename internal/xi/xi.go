@@ -12,9 +12,9 @@
 //
 // The seed is the four coefficients (32 bytes), satisfying the paper's
 // O(log |dom|)-bit seed requirement; variables are generated on the fly in
-// O(1) word operations. Materialize optionally trades the space guarantee
-// for a lookup table when update throughput matters more than synopsis
-// space (used by the experiment harness).
+// O(1) word operations. The package is the pure polynomial kernel: Family
+// is the scalar reference and Bank the batched evaluator; any memoization
+// of signs lives with its caller (internal/core's sign planes).
 package xi
 
 import (
@@ -34,8 +34,7 @@ const SeedBytes = 32
 // Family is one family of four-wise independent {-1, +1} random variables,
 // defined by the four coefficients of its hash polynomial.
 type Family struct {
-	a     [4]uint64 // polynomial coefficients, each in [0, Prime)
-	table []int8    // optional memoized signs (see Materialize)
+	a [4]uint64 // polynomial coefficients, each in [0, Prime)
 }
 
 // New derives a family deterministically from a 64-bit seed using a
@@ -83,8 +82,7 @@ func (f *Family) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a family seed produced by MarshalBinary. Any
-// memoized table is discarded.
+// UnmarshalBinary decodes a family seed produced by MarshalBinary.
 func (f *Family) UnmarshalBinary(data []byte) error {
 	if len(data) != SeedBytes {
 		return fmt.Errorf("xi: bad seed length %d, want %d", len(data), SeedBytes)
@@ -97,7 +95,6 @@ func (f *Family) UnmarshalBinary(data []byte) error {
 		}
 	}
 	f.a = a
-	f.table = nil
 	return nil
 }
 
@@ -136,9 +133,6 @@ func (f *Family) Hash(i uint64) uint64 {
 
 // Sign returns xi_i in {-1, +1}.
 func (f *Family) Sign(i uint64) int64 {
-	if f.table != nil && i < uint64(len(f.table)) {
-		return int64(f.table[i])
-	}
 	return 1 - 2*int64(f.Hash(i)&1)
 }
 
@@ -146,38 +140,8 @@ func (f *Family) Sign(i uint64) int64 {
 // aggregation of Equation 3 in the paper).
 func (f *Family) SumSigns(ids []uint64) int64 {
 	var s int64
-	if f.table != nil {
-		t := f.table
-		n := uint64(len(t))
-		for _, id := range ids {
-			if id < n {
-				s += int64(t[id])
-			} else {
-				s += 1 - 2*int64(f.Hash(id)&1)
-			}
-		}
-		return s
-	}
 	for _, id := range ids {
 		s += 1 - 2*int64(f.Hash(id)&1)
 	}
 	return s
 }
-
-// Materialize precomputes the signs of indices [0, n) into a lookup table of
-// n bytes. This is an optional speed/space trade-off for bulk experiment
-// runs; it does not change any value the family produces.
-func (f *Family) Materialize(n uint64) {
-	t := make([]int8, n)
-	for i := uint64(0); i < n; i++ {
-		t[i] = int8(1 - 2*int64(f.Hash(i)&1))
-	}
-	f.table = t
-}
-
-// Materialized reports whether the family carries a lookup table.
-func (f *Family) Materialized() bool { return f.table != nil }
-
-// Drop discards any memoized table, returning the family to seed-only
-// storage.
-func (f *Family) Drop() { f.table = nil }

@@ -190,43 +190,6 @@ func TestSumSigns(t *testing.T) {
 	}
 }
 
-func TestMaterializeMatchesSign(t *testing.T) {
-	f := New(7)
-	want := make([]int64, 512)
-	for i := range want {
-		want[i] = f.Sign(uint64(i))
-	}
-	f.Materialize(512)
-	if !f.Materialized() {
-		t.Fatal("Materialized() = false after Materialize")
-	}
-	for i := range want {
-		if got := f.Sign(uint64(i)); got != want[i] {
-			t.Fatalf("materialized Sign(%d) = %d, want %d", i, got, want[i])
-		}
-	}
-	// Indices beyond the table still work.
-	_ = f.Sign(1 << 20)
-	// SumSigns with mixed in/out-of-table ids.
-	ids := []uint64{3, 700, 100, 1 << 20}
-	var sum int64
-	for _, id := range ids {
-		sum += f.Sign(id)
-	}
-	if got := f.SumSigns(ids); got != sum {
-		t.Fatalf("materialized SumSigns = %d, want %d", got, sum)
-	}
-	f.Drop()
-	if f.Materialized() {
-		t.Fatal("Materialized() = true after Drop")
-	}
-	for i := range want {
-		if got := f.Sign(uint64(i)); got != want[i] {
-			t.Fatalf("post-Drop Sign(%d) = %d, want %d", i, got, want[i])
-		}
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	f := New(987654321)
 	data, err := f.MarshalBinary()
