@@ -124,7 +124,8 @@ func startChaos(t *testing.T, seed int64) *chaosHarness {
 }
 
 // boot opens (or re-opens) the node's persistent Server on its data dir,
-// with its WAL and outbound fan-out both routed through the injector.
+// with its WAL and outbound fan-out (on the production fan-out transport)
+// both routed through the injector.
 func (h *chaosHarness) boot(n *chaosNode) {
 	h.t.Helper()
 	srv, err := NewPersistentServer(PersistOptions{DataDir: n.dir, WALHooks: h.in.WALHooks(n.id)})
@@ -135,7 +136,7 @@ func (h *chaosHarness) boot(n *chaosNode) {
 		SelfID:     n.id,
 		Map:        h.m.Clone(),
 		Partitions: testPartitions,
-		Client:     &cluster.Client{HTTP: &http.Client{Transport: h.in.Transport(n.id, nil)}, Timeout: 2 * time.Second},
+		Client:     &cluster.Client{HTTP: &http.Client{Transport: h.in.Transport(n.id, cluster.NewTransport())}, Timeout: 2 * time.Second},
 		Health:     cluster.NewHealth(cluster.HealthOptions{FailureThreshold: 3, OpenFor: 250 * time.Millisecond}),
 	}); err != nil {
 		h.t.Fatalf("boot %s: %v", n.id, err)

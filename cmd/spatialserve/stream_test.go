@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -258,6 +260,117 @@ func TestStreamIngestExactlyOnce(t *testing.T) {
 			t.Errorf("/metrics is missing %s", want)
 		}
 	}
+}
+
+// TestStreamIngestResendKeepsOrder: batches queued before the first
+// connection are resent while Send keeps writing new ones, with the
+// resent frames slowed down so new frames are waiting behind them. Every
+// batch frame must reach the wire in sequence order - the server drops a
+// batch at or below the highest sequence number it applied, so a frame
+// overtaken by a later one would be acked and lost.
+func TestStreamIngestResendKeepsOrder(t *testing.T) {
+	n := startStreamNode(t)
+	createStreamJoin(t, n.ht.URL)
+	ref := refJoin(t)
+	u, err := url.Parse(n.ht.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, resending := make(chan struct{}), make(chan struct{})
+	wire := &seqLog{}
+	c, err := ingestclient.Dial(ingestclient.Options{
+		BaseURL: n.ht.URL, Estimator: "j", Session: "order",
+		Dial: func() (net.Conn, error) {
+			<-release
+			conn, err := net.Dial("tcp", u.Host)
+			if err != nil {
+				return nil, err
+			}
+			return &slowBatchConn{Conn: conn, log: wire, slow: 4, resending: resending}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	rng := rand.New(rand.NewSource(23))
+	var history []spatial.UpdateRecord
+	send := func(count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			recs := streamBatch(rng, 12, &history)
+			applyRef(t, ref, recs)
+			if err := c.Send(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(4) // queued: the connection is held back
+	close(release)
+	<-resending // the resend of batches 1-4 is on the wire, slowly
+	send(12)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wire.seqs(); len(got) != 16 {
+		t.Fatalf("batch frames on the wire: %v, want 1..16 once each", got)
+	} else {
+		for i, seq := range got {
+			if seq != uint64(i+1) {
+				t.Fatalf("batch frames on the wire: %v, want 1..16 in order", got)
+			}
+		}
+	}
+	mustMatchRef(t, n.ht.URL, ref, "after a resend raced Send")
+}
+
+// seqLog records, across connections, the sequence numbers of batch
+// frames in write order.
+type seqLog struct {
+	mu  sync.Mutex
+	log []uint64
+}
+
+// add records seq and returns how many batch frames were written before.
+func (l *seqLog) add(seq uint64) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = append(l.log, seq)
+	return len(l.log) - 1
+}
+
+func (l *seqLog) seqs() []uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]uint64(nil), l.log...)
+}
+
+// slowBatchConn logs every batch frame written to it (the client writes
+// one frame per Write) and holds each of the first slow ones back for
+// 5 ms, closing resending at the first, so later frames queue up behind
+// them.
+type slowBatchConn struct {
+	net.Conn
+	log       *seqLog
+	slow      int
+	resending chan struct{}
+}
+
+func (c *slowBatchConn) Write(p []byte) (int, error) {
+	if len(p) > 0 && ingest.FrameType(p[0]) == ingest.FrameBatch {
+		if _, body, err := ingest.ReadFrame(bufio.NewReader(bytes.NewReader(p))); err == nil {
+			if b, err := ingest.DecodeBatch(body); err == nil {
+				if before := c.log.add(b.Seq); before < c.slow {
+					if before == 0 {
+						close(c.resending)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		}
+	}
+	return c.Conn.Write(p)
 }
 
 // TestStreamIngestCrashResume crashes the server mid-session: the SAME

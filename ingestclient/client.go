@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,8 +66,9 @@ type Client struct {
 	opts Options
 	host string
 
-	// writeMu serializes frame writes: Send's direct write and the run
-	// loop's resend may target the same connection.
+	// writeMu serializes frame writes: Send and the run loop's resend
+	// may target the same connection, and whoever holds it writes every
+	// frame the connection still lacks, in sequence order.
 	writeMu sync.Mutex
 
 	mu         sync.Mutex
@@ -80,6 +80,7 @@ type Client struct {
 	termErr    error
 	closed     bool
 	conn       net.Conn
+	written    uint64 // highest seq written on conn
 	reconnects uint64
 	resent     uint64
 
@@ -151,32 +152,41 @@ func (c *Client) Send(recs []spatial.UpdateRecord) error {
 		return ErrClosed
 	}
 	c.nextSeq++
-	seq := c.nextSeq
-	frame := ingest.AppendBatch(nil, seq, len(recs), enc)
-	c.unacked[seq] = frame
-	conn := c.conn
+	c.unacked[c.nextSeq] = ingest.AppendBatch(nil, c.nextSeq, len(recs), enc)
 	c.mu.Unlock()
-	if conn != nil {
-		dup := c.opts.DupEvery > 0 && seq%uint64(c.opts.DupEvery) == 0
-		// A write error is NOT a Send error: the frame stays unacked and
-		// the run loop resends it on the next connection.
-		c.writeFrames(conn, frame, dup)
-	}
+	// A write error is NOT a Send error: the frame stays unacked and the
+	// run loop resends it on the next connection.
+	c.writeUnsent()
 	return nil
 }
 
-// writeFrames writes one frame (twice under the duplicate-injection
-// hook) under the write mutex, closing the connection on error so the
-// run loop reconnects.
-func (c *Client) writeFrames(conn net.Conn, frame []byte, dup bool) {
+// writeUnsent writes, in sequence order, every queued frame the current
+// connection has not carried yet (each twice under the duplicate-injection
+// hook), closing the connection on error so the run loop reconnects.
+// Order matters: the server drops any batch at or below the highest
+// sequence number it applied, so a frame overtaken by a later one would
+// be acked and lost. Holding writeMu across the loop keeps a concurrent
+// Send from overtaking a resend or another Send.
+func (c *Client) writeUnsent() {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if _, err := conn.Write(frame); err != nil {
-		conn.Close()
-		return
-	}
-	if dup {
-		conn.Write(frame)
+	for {
+		c.mu.Lock()
+		conn, seq := c.conn, c.written+1
+		frame, ok := c.unacked[seq]
+		if conn == nil || !ok {
+			c.mu.Unlock()
+			return
+		}
+		c.written = seq
+		c.mu.Unlock()
+		if _, err := conn.Write(frame); err != nil {
+			conn.Close()
+			return
+		}
+		if c.opts.DupEvery > 0 && seq%uint64(c.opts.DupEvery) == 0 {
+			conn.Write(frame)
+		}
 	}
 }
 
@@ -315,22 +325,12 @@ func (c *Client) resume(conn net.Conn, ha ingest.HelloAck) bool {
 	if c.opts.Window <= 0 && ha.WindowBatches > 0 {
 		c.window = int(ha.WindowBatches)
 	}
-	seqs := make([]uint64, 0, len(c.unacked))
-	for s := range c.unacked {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	frames := make([][]byte, len(seqs))
-	for i, s := range seqs {
-		frames[i] = c.unacked[s]
-	}
-	c.resent += uint64(len(frames))
-	c.conn = conn
+	// Every unacked batch is above the adopted watermark.
+	c.resent += uint64(len(c.unacked))
+	c.conn, c.written = conn, c.ackedSeq
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, f := range frames {
-		c.writeFrames(conn, f, false)
-	}
+	c.writeUnsent()
 	return true
 }
 

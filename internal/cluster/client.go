@@ -32,13 +32,31 @@ type Client struct {
 // set one.
 const DefaultTimeout = 10 * time.Second
 
-// NewClient returns a Client with the given per-attempt timeout (0 means
-// DefaultTimeout) and hedge delay (0 disables hedging).
+// idleConnsPerPeer is the idle-connection pool NewTransport keeps per
+// peer. A router has up to its partition count of GETs in flight to one
+// owner per client request, times the concurrent client requests; past
+// the pool, a finished connection is closed and the next request dials
+// again (http.DefaultTransport keeps 2).
+const idleConnsPerPeer = 64
+
+// NewTransport returns the fan-out transport: a clone of
+// http.DefaultTransport that keeps idleConnsPerPeer idle connections per
+// peer, with no cap across peers. Fault injection wraps it like any
+// http.RoundTripper.
+func NewTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = idleConnsPerPeer
+	return t
+}
+
+// NewClient returns a Client on a NewTransport with the given per-attempt
+// timeout (0 means DefaultTimeout) and hedge delay (0 disables hedging).
 func NewClient(timeout, hedgeDelay time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	return &Client{HTTP: &http.Client{}, Timeout: timeout, HedgeDelay: hedgeDelay}
+	return &Client{HTTP: &http.Client{Transport: NewTransport()}, Timeout: timeout, HedgeDelay: hedgeDelay}
 }
 
 // Response is the buffered result of one cluster request.

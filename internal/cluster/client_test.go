@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,6 +31,60 @@ func TestClientDoBuffersResponse(t *testing.T) {
 	}
 	if resp.Status != http.StatusTeapot || string(resp.Body) != "body" || resp.Header.Get("X-Reply") != "pong" {
 		t.Fatalf("unexpected response: %+v", resp)
+	}
+}
+
+// TestClientReusesConnections: a round of concurrent Gets larger than
+// http.DefaultTransport's idle pool opens its connections once; later
+// rounds reuse them and dial nothing.
+func TestClientReusesConnections(t *testing.T) {
+	const conc, rounds = 16, 4
+	var opened atomic.Int32
+	// Each request waits until all conc of its round have arrived, so the
+	// warm round holds conc connections open at once.
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	arrived, round := 0, 0
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if arrived++; arrived == conc {
+			arrived, round = 0, round+1
+			cond.Broadcast()
+		} else {
+			for my := round; round == my; {
+				cond.Wait()
+			}
+		}
+		mu.Unlock()
+		fmt.Fprint(w, "ok")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := NewClient(5*time.Second, 0)
+	defer c.HTTP.CloseIdleConnections()
+	for r := 0; r < rounds; r++ {
+		before := opened.Load()
+		var wg sync.WaitGroup
+		for i := 0; i < conc; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if resp, err := c.Get(context.Background(), srv.URL, nil); err != nil || resp.Status != http.StatusOK {
+					t.Errorf("round %d: get: %v", r, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := opened.Load() - before; r == 0 && n != conc {
+			t.Fatalf("warm round opened %d connections, want %d", n, conc)
+		} else if r > 0 && n != 0 {
+			t.Fatalf("round %d opened %d connections after the warm round, want 0", r, n)
+		}
 	}
 }
 

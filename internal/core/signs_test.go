@@ -19,6 +19,9 @@ import (
 // (log 8), straddle them (11, 12, 14), mostly miss them (20, and a cap
 // below every memoized level), an instance count that is not a multiple
 // of 64, and one whose rows are too wide for 11 levels to fit in 64 KB.
+// 1 and 257 instances are not multiples of four, so the vector kernel's
+// scalar tail runs; at 257 the second dimension's families also start at
+// a bank slot that is not a multiple of four.
 var memoConfigs = []Config{
 	{Dims: 2, LogDomain: []int{8, 8}, Instances: 256, Groups: 4},
 	{Dims: 2, LogDomain: []int{11, 11}, Instances: 256, Groups: 4},
@@ -28,6 +31,8 @@ var memoConfigs = []Config{
 	{Dims: 2, LogDomain: []int{20, 20}, Instances: 256, Groups: 4},
 	{Dims: 2, LogDomain: []int{20, 14}, MaxLevel: []int{6, -1}, Instances: 256, Groups: 4},
 	{Dims: 1, LogDomain: []int{14}, Instances: 1024, Groups: 8},
+	{Dims: 2, LogDomain: []int{16, 16}, Instances: 1, Groups: 1},
+	{Dims: 2, LogDomain: []int{14, 14}, Instances: 257, Groups: 1},
 }
 
 // TestSignPlaneLimits pins how many levels fit in one dimension's 64 KB.

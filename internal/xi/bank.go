@@ -11,14 +11,16 @@ import (
 // xi_i of this one family", Bank answers "what is xi_i of families
 // [lo, hi)" with a single pass over contiguous memory.
 //
-// The batched kernel precomputes i, i^2 mod p and i^3 mod p once per index
-// and then evaluates every family with three *independent* modular
+// The batched kernels precompute i, i^2 mod p and i^3 mod p once per index
+// and then evaluate every family with three *independent* modular
 // multiplies (a1*i, a2*i^2, a3*i^3) instead of the dependent Horner chain -
 // the multiplies of consecutive families pipeline, and the coefficient
 // loads stream linearly. Intermediate values use a lazy reduction (results
 // kept < 2^62, congruent mod p); the final reduction to the canonical
 // representative happens once per evaluation, so the parity bit - and hence
-// every sign - is bit-identical to Family.Hash/Family.Sign.
+// every sign - is bit-identical to Family.Hash/Family.Sign. SumSignsMany
+// has a second, AVX2 kernel on amd64 (bank_amd64.go), chosen at package
+// init when the CPU and OS support it.
 type Bank struct {
 	c0, c1, c2, c3 []uint64
 }
@@ -97,20 +99,34 @@ func (b *Bank) HashMany(i uint64, lo, hi int, dst []uint64) {
 	}
 }
 
-// powerChunk bounds the per-call stack scratch of SumSignsMany. Cover lists
-// are at most 2*MaxLog + a few ids, comfortably below it; longer lists are
-// processed in chunks.
+// powerChunk bounds the per-call stack scratch of sumSignsScalar. Cover
+// lists are at most 2*MaxLog + a few ids, comfortably below it; longer
+// lists are processed in chunks.
 const powerChunk = 192
 
 // SumSignsMany folds the signs of all ids into acc: acc[j-lo] +=
-// sum over ids of xi_id of family j, for j in [lo, hi). The powers i, i^2,
-// i^3 of every id are computed once for the whole call (instead of once per
-// family, as the per-Family path does), and each family then streams
-// through the id list with its four coefficients pinned in registers: per
-// evaluation, three loads and three independent multiplies. acc must have
+// sum over ids of xi_id of family j, for j in [lo, hi). acc must have
 // length hi-lo; it is accumulated into, not overwritten, so interval and
-// endpoint covers can share a plane.
+// endpoint covers can share a plane. Every id must be < Prime. On amd64
+// CPUs with AVX2 (useAVX2, fixed at package init) the AVX2 kernel
+// evaluates four families per instruction; elsewhere sumSignsScalar does.
+// Both are exact integer arithmetic, so every sign equals Family.Sign.
+// The calls are direct, so ids and acc may live on the caller's stack.
 func (b *Bank) SumSignsMany(ids []uint64, lo, hi int, acc []int64) {
+	if useAVX2 {
+		b.sumSignsAVX2(ids, lo, hi, acc)
+		return
+	}
+	b.sumSignsScalar(ids, lo, hi, acc)
+}
+
+// sumSignsScalar is the portable kernel and the reference the vector
+// kernel is tested against. The powers i, i^2, i^3 of every id are
+// computed once for the whole call (instead of once per family, as the
+// per-Family path does), and each family then streams through the id list
+// with its four coefficients pinned in registers: per evaluation, three
+// loads and three independent multiplies.
+func (b *Bank) sumSignsScalar(ids []uint64, lo, hi int, acc []int64) {
 	var p2, p3 [powerChunk]uint64
 	for len(ids) > 0 {
 		m := len(ids)

@@ -1,6 +1,7 @@
 package xi
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -46,22 +47,115 @@ func TestBankHashMatchesFamily(t *testing.T) {
 	}
 }
 
-// TestBankSumSignsMatchesFamily: SumSignsMany over a sub-range of families
-// equals per-family SumSigns.
+// TestBankSumSignsMatchesFamily: SumSignsMany and the scalar kernel over a
+// sub-range of families equal per-family SumSigns.
 func TestBankSumSignsMatchesFamily(t *testing.T) {
 	const n = 48
-	b, fams := testBank(t, n)
-	ids := testIDs()
+	b, _ := testBank(t, n)
 	for _, rng := range [][2]int{{0, n}, {5, 17}, {n - 1, n}} {
-		lo, hi := rng[0], rng[1]
-		acc := make([]int64, hi-lo)
-		b.SumSignsMany(ids, lo, hi, acc)
-		for j := lo; j < hi; j++ {
-			if want := fams[j].SumSigns(ids); acc[j-lo] != want {
-				t.Fatalf("SumSignsMany[%d:%d] family %d = %d, want %d", lo, hi, j, acc[j-lo], want)
-			}
+		checkSumSigns(t, b, testIDs(), rng[0], rng[1])
+	}
+}
+
+// edgeValues are field values where the limb split and the lazy
+// reductions reach their bounds (Prime-1 = 2^61-2 is the largest); the
+// fuzz seeds draw on the first five.
+var edgeValues = []uint64{0, 1, Prime - 1, 1 << 60, Prime - 2, 2, 1<<31 - 1, 1 << 31, 1<<30 - 1, 1 << 30, 1<<60 - 1}
+
+// checkSumSigns runs the dispatching SumSignsMany and the scalar kernel on
+// families [lo, hi) of b over ids, into accumulators that start non-zero
+// and sit between sentinels, and requires both to equal Family.SumSigns
+// and to leave the sentinels alone.
+func checkSumSigns(t *testing.T, b *Bank, ids []uint64, lo, hi int) {
+	t.Helper()
+	const sentinel = -0x5eed
+	n := hi - lo
+	got := make([]int64, n+2)
+	ref := make([]int64, n+2)
+	got[0], got[n+1], ref[0], ref[n+1] = sentinel, sentinel, sentinel, sentinel
+	for j := 1; j <= n; j++ {
+		got[j], ref[j] = int64(j*7), int64(j*7)
+	}
+	b.SumSignsMany(ids, lo, hi, got[1:n+1])
+	b.sumSignsScalar(ids, lo, hi, ref[1:n+1])
+	if got[0] != sentinel || got[n+1] != sentinel {
+		t.Fatalf("SumSignsMany[%d:%d] wrote outside acc", lo, hi)
+	}
+	for j := lo; j < hi; j++ {
+		want := int64((j-lo+1)*7) + b.Family(j).SumSigns(ids)
+		if got[j-lo+1] != want || ref[j-lo+1] != want {
+			t.Fatalf("family %d of [%d:%d], %d ids: SumSignsMany %d, scalar %d, Family.SumSigns %d",
+				j, lo, hi, len(ids), got[j-lo+1], ref[j-lo+1], want)
 		}
 	}
+}
+
+// TestSumSignsKernelsAgree: on random banks of 1-40 families with
+// edge-value coefficients, at every lo offset mod 4, over 1-70 ids (more
+// than one vector chunk) mixing edge values and random ones, the
+// dispatching kernel equals the scalar one and Family.SumSigns.
+func TestSumSignsKernelsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	field := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return edgeValues[rng.Intn(len(edgeValues))]
+		}
+		return rng.Uint64() % Prime
+	}
+	for iter := 0; iter < 2000; iter++ {
+		lo := rng.Intn(8)
+		hi := lo + 1 + rng.Intn(40)
+		b := NewBank(hi + rng.Intn(3))
+		for j := 0; j < b.Len(); j++ {
+			f, err := FromCoeffs(field(), field(), field(), field())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Set(j, f)
+		}
+		ids := make([]uint64, 1+rng.Intn(70))
+		for k := range ids {
+			ids[k] = field()
+		}
+		checkSumSigns(t, b, ids, lo, hi)
+	}
+}
+
+// FuzzBankSumSigns: coefficients, ids, lo (0-7) and the family count
+// (1-64) drawn from the input; the dispatching kernel equals the scalar
+// one and Family.SumSigns. words is read as little-endian 64-bit words,
+// each reduced below Prime: the first 4*families are the coefficients,
+// the rest the ids (at least one, word 0 when the input runs out).
+func FuzzBankSumSigns(f *testing.F) {
+	for n := uint8(1); n <= 9; n++ {
+		var words []byte
+		for k := 0; k < 4*int(n)+int(n)%5+1; k++ {
+			words = binary.LittleEndian.AppendUint64(words, edgeValues[(k+int(n))%5])
+		}
+		f.Add(n%4, n, words)
+	}
+	f.Fuzz(func(t *testing.T, lo, n uint8, words []byte) {
+		word := func(k int) uint64 {
+			if 8*k+8 > len(words) {
+				return 0
+			}
+			return binary.LittleEndian.Uint64(words[8*k:]) % Prime
+		}
+		l, fams := int(lo%8), max(1, int(n%65))
+		b := NewBank(l + fams)
+		for j := 0; j < fams; j++ {
+			f, err := FromCoeffs(word(4*j), word(4*j+1), word(4*j+2), word(4*j+3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Set(l+j, f)
+		}
+		ids := []uint64{word(4 * fams)}
+		for k := 4*fams + 1; 8*k+8 <= len(words); k++ {
+			ids = append(ids, word(k))
+		}
+		checkSumSigns(t, b, ids, l, l+fams)
+	})
 }
 
 // TestBankAccumulates: SumSignsMany adds into acc rather than overwriting,
@@ -141,7 +235,14 @@ func BenchmarkXiFamilySumSigns(b *testing.B) {
 
 // BenchmarkXiBankSumSigns is the batched id-major kernel over the same
 // workload: 512 families x 40 ids per op.
-func BenchmarkXiBankSumSigns(b *testing.B) {
+func BenchmarkXiBankSumSigns(b *testing.B) { benchBankSumSigns(b, (*Bank).SumSignsMany) }
+
+// BenchmarkXiBankSumSignsScalar is the same workload on the portable
+// kernel, whatever kernel SumSignsMany selected.
+func BenchmarkXiBankSumSignsScalar(b *testing.B) { benchBankSumSigns(b, (*Bank).sumSignsScalar) }
+
+// benchBankSumSigns times kernel on 512 families x 40 ids per op.
+func benchBankSumSigns(b *testing.B, kernel func(*Bank, []uint64, int, int, []int64)) {
 	const n = 512
 	bank := NewBank(n)
 	for j := 0; j < n; j++ {
@@ -154,6 +255,6 @@ func BenchmarkXiBankSumSigns(b *testing.B) {
 	acc := make([]int64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bank.SumSignsMany(ids, 0, n, acc)
+		kernel(bank, ids, 0, n, acc)
 	}
 }

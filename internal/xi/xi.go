@@ -13,8 +13,9 @@
 // The seed is the four coefficients (32 bytes), satisfying the paper's
 // O(log |dom|)-bit seed requirement; variables are generated on the fly in
 // O(1) word operations. The package is the pure polynomial kernel: Family
-// is the scalar reference and Bank the batched evaluator; any memoization
-// of signs lives with its caller (internal/core's sign planes).
+// is the scalar reference and Bank the batched evaluator, with an AVX2
+// kernel on amd64 CPUs that have it; any memoization of signs lives with
+// its caller (internal/core's sign planes).
 package xi
 
 import (
