@@ -13,9 +13,19 @@
 // run - artifacts grow new benchmarks every PR, and environment changes
 // can drop one.
 //
+// Same-run ratio mode gates one benchmark against another from the same
+// artifact instead of against a baseline file: with -num and -den set,
+// the i-th run of -num pairs with the i-th run of -den, and the run fails
+// when the median of the per-pair ns/op ratios exceeds 1 + -threshold/100
+// (so -threshold 10 fails a median above 1.10). Run the two benchmarks
+// interleaved so each pair shares the machine's state; a median of pairs
+// then shrugs off one slow run on either side, which a ratio of two bests
+// or two means does not.
+//
 // Usage:
 //
 //	benchdiff -old BENCH_PR9.json -new fresh.json -threshold 30
+//	benchdiff -new gate.json -num BenchmarkA -den BenchmarkB -threshold 10
 package main
 
 import (
@@ -114,6 +124,44 @@ func compareDocs(oldDoc, newDoc *benchfmt.Document, onlyMetrics []string, thresh
 	return comps, onlyOld, onlyNew
 }
 
+// ratioGate runs the same-run ratio mode over doc and returns 1 when the
+// median per-pair ns/op ratio of num to den exceeds 1 + threshold/100, 0
+// otherwise.
+func ratioGate(doc *benchfmt.Document, num, den string, threshold float64, out io.Writer) (int, error) {
+	const metric = "ns/op"
+	limit := 1 + threshold/100
+	var nums, dens []float64
+	for _, r := range doc.Benchmarks {
+		v, ok := r.Metrics[metric]
+		switch {
+		case !ok:
+		case r.Name == num:
+			nums = append(nums, v)
+		case r.Name == den:
+			dens = append(dens, v)
+		}
+	}
+	if len(nums) == 0 || len(nums) != len(dens) {
+		return 0, fmt.Errorf("ratio mode needs as many %s runs of %s (%d) as of %s (%d), at least one", metric, num, len(nums), den, len(dens))
+	}
+	ratios := make([]float64, len(nums))
+	for i := range nums {
+		if dens[i] <= 0 {
+			return 0, fmt.Errorf("run %d of %s has %s %v", i+1, den, metric, dens[i])
+		}
+		ratios[i] = nums[i] / dens[i]
+		fmt.Fprintf(out, "pair %2d: %14.1f / %14.1f = %.3f\n", i+1, nums[i], dens[i], ratios[i])
+	}
+	sort.Float64s(ratios)
+	med := (ratios[(len(ratios)-1)/2] + ratios[len(ratios)/2]) / 2
+	fmt.Fprintf(out, "benchdiff: %s / %s median %s ratio %.3f over %d pairs (max %.3f)\n", num, den, metric, med, len(ratios), limit)
+	if med > limit {
+		fmt.Fprintf(out, "REGRESSION median ratio %.3f exceeds %.3f\n", med, limit)
+		return 1, nil
+	}
+	return 0, nil
+}
+
 // readDoc loads one benchfmt artifact.
 func readDoc(path string) (*benchfmt.Document, error) {
 	data, err := os.ReadFile(path)
@@ -133,12 +181,24 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.SetOutput(out)
 	oldPath := fs.String("old", "", "baseline benchfmt JSON artifact (required)")
 	newPath := fs.String("new", "", "candidate benchfmt JSON artifact (required)")
-	threshold := fs.Float64("threshold", 25, "regression threshold in percent")
+	threshold := fs.Float64("threshold", 25, "regression threshold in percent (ratio mode: how far above 1 the median ratio may go)")
 	minBase := fs.Float64("min-base", 0, "skip comparisons where both values are below this (noise floor, metric units)")
 	metricList := fs.String("metrics", "p99_ns,ops_per_sec,ns/op", "comma-separated metrics to compare (empty = all shared metrics)")
 	verbose := fs.Bool("v", false, "print every comparison, not just regressions")
+	num := fs.String("num", "", "ratio mode: numerator benchmark name (runs paired in order with -den)")
+	den := fs.String("den", "", "ratio mode: denominator benchmark name")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
+	}
+	if *num != "" || *den != "" {
+		if *num == "" || *den == "" || *newPath == "" {
+			return 0, fmt.Errorf("ratio mode needs -new, -num and -den")
+		}
+		doc, err := readDoc(*newPath)
+		if err != nil {
+			return 0, err
+		}
+		return ratioGate(doc, *num, *den, *threshold, out)
 	}
 	if *oldPath == "" || *newPath == "" {
 		fs.Usage()

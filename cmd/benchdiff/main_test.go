@@ -149,3 +149,41 @@ func TestAgainstCommittedArtifact(t *testing.T) {
 		t.Fatalf("artifact regresses against itself:\n%s", out.String())
 	}
 }
+
+// TestRatioGate pins the same-run ratio mode: runs pair in order, the
+// median of the per-pair ratios is gated, one outlier pair cannot flip
+// it, and mismatched run counts are an error rather than a verdict.
+func TestRatioGate(t *testing.T) {
+	doc := func(pairs ...[2]float64) *benchfmt.Document {
+		d := benchfmt.NewDocument()
+		for _, p := range pairs {
+			d.Benchmarks = append(d.Benchmarks,
+				rec("BenchmarkFull", map[string]float64{"ns/op": p[0]}),
+				rec("BenchmarkBare", map[string]float64{"ns/op": p[1]}))
+		}
+		return d
+	}
+	var out bytes.Buffer
+	// Ratios 1.05, 1.02, 1.60 (one noisy pair), 1.04, 1.08: median 1.05.
+	d := doc([2]float64{105, 100}, [2]float64{102, 100}, [2]float64{160, 100}, [2]float64{104, 100}, [2]float64{108, 100})
+	if n, err := ratioGate(d, "BenchmarkFull", "BenchmarkBare", 10, &out); err != nil || n != 0 {
+		t.Fatalf("median 1.05 against 1.10: %d, %v\n%s", n, err, out.String())
+	}
+	if !strings.Contains(out.String(), "median ns/op ratio 1.050 over 5 pairs") {
+		t.Fatalf("report lacks the median:\n%s", out.String())
+	}
+	// Even pair counts take the mean of the middle two: 1.12 and 1.16.
+	d = doc([2]float64{112, 100}, [2]float64{116, 100}, [2]float64{90, 100}, [2]float64{130, 100})
+	if n, err := ratioGate(d, "BenchmarkFull", "BenchmarkBare", 10, &out); err != nil || n != 1 {
+		t.Fatalf("median 1.14 against 1.10 passed: %d, %v", n, err)
+	}
+	d.Benchmarks = d.Benchmarks[:len(d.Benchmarks)-1]
+	if _, err := ratioGate(d, "BenchmarkFull", "BenchmarkBare", 10, &out); err == nil {
+		t.Fatal("unpaired run accepted")
+	}
+	// Through the flag parser, from a file.
+	path := writeDoc(t, t.TempDir(), "gate.json", doc([2]float64{100, 100}))
+	if n, err := run([]string{"-new", path, "-num", "BenchmarkFull", "-den", "BenchmarkBare", "-threshold", "10"}, &out); err != nil || n != 0 {
+		t.Fatalf("run in ratio mode: %d, %v", n, err)
+	}
+}

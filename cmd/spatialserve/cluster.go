@@ -37,10 +37,10 @@ import (
 //   - updates are split per record by a stable routing hash and forwarded
 //     to each partition's owner, where they run through the ordinary local
 //     update path (tap -> WAL -> sharded ingest);
-//   - estimates scatter a snapshot fetch to every partition's owner and
-//     gather by MergeSnapshot - sketches are linear projections, so the
-//     merged counters (and hence the estimate) are bit-identical to a
-//     single-node build of the same update stream;
+//   - estimates read every partition with one call per owner node and
+//     gather by MergeSnapshot (readcache.go) - sketches are linear
+//     projections, so the merged counters (and hence the estimate) are
+//     bit-identical to a single-node build of the same update stream;
 //   - create/delete fan out per partition; list/info aggregate.
 //
 // Rebalancing moves one shard to a new owner without losing an update:
@@ -121,7 +121,7 @@ type clusterNode struct {
 	rebalanceMu sync.Mutex
 
 	// readCache remembers the last gathered snapshots and merge per base
-	// name, revalidated by partition ETag (see readcache.go).
+	// name, revalidated by partition validator (see readcache.go).
 	readCacheMu sync.Mutex
 	readCache   map[string]*gatherCacheEntry
 }
@@ -924,174 +924,6 @@ func (c *clusterNode) refreshAny(ctx context.Context) {
 // errShardMissing marks a partition whose owner has no copy of the shard.
 var errShardMissing = errors.New("shard not found at its owner")
 
-// gather fetches every partition's snapshot from its owner and merges
-// them into one servable estimator - the scatter-gather read path. The
-// merge is exact by linearity; each partition is read at its owner's
-// current state (per-partition consistency; see docs/CLUSTER.md for the
-// cross-partition story under concurrent writes).
-func (c *clusterNode) gather(ctx context.Context, name string) (servable, error) {
-	return c.gatherCached(ctx, name)
-}
-
-// gatherPartial is gather with graceful degradation: with partial set,
-// partitions whose owners cannot answer are skipped and the merge of the
-// REACHABLE partitions is returned along with how many were answered -
-// a bounded under-count (sketches are linear, so the partial merge is
-// exact over the partitions it includes). With partial false it behaves
-// exactly like the strict read path: any unreachable partition fails the
-// whole request.
-func (c *clusterNode) gatherPartial(ctx context.Context, name string, partial bool) (est servable, answered, total int, err error) {
-	total = c.parts
-	snaps, errs := cluster.Scatter(c.parts, func(p int) ([]byte, error) {
-		return c.fetchShardSnapshot(ctx, cluster.ShardName(name, p))
-	})
-	missing := 0
-	for i, err := range errs {
-		if errors.Is(err, errShardMissing) {
-			missing++
-			errs[i] = nil
-			snaps[i] = nil
-		}
-	}
-	if missing == c.parts {
-		return nil, 0, total, errNotFoundLocal
-	}
-	if !partial {
-		if err := cluster.FirstError(errs); err != nil {
-			return nil, 0, total, err
-		}
-		if missing > 0 {
-			return nil, 0, total, fmt.Errorf("estimator %q is missing %d of %d partitions (partial create?)", name, missing, c.parts)
-		}
-	}
-	var firstErr error
-	for i, snap := range snaps {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			continue
-		}
-		if snap == nil {
-			continue
-		}
-		if est == nil {
-			if est, err = restoreServable(snap); err != nil {
-				return nil, 0, total, err
-			}
-		} else if err := est.mergeSnapshot(snap); err != nil {
-			return nil, 0, total, err
-		}
-		answered++
-	}
-	if est == nil {
-		// Partial mode with every reachable partition failing: nothing to
-		// merge, so degrade no further - report the failure.
-		return nil, 0, total, firstErr
-	}
-	return est, answered, total, nil
-}
-
-// fetchShardSnapshot reads one shard's snapshot from its owner, healing
-// through a map refresh when the shard just moved.
-func (c *clusterNode) fetchShardSnapshot(ctx context.Context, shard string) ([]byte, error) {
-	data, _, _, err := c.fetchShardSnapshotCond(ctx, shard, "")
-	return data, err
-}
-
-// fetchShardSnapshotCond is fetchShardSnapshot with revalidation: a
-// non-empty ifNoneMatch rides the request as If-None-Match, and a 304
-// from the owner reports notModified with no body transferred. The
-// returned etag is the owner's validator for the body ("" when the read
-// was served by a replica or a local copy without one - such a result is
-// never revalidatable and the cache refetches it next time).
-func (c *clusterNode) fetchShardSnapshotCond(ctx context.Context, shard, ifNoneMatch string) (data []byte, etag string, notModified bool, err error) {
-	ctx, sp := c.srv.tracer.Start(ctx, "fanout.snapshot")
-	sp.SetAttr("shard", shard)
-	defer func() {
-		if err != nil {
-			sp.Fail(err.Error())
-		}
-		sp.End()
-	}()
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := c.backoff.Wait(ctx, attempt); err != nil {
-			break
-		}
-		m := c.map_()
-		owner, ok := m.Owner(shard)
-		if !ok {
-			return nil, "", false, fmt.Errorf("no owner for %q", shard)
-		}
-		if owner.ID == c.selfID {
-			if est, ok := c.srv.lookup(shard); ok && c.owns(shard) {
-				data, err := est.snapshot()
-				if err != nil {
-					return nil, "", false, err
-				}
-				etag := snapshotETag(data)
-				if ifNoneMatch != "" && ifNoneMatch == etag {
-					return nil, etag, true, nil
-				}
-				return data, etag, false, nil
-			}
-			lastErr = errShardMissing
-			c.refreshAny(ctx)
-		} else {
-			hdr := internalHeader()
-			if ifNoneMatch != "" {
-				hdr.Set("If-None-Match", ifNoneMatch)
-			}
-			resp, err := c.callNodeGet(ctx, owner, owner.URL+shardPath(shard, "/snapshot"), hdr)
-			if err != nil {
-				lastErr = err
-				// The owner is unreachable (breaker open or transport
-				// failure): its attached WAL-shipped replica, when the map
-				// names one, serves the read instead.
-				if data, rerr := c.replicaSnapshot(ctx, m, owner, shard); rerr == nil {
-					return data, "", false, nil
-				}
-			} else if resp.Status == http.StatusNotModified {
-				return nil, ifNoneMatch, true, nil
-			} else if resp.Status == http.StatusOK {
-				return resp.Body, resp.Header.Get("ETag"), false, nil
-			} else if resp.Status == http.StatusNotFound || resp.Status == http.StatusConflict {
-				lastErr = fmt.Errorf("%w (status %d on %s)", errShardMissing, resp.Status, owner.ID)
-				c.refreshFrom(ctx, owner.URL)
-			} else {
-				return nil, "", false, fmt.Errorf("snapshot of %q from %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
-			}
-		}
-	}
-	return nil, "", false, lastErr
-}
-
-// replicaSnapshot reads one shard's snapshot from the owner's attached
-// read replica (-follow). The replica has its own breaker entry in the
-// health registry, keyed "replica:<owner id>", so a dead replica fails
-// fast too.
-func (c *clusterNode) replicaSnapshot(ctx context.Context, m *cluster.Map, owner cluster.Node, shard string) ([]byte, error) {
-	rurl, ok := m.ReplicaURL(owner.ID)
-	if !ok {
-		return nil, fmt.Errorf("no replica attached to node %s", owner.ID)
-	}
-	rid := "replica:" + owner.ID
-	if !c.health.Allow(rid) {
-		return nil, fmt.Errorf("%w: %s", errBreakerOpen, rid)
-	}
-	start := time.Now()
-	resp, err := c.client.Get(ctx, rurl+shardPath(shard, "/snapshot"), internalHeader())
-	c.health.Record(rid, err == nil && resp.Status == http.StatusOK, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != http.StatusOK {
-		return nil, fmt.Errorf("replica snapshot of %q from %s: status %d: %s", shard, rid, resp.Status, resp.Body)
-	}
-	return resp.Body, nil
-}
-
 // routeEstimate answers an estimate for a base estimator name by
 // gathering every partition and estimating on the merged synopsis - exact
 // by linearity: the merged counters equal a single-node build's. With
@@ -1099,14 +931,7 @@ func (c *clusterNode) replicaSnapshot(ctx context.Context, m *cluster.Map, owner
 // the answer instead of failing it: the response merges the reachable
 // partitions and reports partial/partitions_answered/partitions_total.
 func (c *clusterNode) routeEstimate(ctx context.Context, w http.ResponseWriter, name string, req *estimateRequest, partialOK bool) {
-	var est servable
-	var answered, total int
-	var err error
-	if partialOK {
-		est, answered, total, err = c.gatherPartial(ctx, name, true)
-	} else {
-		est, err = c.gatherCached(ctx, name)
-	}
+	est, answered, err := c.gatherCached(ctx, name, partialOK)
 	if errors.Is(err, errNotFoundLocal) {
 		writeError(w, http.StatusNotFound, "no estimator %q", name)
 		return
@@ -1115,8 +940,8 @@ func (c *clusterNode) routeEstimate(ctx context.Context, w http.ResponseWriter, 
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	if partialOK && answered < total {
-		servePartialEstimate(w, est, req, answered, total)
+	if answered < c.parts {
+		servePartialEstimate(w, est, req, answered, c.parts)
 		return
 	}
 	serveEstimate(w, est, req)
@@ -1155,7 +980,7 @@ func servePartialEstimate(w http.ResponseWriter, est servable, req *estimateRequ
 // routeInfo serves a base estimator's info document from the gathered
 // merged synopsis (counts sum across partitions).
 func (c *clusterNode) routeInfo(ctx context.Context, w http.ResponseWriter, name string) {
-	est, err := c.gather(ctx, name)
+	est, _, err := c.gatherCached(ctx, name, false)
 	if errors.Is(err, errNotFoundLocal) {
 		writeError(w, http.StatusNotFound, "no estimator %q", name)
 		return

@@ -29,6 +29,12 @@ const testPartitions = 4
 // is non-nil) and returns the servers and their base URLs.
 func startCluster(t *testing.T, n int, persistent bool) ([]*Server, []string) {
 	t.Helper()
+	return startClusterParts(t, n, persistent, testPartitions)
+}
+
+// startClusterParts is startCluster with parts partitions per estimator.
+func startClusterParts(t *testing.T, n int, persistent bool, parts int) ([]*Server, []string) {
+	t.Helper()
 	checkGoroutineLeaks(t)
 	srvs := make([]*Server, n)
 	hts := make([]*httptest.Server, n)
@@ -57,7 +63,7 @@ func startCluster(t *testing.T, n int, persistent bool) ([]*Server, []string) {
 		if err := srvs[i].EnableCluster(ClusterOptions{
 			SelfID:     fmt.Sprintf("n%d", i),
 			Map:        m.Clone(),
-			Partitions: testPartitions,
+			Partitions: parts,
 			Client:     cluster.NewClient(10*time.Second, 0),
 		}); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,11 @@ import (
 )
 
 // Kind-specific servable wrappers: each adapts one public estimator type
-// to the kind-erased server interface.
+// to the kind-erased server interface. buildServable and restoreServable
+// are the only constructors, and each draws a fresh incarnation, so every
+// estimator object - created, restored from a snapshot PUT, a checkpoint,
+// the WAL, a replica bootstrap or a rebalance install - validates its
+// snapshots under its own tags (see validators.go).
 
 func buildServable(kind string, cfg configRequest) (servable, error) {
 	k, err := spatial.ParseKind(kind)
@@ -32,7 +36,7 @@ func buildServable(kind string, cfg configRequest) (servable, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &joinServable{e}, nil
+		return &joinServable{e, nextIncarnation()}, nil
 	case spatial.KindRange:
 		e, err := spatial.NewRangeEstimator(spatial.RangeConfig{
 			Dims: cfg.Dims, DomainSize: cfg.DomainSize, Sizing: cfg.sizing(),
@@ -41,7 +45,7 @@ func buildServable(kind string, cfg configRequest) (servable, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &rangeServable{e}, nil
+		return &rangeServable{e, nextIncarnation()}, nil
 	case spatial.KindEpsJoin:
 		e, err := spatial.NewEpsJoinEstimator(spatial.EpsJoinConfig{
 			Dims: cfg.Dims, DomainSize: cfg.DomainSize, Eps: cfg.Eps,
@@ -50,7 +54,7 @@ func buildServable(kind string, cfg configRequest) (servable, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &epsJoinServable{e}, nil
+		return &epsJoinServable{e, nextIncarnation()}, nil
 	case spatial.KindContainment:
 		e, err := spatial.NewContainmentEstimator(spatial.ContainmentConfig{
 			Dims: cfg.Dims, DomainSize: cfg.DomainSize, Sizing: cfg.sizing(),
@@ -59,7 +63,7 @@ func buildServable(kind string, cfg configRequest) (servable, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &containmentServable{e}, nil
+		return &containmentServable{e, nextIncarnation()}, nil
 	}
 	return nil, fmt.Errorf("unknown estimator kind %q", kind)
 }
@@ -77,25 +81,25 @@ func restoreServable(data []byte) (servable, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &joinServable{e}, nil
+		return &joinServable{e, nextIncarnation()}, nil
 	case spatial.KindRange:
 		e, err := spatial.UnmarshalRangeEstimator(data)
 		if err != nil {
 			return nil, err
 		}
-		return &rangeServable{e}, nil
+		return &rangeServable{e, nextIncarnation()}, nil
 	case spatial.KindEpsJoin:
 		e, err := spatial.UnmarshalEpsJoinEstimator(data)
 		if err != nil {
 			return nil, err
 		}
-		return &epsJoinServable{e}, nil
+		return &epsJoinServable{e, nextIncarnation()}, nil
 	case spatial.KindContainment:
 		e, err := spatial.UnmarshalContainmentEstimator(data)
 		if err != nil {
 			return nil, err
 		}
-		return &containmentServable{e}, nil
+		return &containmentServable{e, nextIncarnation()}, nil
 	}
 	return nil, fmt.Errorf("unknown snapshot kind %v", k)
 }
@@ -126,11 +130,15 @@ func errNoBatch(kind spatial.Kind) (*batchEstimateResponse, error) {
 
 // ---- join ----
 
-type joinServable struct{ e *spatial.JoinEstimator }
+type joinServable struct {
+	e *spatial.JoinEstimator
+	incarnation
+}
 
 func (j *joinServable) kind() spatial.Kind { return spatial.KindJoin }
 func (j *joinServable) instances() int     { return j.e.Instances() }
 func (j *joinServable) spaceWords() int    { return j.e.SpaceWords() }
+func (j *joinServable) version() uint64    { return j.e.Version() }
 
 func (j *joinServable) configJSON() any {
 	cfg := j.e.Config()
@@ -194,11 +202,15 @@ func (j *joinServable) applyUntapped(rec spatial.UpdateRecord) error { return j.
 
 // ---- range ----
 
-type rangeServable struct{ e *spatial.RangeEstimator }
+type rangeServable struct {
+	e *spatial.RangeEstimator
+	incarnation
+}
 
 func (s *rangeServable) kind() spatial.Kind { return spatial.KindRange }
 func (s *rangeServable) instances() int     { return s.e.Instances() }
 func (s *rangeServable) spaceWords() int    { return s.e.SpaceWords() }
+func (s *rangeServable) version() uint64    { return s.e.Version() }
 
 func (s *rangeServable) configJSON() any {
 	cfg := s.e.Config()
@@ -285,11 +297,15 @@ func (s *rangeServable) applyUntapped(rec spatial.UpdateRecord) error { return s
 
 // ---- epsilon-join ----
 
-type epsJoinServable struct{ e *spatial.EpsJoinEstimator }
+type epsJoinServable struct {
+	e *spatial.EpsJoinEstimator
+	incarnation
+}
 
 func (s *epsJoinServable) kind() spatial.Kind { return spatial.KindEpsJoin }
 func (s *epsJoinServable) instances() int     { return s.e.Instances() }
 func (s *epsJoinServable) spaceWords() int    { return s.e.SpaceWords() }
+func (s *epsJoinServable) version() uint64    { return s.e.Version() }
 
 func (s *epsJoinServable) configJSON() any {
 	cfg := s.e.Config()
@@ -345,11 +361,15 @@ func (s *epsJoinServable) applyUntapped(rec spatial.UpdateRecord) error {
 
 // ---- containment ----
 
-type containmentServable struct{ e *spatial.ContainmentEstimator }
+type containmentServable struct {
+	e *spatial.ContainmentEstimator
+	incarnation
+}
 
 func (s *containmentServable) kind() spatial.Kind { return spatial.KindContainment }
 func (s *containmentServable) instances() int     { return s.e.Instances() }
 func (s *containmentServable) spaceWords() int    { return s.e.SpaceWords() }
+func (s *containmentServable) version() uint64    { return s.e.Version() }
 
 func (s *containmentServable) configJSON() any {
 	cfg := s.e.Config()

@@ -383,11 +383,11 @@ func validRequestID(rid string) bool {
 }
 
 // traceRequest accepts or mints the request's trace ID, reflects it on
-// the response and stores it in the request context for fan-out
+// the response and returns the request context carrying it for fan-out
 // propagation and logging. An incoming W3C traceparent header is parsed
 // into the context as the remote parent, so the root span opened by
 // ServeHTTP joins the caller's trace instead of starting a new one.
-func traceRequest(w http.ResponseWriter, r *http.Request) *http.Request {
+func traceRequest(w http.ResponseWriter, r *http.Request) context.Context {
 	rid := r.Header.Get(headerRequestID)
 	if !validRequestID(rid) {
 		rid = newRequestID()
@@ -397,5 +397,5 @@ func traceRequest(w http.ResponseWriter, r *http.Request) *http.Request {
 	if id, parent, ok := trace.ParseTraceparent(r.Header.Get(headerTraceparent)); ok {
 		ctx = trace.ContextWithRemote(ctx, id, parent)
 	}
-	return r.WithContext(ctx)
+	return ctx
 }

@@ -2,26 +2,34 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 )
 
-// Cluster read cache: routing a strict (non-partial) estimate or info
-// request gathers every partition's snapshot and merges them - an
-// O(partitions x snapshot bytes) cost per read. But snapshots carry
-// strong ETags, so a router can remember the last gather per base name
-// and revalidate instead of refetch: steady state on a quiet estimator
-// is N conditional GETs answering 304 with no bodies, and the cached
-// merged servable is reused as-is (a "hit" in /metrics). Any partition
-// answering 200 replaces its cached snapshot and the merge is rebuilt
-// from the cached bytes of the still-fresh partitions plus the new ones
-// (a "miss") - correctness never depends on the cache, only the
-// transfer volume does.
+// Cluster read path and read cache: routing an estimate, an info request
+// or the cluster-wide snapshot gathers every partition's snapshot and
+// merges them. A router remembers the last gather per base name - each
+// partition's validator and bytes plus the merged servable - and reads
+// the partitions of a name with one call per owner node (see
+// validators.go), sending the cached validators along. Steady state on a
+// quiet estimator is one 304 per remote owner and an in-process validator
+// check per local partition, and the cached merged servable is reused
+// as-is (a "hit" in /metrics). Any partition that changed comes back with
+// its bytes, and the merge is rebuilt from the cached bytes of the
+// still-fresh partitions plus the new ones (a "miss") - correctness never
+// depends on the cache, only the transfer volume does.
 //
-// The partial read path (?partial=ok) bypasses the cache entirely: a
-// degraded merge must never be remembered as the estimator's state.
+// A partial read (?partial=ok) revalidates against the cache like any
+// other but never writes it: a degraded merge must never be remembered
+// as the estimator's state.
 
 // maxReadCacheEntries bounds the router's cache; above it an arbitrary
 // entry is evicted (estimator working sets are small; this is a safety
@@ -31,7 +39,7 @@ const maxReadCacheEntries = 128
 // gatherCacheEntry is one base estimator's cached gather: per-partition
 // validators and snapshot bytes, plus the servable merged from them.
 type gatherCacheEntry struct {
-	etags []string
+	tags  []string
 	snaps [][]byte
 	est   servable
 }
@@ -67,76 +75,266 @@ func (c *clusterNode) readCacheDrop(name string) {
 	delete(c.readCache, name)
 }
 
-// gatherCached is the strict gather path with revalidation: every
-// partition is fetched conditionally against the cached validator, and
-// the merge is only rebuilt when something actually changed.
-func (c *clusterNode) gatherCached(ctx context.Context, name string) (servable, error) {
+// gatherCached is the cluster read path: it reads every partition of
+// name and merges them into one servable - exact by linearity, each
+// partition read at its owner's current state (per-partition
+// consistency; see docs/CLUSTER.md). The merge is rebuilt only when a
+// partition changed. Strict reads (partial false) fail when any
+// partition cannot be read and return the merge under a cluster-wide
+// validator (mergedServable); partial reads skip unreachable partitions
+// and merge the rest, reporting how many were answered - a bounded
+// under-count, exact over the partitions it includes.
+func (c *clusterNode) gatherCached(ctx context.Context, name string, partial bool) (est servable, answered int, err error) {
 	prev := c.readCacheGet(name)
-	type part struct {
-		snap  []byte
-		etag  string
-		fresh bool // revalidated 304 against prev
+	inms := make([]string, c.parts)
+	if prev != nil {
+		copy(inms, prev.tags)
 	}
-	parts, errs := cluster.Scatter(c.parts, func(p int) (part, error) {
-		shard := cluster.ShardName(name, p)
-		var inm string
-		if prev != nil {
-			inm = prev.etags[p]
-		}
-		data, etag, notModified, err := c.fetchShardSnapshotCond(ctx, shard, inm)
-		if err != nil {
-			return part{}, err
-		}
-		if notModified {
-			return part{snap: prev.snaps[p], etag: inm, fresh: true}, nil
-		}
-		return part{snap: data, etag: etag}, nil
-	})
-	missing := 0
-	for _, err := range errs {
-		if errors.Is(err, errShardMissing) {
+	recs, errs := c.readParts(ctx, name, inms)
+	missing, allFresh := 0, prev != nil
+	var firstErr error
+	for p, perr := range errs {
+		switch {
+		case errors.Is(perr, errShardMissing):
 			missing++
+		case perr != nil && firstErr == nil:
+			firstErr = fmt.Errorf("cluster: partition %d: %w", p, perr)
 		}
+		allFresh = allFresh && perr == nil && recs[p].state == partUnchanged
 	}
 	if missing == c.parts {
 		c.readCacheDrop(name)
-		return nil, errNotFoundLocal
+		return nil, 0, errNotFoundLocal
 	}
-	if err := cluster.FirstError(errs); err != nil {
-		return nil, err
-	}
-	if missing > 0 {
-		return nil, fmt.Errorf("estimator %q is missing %d of %d partitions (partial create?)", name, missing, c.parts)
-	}
-	allFresh := prev != nil
-	for _, pt := range parts {
-		allFresh = allFresh && pt.fresh
-	}
-	if m := c.srv.metrics; m != nil {
-		if allFresh {
-			m.readCacheHits.Inc()
-		} else {
-			m.readCacheMisses.Inc()
+	if !partial {
+		if firstErr != nil {
+			return nil, 0, firstErr
+		}
+		if missing > 0 {
+			return nil, 0, fmt.Errorf("estimator %q is missing %d of %d partitions (partial create?)", name, missing, c.parts)
+		}
+		if m := c.srv.metrics; m != nil {
+			if allFresh {
+				m.readCacheHits.Inc()
+			} else {
+				m.readCacheMisses.Inc()
+			}
 		}
 	}
 	if allFresh {
-		return prev.est, nil
+		return prev.est, c.parts, nil
 	}
-	entry := &gatherCacheEntry{etags: make([]string, c.parts), snaps: make([][]byte, c.parts)}
-	var est servable
-	for p, pt := range parts {
-		if est == nil {
-			var err error
-			if est, err = restoreServable(pt.snap); err != nil {
-				return nil, err
-			}
-		} else if err := est.mergeSnapshot(pt.snap); err != nil {
-			return nil, err
+	entry := &gatherCacheEntry{tags: make([]string, c.parts), snaps: make([][]byte, c.parts)}
+	for p, rec := range recs {
+		if errs[p] != nil {
+			continue
 		}
-		entry.etags[p] = pt.etag
-		entry.snaps[p] = pt.snap
+		snap := rec.data
+		if rec.state == partUnchanged {
+			snap = prev.snaps[p]
+		}
+		if est == nil {
+			est, err = restoreServable(snap)
+		} else {
+			err = est.mergeSnapshot(snap)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		entry.tags[p], entry.snaps[p] = rec.tag, snap
+		answered++
 	}
-	entry.est = est
+	if est == nil {
+		// Every reachable partition failed: nothing to merge, so degrade
+		// no further - report the failure.
+		return nil, 0, firstErr
+	}
+	if partial {
+		return est, answered, nil
+	}
+	entry.est = &mergedServable{servable: est, tag: mergedTag(entry.tags)}
 	c.readCachePut(name, entry)
-	return est, nil
+	return entry.est, answered, nil
+}
+
+// mergedServable is a strict gather's merge under a cluster-wide
+// validator derived from its partitions' validators. The merge of given
+// partition bytes is deterministic and the merged object is never
+// written, so the tag is sound; it costs no marshal, and every router
+// that merged the same partition states hands out the same tag.
+type mergedServable struct {
+	servable
+	tag string
+}
+
+func (m *mergedServable) version() uint64           { return 0 }
+func (m *mergedServable) snapshotTag(uint64) string { return m.tag }
+
+// mergedTag hashes the validators of a merge's partitions, in partition
+// order; it is "" - no validator - when any partition had none.
+func mergedTag(tags []string) string {
+	h := sha256.New()
+	for _, tag := range tags {
+		if tag == "" {
+			return ""
+		}
+		io.WriteString(h, tag)
+		io.WriteString(h, ",") // validators hold no comma (validTag)
+	}
+	return `"` + hex.EncodeToString(h.Sum(nil)[:16]) + `"`
+}
+
+// groupAnswer is one node's answer to a grouped read: a record per
+// listed partition, nil when neither the owner nor its replica answered.
+// ownerErr is set whenever the owner itself did not answer.
+type groupAnswer struct {
+	recs     []partRecord
+	ownerErr error
+}
+
+// readParts reads every partition of name with one call per owner node,
+// passing inms[p] as partition p's cached validator. A partition gets at
+// most three attempts, with bounded backoff between them, and only the
+// partitions that need one are asked again, grouped by the owner the map
+// then names: those neither their owner nor its replica answered, and
+// those their owner reported not holding (a rebalance moved them, or the
+// name was never fully created), after a map refresh from that owner.
+// errs[p] wraps errShardMissing when no node would serve partition p.
+func (c *clusterNode) readParts(ctx context.Context, name string, inms []string) ([]partRecord, []error) {
+	recs := make([]partRecord, c.parts)
+	errs := make([]error, c.parts)
+	todo := make([]int, c.parts)
+	for p := range todo {
+		todo[p] = p
+	}
+	for attempt := 0; attempt < 3 && len(todo) > 0; attempt++ {
+		if err := c.backoff.Wait(ctx, attempt); err != nil {
+			for _, p := range todo {
+				if errs[p] == nil { // never asked; the rest keep their last error
+					errs[p] = err
+				}
+			}
+			break
+		}
+		m := c.map_()
+		var owners []cluster.Node
+		groups := make(map[string][]int)
+		for _, p := range todo {
+			owner, ok := m.Owner(cluster.ShardName(name, p))
+			if !ok {
+				errs[p] = fmt.Errorf("no owner for %q", cluster.ShardName(name, p))
+				continue
+			}
+			if groups[owner.ID] == nil {
+				owners = append(owners, owner)
+			}
+			groups[owner.ID] = append(groups[owner.ID], p)
+		}
+		answers, bad := cluster.Scatter(len(owners), func(i int) (groupAnswer, error) {
+			return c.readGroup(ctx, m, owners[i], name, groups[owners[i].ID], inms)
+		})
+		todo = nil
+		for i, owner := range owners {
+			g, moved := answers[i], false
+			for j, p := range groups[owner.ID] {
+				switch {
+				case bad[i] != nil: // a bad answer, which no retry mends
+					errs[p] = bad[i]
+				case g.recs == nil || g.recs[j].state == partNotHere && g.ownerErr != nil:
+					// Unanswered, or not held by the replica standing in
+					// for the owner (it may lag a create): only the
+					// owner's own "not here" means moved.
+					errs[p] = g.ownerErr
+					todo = append(todo, p)
+				case g.recs[j].state == partNotHere:
+					errs[p] = fmt.Errorf("%w: %q on %s", errShardMissing, cluster.ShardName(name, p), owner.ID)
+					todo = append(todo, p)
+					moved = true
+				default:
+					recs[p], errs[p] = g.recs[j], nil
+				}
+			}
+			switch {
+			case moved && owner.ID == c.selfID:
+				c.refreshAny(ctx)
+			case moved:
+				c.refreshFrom(ctx, owner.URL)
+			}
+		}
+	}
+	return recs, errs
+}
+
+// readGroup makes one attempt at the listed partitions of name on one
+// node: in process when the node is this one, otherwise one hedged,
+// breaker-gated internal GET under a fanout.snapshot span. When the owner
+// cannot be reached (breaker open or transport failure), its attached
+// read replica, if the map names one, serves the group through the same
+// traced call; a replica that fails too leaves the group unanswered. The
+// error reports a bad answer.
+func (c *clusterNode) readGroup(ctx context.Context, m *cluster.Map, owner cluster.Node, name string, parts []int, inms []string) (g groupAnswer, err error) {
+	if owner.ID == c.selfID {
+		g.recs = make([]partRecord, len(parts))
+		for i, p := range parts {
+			if g.recs[i], err = c.srv.readPart(cluster.ShardName(name, p), inms[p]); err != nil {
+				return groupAnswer{}, err
+			}
+		}
+		return g, nil
+	}
+	list, vals, some := make([]string, len(parts)), make([]string, len(parts)), false
+	for i, p := range parts {
+		list[i], vals[i] = strconv.Itoa(p), inms[p]
+		some = some || vals[i] != ""
+	}
+	partList := strings.Join(list, ",")
+	ctx, sp := c.srv.tracer.Start(ctx, "fanout.snapshot")
+	sp.SetAttr("node", owner.ID)
+	sp.SetAttr("parts", partList)
+	defer func() {
+		switch {
+		case err != nil:
+			sp.Fail(err.Error())
+		case g.recs == nil:
+			sp.Fail(g.ownerErr.Error())
+		}
+		sp.End()
+	}()
+	hdr := internalHeader()
+	if some {
+		hdr.Set(headerValidators, strings.Join(vals, ","))
+	}
+	path := shardPath(name, "/snapshot") + "?parts=" + partList
+	resp, oerr := c.callNodeGet(ctx, owner, owner.URL+path, hdr)
+	if oerr != nil {
+		g.ownerErr = oerr
+		rurl, ok := m.ReplicaURL(owner.ID)
+		if !ok {
+			return g, nil
+		}
+		var rerr error
+		resp, rerr = c.callNodeGet(ctx, cluster.Node{ID: "replica:" + owner.ID, URL: rurl}, rurl+path, hdr)
+		if rerr != nil || resp.Status != http.StatusOK && resp.Status != http.StatusNotModified {
+			return g, nil
+		}
+	}
+	switch resp.Status {
+	case http.StatusNotModified: // every listed partition unchanged
+		g.recs = make([]partRecord, len(parts))
+	case http.StatusOK:
+		if g.recs, err = decodeParts(resp.Body, len(parts)); err != nil {
+			return groupAnswer{}, err
+		}
+	default:
+		return groupAnswer{}, fmt.Errorf("snapshot of %q partitions %v from %s: status %d: %s", name, parts, owner.ID, resp.Status, resp.Body)
+	}
+	for i, p := range parts {
+		if g.recs[i].state == partUnchanged {
+			if inms[p] == "" {
+				return groupAnswer{}, fmt.Errorf("%s reported partition %d of %q unchanged against no validator", owner.ID, p, name)
+			}
+			g.recs[i].tag = inms[p]
+		}
+	}
+	return g, nil
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -111,6 +109,12 @@ type servable interface {
 	estimateBatch(req *estimateRequest) (*batchEstimateResponse, error)
 	snapshot() ([]byte, error)
 	mergeSnapshot(data []byte) error
+	// version is the wrapped estimator's write version (see
+	// spatial.JoinEstimator.Version).
+	version() uint64
+	// snapshotTag is this object's snapshot validator at write version v
+	// (see incarnation).
+	snapshotTag(v uint64) string
 	// setTap installs the persistence update tap on the wrapped estimator.
 	setTap(tap spatial.UpdateTap)
 	// applyRecord replays one logged update record during recovery.
@@ -215,16 +219,15 @@ func (s *Server) Close() error {
 // the trace was retained - plus a structured slow-op line when the
 // request crossed the slow threshold.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r = traceRequest(w, r)
 	endpoint := classifyEndpoint(r)
-	ctx, sp := s.tracer.Start(r.Context(), "http "+endpoint)
+	ctx, sp := s.tracer.Start(traceRequest(w, r), "http "+endpoint)
 	if sp != nil {
 		sp.SetAttr("endpoint", endpoint)
 		if rid := requestIDFrom(ctx); rid != "" {
 			sp.SetAttr("request_id", rid)
 		}
-		r = r.WithContext(ctx)
 	}
+	r = r.WithContext(ctx)
 	start := time.Now()
 	sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	s.serveAdmitted(sw, r)
@@ -447,26 +450,37 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return data, true
 }
 
-// writeSnapshot serves SPE1 snapshot bytes with a strong ETag (truncated
-// SHA-256 of the uncompressed snapshot) honoring If-None-Match, and gzip
+// writeSnapshot serves est's SPE1 snapshot with a strong ETag (see
+// validators.go) honoring If-None-Match without marshaling, and gzip
 // content encoding when an external client accepts it. Node-to-node
-// reads (cluster gathers, replica fallback) always get the identity
-// body: on a LAN hop, compressing a few-KB partition on the owner and
-// inflating it on the router costs more than the bytes it saves, and
-// Go's transport asks for gzip by default.
-func writeSnapshot(w http.ResponseWriter, r *http.Request, kind spatial.Kind, data []byte) {
+// reads always get the identity body: on a LAN hop, compressing a few-KB
+// partition on the owner and inflating it on the router costs more than
+// the bytes it saves, and Go's transport asks for gzip by default.
+func writeSnapshot(w http.ResponseWriter, r *http.Request, est servable) {
 	// Strong ETags are representation-specific (RFC 9110): the gzip
 	// variant gets its own tag (nginx's convention) so a cache can never
 	// pair an identity body with a gzip validator or vice versa.
 	gz := acceptsGzip(r) && !isInternal(r)
-	etag := snapshotETag(data)
-	if gz {
-		etag = etag[:len(etag)-1] + `-gzip"`
+	variant := func(tag string) string {
+		if gz {
+			return tag[:len(tag)-1] + `-gzip"`
+		}
+		return tag
 	}
-	w.Header().Set("ETag", etag)
+	match := r.Header.Get("If-None-Match")
+	tag, data, err := readValidated(est, func(tag string) bool {
+		return match != "" && etagMatches(match, variant(tag))
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	if tag != "" {
+		w.Header().Set("ETag", variant(tag))
+	}
 	w.Header().Set("Vary", "Accept-Encoding")
-	w.Header().Set("X-Spatial-Kind", kind.String())
-	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
+	w.Header().Set("X-Spatial-Kind", est.kind().String())
+	if data == nil {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -479,15 +493,6 @@ func writeSnapshot(w http.ResponseWriter, r *http.Request, kind spatial.Kind, da
 		return
 	}
 	w.Write(data)
-}
-
-// snapshotETag is the identity-representation validator of a snapshot:
-// quoted truncated SHA-256 of the uncompressed bytes. Shared by the
-// snapshot handler and the cluster read cache (which hashes local-owner
-// partitions through the same function so its validators line up).
-func snapshotETag(data []byte) string {
-	sum := sha256.Sum256(data)
-	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding accepts
@@ -857,11 +862,15 @@ func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest) {
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	if isInternal(r) && r.URL.Query().Has("parts") {
+		s.serveParts(w, r, name)
+		return
+	}
 	if s.cluster != nil && !isInternal(r) && !cluster.IsShardName(name) {
 		// The cluster-wide snapshot: gather every partition and serve the
 		// merged envelope - bit-identical to a single-node build of the
 		// same update stream.
-		est, err := s.cluster.gather(r.Context(), name)
+		est, _, err := s.cluster.gatherCached(r.Context(), name, false)
 		if errors.Is(err, errNotFoundLocal) {
 			writeError(w, http.StatusNotFound, "no estimator %q", name)
 			return
@@ -870,12 +879,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
-		data, err := est.snapshot()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		writeSnapshot(w, r, est.kind(), data)
+		writeSnapshot(w, r, est)
 		return
 	}
 	est, ok := s.lookup(name)
@@ -889,12 +893,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", errNotOwner)
 		return
 	}
-	data, err := est.snapshot()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeSnapshot(w, r, est.kind(), data)
+	writeSnapshot(w, r, est)
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {

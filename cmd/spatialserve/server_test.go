@@ -325,7 +325,8 @@ func TestSnapshotGzipAndETag(t *testing.T) {
 		t.Fatal("gzip accepted but not applied")
 	}
 	// Strong ETags are representation-specific: the gzip variant must
-	// carry its own tag, derived from the same content hash.
+	// carry its own tag, derived from the same validator (estimator
+	// incarnation and write version).
 	wantGz := strings.TrimSuffix(etag, `"`) + `-gzip"`
 	if got := w.Header().Get("ETag"); got != wantGz {
 		t.Fatalf("gzip ETag %q, want %q", got, wantGz)

@@ -199,13 +199,18 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchPeerTraceSegments collects the trace's segments from every other
-// cluster node, best-effort: an unreachable peer costs its segments,
+// cluster node and every attached read replica (which serve a failed
+// owner's reads), best-effort: an unreachable peer costs its segments,
 // not the response.
 func (c *clusterNode) fetchPeerTraceSegments(ctx context.Context, id trace.TraceID) []*trace.Segment {
 	m := c.map_()
-	perNode := make([][]*trace.Segment, len(m.Nodes))
+	peers := append([]cluster.Node(nil), m.Nodes...)
+	for owner, url := range m.Replicas {
+		peers = append(peers, cluster.Node{ID: "replica:" + owner, URL: url})
+	}
+	perNode := make([][]*trace.Segment, len(peers))
 	var wg sync.WaitGroup
-	for i, n := range m.Nodes {
+	for i, n := range peers {
 		if n.ID == c.selfID {
 			continue
 		}

@@ -322,6 +322,14 @@ func (e *ContainmentEstimator) Selectivity() (float64, error) {
 	return est.Clamped() / (float64(ni) * float64(no)), nil
 }
 
+// Version returns the estimator's write version: a counter that grows by
+// one with every write that reaches the sketches - insert, delete, bulk
+// insert or merge - and never falls. A Marshal bracketed by two Version
+// reads that agree returns the bytes of exactly that version, so
+// (estimator, Version) can validate a snapshot without marshaling it.
+// Safe for concurrent use.
+func (e *ContainmentEstimator) Version() uint64 { return e.st.version() }
+
 // Marshal serializes the whole estimator - both synopses plus the full
 // public configuration - into a versioned snapshot envelope; see
 // UnmarshalContainmentEstimator.

@@ -49,7 +49,7 @@ type family struct {
 	labels []string
 
 	mu     sync.RWMutex
-	series map[string]metric // key = labelKey(values)
+	series map[string]metric // key = appendLabelKey(nil, values)
 	order  []string          // stable exposition order = creation order
 
 	collect func(emit func(labelValues []string, value float64)) // callback families
@@ -196,21 +196,25 @@ func (f *family) lookup(values []string, mk func() metric) metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelKey(values)
+	// The key is built on the stack: finding an existing series - every
+	// call on a request path after the first - allocates nothing.
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], values)
 	f.mu.RLock()
-	m, ok := f.series[key]
+	m, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return m
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok = f.series[key]; ok {
+	if m, ok = f.series[string(key)]; ok {
 		return m
 	}
 	m = mk()
-	f.series[key] = m
-	f.order = append(f.order, key)
+	k := string(key)
+	f.series[k] = m
+	f.order = append(f.order, k)
 	return m
 }
 
@@ -406,16 +410,20 @@ func writeSample(b *strings.Builder, name string, labels, values []string, _ str
 	b.WriteByte('\n')
 }
 
-// labelKey joins label values with a separator that cannot appear in a
-// value after escaping (0xff is invalid UTF-8, fine for a map key).
-func labelKey(values []string) string {
-	if len(values) == 0 {
-		return ""
+// appendLabelKey appends label values to dst joined by a separator that
+// cannot appear in a value after escaping (0xff is invalid UTF-8, fine
+// for a map key).
+func appendLabelKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, 0xff)
+		}
+		dst = append(dst, v...)
 	}
-	return strings.Join(values, "\xff")
+	return dst
 }
 
-// splitKey reverses labelKey for n label values.
+// splitKey reverses appendLabelKey for n label values.
 func splitKey(key string, n int) []string {
 	if n == 0 {
 		return nil

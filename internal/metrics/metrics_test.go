@@ -233,3 +233,22 @@ func TestHistogramExemplars(t *testing.T) {
 		t.Errorf("exemplar block rendered without exemplars:\n%s", buf.String())
 	}
 }
+
+// TestWithExistingSeriesAllocatesNothing: request paths look their
+// series up on every call, so finding an existing one must not allocate.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	reqs := r.Counter("requests_total", "Requests.", "endpoint", "tenant", "code")
+	lat := r.Histogram("request_seconds", "Latency.", []float64{0.01, 0.1}, "endpoint", "tenant")
+	reqs.With("estimate", "default", "200").Inc()
+	lat.With("estimate", "default").Observe(0.02)
+	if n := testing.AllocsPerRun(100, func() {
+		reqs.With("estimate", "default", "200").Inc()
+		lat.With("estimate", "default").Observe(0.02)
+	}); n != 0 {
+		t.Fatalf("looking up existing series allocates %v times", n)
+	}
+	if got := reqs.With("estimate", "default", "200").Value(); got != 102 {
+		t.Fatalf("counter %d after 102 increments", got)
+	}
+}

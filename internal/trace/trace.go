@@ -408,8 +408,11 @@ type Span struct {
 
 	mu    sync.Mutex
 	attrs []Attr
-	err   bool
-	ended bool
+	// attrBuf backs the first attributes, so annotating a span - an
+	// HTTP root span takes four - allocates nothing.
+	attrBuf [4]Attr
+	err     bool
+	ended   bool
 	// unregistered marks a span refused at the active-trace bound: End
 	// discards it.
 	unregistered bool
@@ -428,6 +431,7 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 		return ctx, nil
 	}
 	sp := &Span{tracer: t, spanID: NewSpanID(), name: name, start: time.Now()}
+	sp.attrs = sp.attrBuf[:0]
 	if p := FromContext(ctx); p != nil && !p.unregistered {
 		sp.traceID, sp.parent, sp.hasParent = p.traceID, p.spanID, true
 	} else if rp, ok := ctx.Value(ctxRemoteKey{}).(remoteParent); ok {

@@ -321,6 +321,14 @@ func (e *RangeEstimator) Merge(other *RangeEstimator) error {
 	return e.st.ingestFirst(func(s *core.RangeSketch) error { return s.Merge(snap) })
 }
 
+// Version returns the estimator's write version: a counter that grows by
+// one with every write that reaches the sketches - insert, delete, bulk
+// insert or merge - and never falls. A Marshal bracketed by two Version
+// reads that agree returns the bytes of exactly that version, so
+// (estimator, Version) can validate a snapshot without marshaling it.
+// Safe for concurrent use.
+func (e *RangeEstimator) Version() uint64 { return e.st.version() }
+
 // Marshal serializes the whole estimator - synopsis plus full public
 // configuration - into a versioned snapshot envelope; see
 // UnmarshalRangeEstimator.

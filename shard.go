@@ -276,6 +276,18 @@ func (ss *shardedState[T]) view(mk func() T, merge func(dst, src T) error, fn fu
 	return fn(viewRef[T]{state: cv.state, cv: cv})
 }
 
+// version returns the sum of the shard write-versions. Every write bumps
+// exactly one shard's counter by one, and counters never fall, so the
+// sum names one point in the estimator's write history: two reads that
+// return the same sum saw no write in between.
+func (ss *shardedState[T]) version() uint64 {
+	var v uint64
+	for i := range ss.shards {
+		v += ss.shards[i].version.Load()
+	}
+	return v
+}
+
 // fresh reports whether no shard has been written since v was built.
 func (ss *shardedState[T]) fresh(v *cachedView[T]) bool {
 	for i := range ss.shards {

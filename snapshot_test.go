@@ -491,3 +491,56 @@ func TestMergeSnapshotsGather(t *testing.T) {
 		t.Fatalf("join dispatch: kind %v, err %v", kind, err)
 	}
 }
+
+// TestVersionTracksWrites pins the write-version contract servers build
+// snapshot validators on: every write call - single, bulk, delete, merge,
+// snapshot merge, side merge - raises Version, reads never do, and two
+// Marshal calls at one version return identical bytes. Four ingest shards
+// make sure the version sums every shard, not only the one written.
+func TestVersionTracksWrites(t *testing.T) {
+	defer spatial.SetIngestShardsForTest(4)()
+	e := snapJoin(t, spatial.ModeTransform)
+	other := snapJoin(t, spatial.ModeTransform)
+	r := geo.Rect(3, 90, 7, 120)
+	v := e.Version()
+	snap, err := e.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func() error{
+		"InsertLeft":      func() error { return e.InsertLeft(r) },
+		"InsertRightBulk": func() error { return e.InsertRightBulk([]geo.HyperRect{r, r}) },
+		"DeleteLeft":      func() error { return e.DeleteLeft(r) },
+		"Merge":           func() error { return e.Merge(other) },
+		"MergeSnapshot":   func() error { return e.MergeSnapshot(snap) },
+		"MergeLeftFrom": func() error {
+			left, err := other.MarshalLeft()
+			if err != nil {
+				return err
+			}
+			return e.MergeLeftFrom(left)
+		},
+	} {
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if nv := e.Version(); nv <= v {
+			t.Fatalf("%s: version %d -> %d, want it to grow", name, v, nv)
+		}
+		v = e.Version()
+		a, err := e.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Cardinality(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Version() != v || !bytes.Equal(a, b) {
+			t.Fatalf("%s: reads moved the version or the bytes", name)
+		}
+	}
+}
