@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	spatial "repro"
 	"repro/internal/cluster"
 	"repro/internal/ingest"
 	"repro/internal/trace"
@@ -35,8 +33,9 @@ import (
 // node accepts any client request and routes it:
 //
 //   - updates are split per record by a stable routing hash and forwarded
-//     to each partition's owner, where they run through the ordinary local
-//     update path (tap -> WAL -> sharded ingest);
+//     to each partition's owner as record batches, where they run through
+//     the one write path (validate -> WAL -> sharded ingest, see
+//     applyIngestBatch);
 //   - estimates read every partition with one call per owner node and
 //     gather by MergeSnapshot (readcache.go) - sketches are linear
 //     projections, so the merged counters (and hence the estimate) are
@@ -547,103 +546,6 @@ func (c *clusterNode) deleteShard(ctx context.Context, shard string) (bool, erro
 
 // ---- routing: updates ----
 
-// sideFromWire maps the wire side string to the library side for routing.
-func sideFromWire(side string) spatial.UpdateSide {
-	switch side {
-	case "left":
-		return spatial.SideLeft
-	case "right":
-		return spatial.SideRight
-	case "inner":
-		return spatial.SideInner
-	case "outer":
-		return spatial.SideOuter
-	}
-	return spatial.SideData
-}
-
-// routeUpdate splits an update batch per record by routing hash and
-// forwards each partition's sub-batch to its owner. Partition sub-batches
-// are applied independently: on a partial failure the applied count and
-// the error are both reported, and re-sending the failed records is safe
-// only for batches that are not yet acknowledged (sketches count every
-// application).
-func (c *clusterNode) routeUpdate(ctx context.Context, w http.ResponseWriter, name string, req *updateRequest) {
-	if cluster.IsShardName(name) {
-		writeError(w, http.StatusBadRequest, "shard keys are internal; update the base estimator name")
-		return
-	}
-	side := sideFromWire(req.Side)
-	op := spatial.OpInsert
-	if req.Op == "delete" {
-		op = spatial.OpDelete
-	}
-	// Split per record. The routing hash ignores the operation, so a
-	// delete always lands on the partition holding its insert.
-	rectParts := make([][][][2]uint64, c.parts)
-	pointParts := make([][][]uint64, c.parts)
-	for _, r := range req.Rects {
-		rec := spatial.UpdateRecord{Op: op, Side: side, Rect: decodeQuery(r)}
-		p := cluster.PartitionOf(rec.RoutingHash(), c.parts)
-		rectParts[p] = append(rectParts[p], r)
-	}
-	for _, pt := range req.Points {
-		rec := spatial.UpdateRecord{Op: op, Side: side, Point: pt}
-		p := cluster.PartitionOf(rec.RoutingHash(), c.parts)
-		pointParts[p] = append(pointParts[p], pt)
-	}
-	// Deliberately detached from the request's cancellation: once an
-	// update fan-out starts, cancelling between partitions would silently
-	// drop sub-batches while others applied; running to completion keeps
-	// the applied-count report truthful even when the client disconnects.
-	// The context's values (trace, request ID) still flow so sub-requests
-	// stitch into the caller's trace.
-	ctx = context.WithoutCancel(ctx)
-	hadWork := make([]bool, c.parts)
-	applied, errs := cluster.Scatter(c.parts, func(p int) (int, error) {
-		if len(rectParts[p]) == 0 && len(pointParts[p]) == 0 {
-			return 0, nil
-		}
-		hadWork[p] = true
-		sub := updateRequest{Op: req.Op, Side: req.Side, Rects: rectParts[p], Points: pointParts[p]}
-		return c.applyShardUpdate(ctx, cluster.ShardName(name, p), &sub)
-	})
-	total := 0
-	for _, a := range applied {
-		total += a
-	}
-	// Classify: every worked partition missing => the estimator does not
-	// exist (404, like single-node mode); a shard holder's 4xx is the
-	// client's mistake (400); anything else is a cluster-side failure
-	// (502, with the applied count - partition sub-batches are not
-	// atomic, see docs/CLUSTER.md).
-	allMissing, anyErr := true, false
-	var clientErr *shardClientError
-	for p, err := range errs {
-		if !hadWork[p] {
-			continue
-		}
-		if err != nil {
-			anyErr = true
-			errors.As(err, &clientErr)
-		}
-		if !errors.Is(err, errShardMissing) {
-			allMissing = false
-		}
-	}
-	switch {
-	case anyErr && allMissing:
-		writeError(w, http.StatusNotFound, "no estimator %q", name)
-	case clientErr != nil:
-		writeError(w, http.StatusBadRequest, "%v", clientErr)
-	case anyErr:
-		writeError(w, http.StatusBadGateway, "partitioned update incomplete (%d records applied): %v",
-			total, cluster.FirstError(errs))
-	default:
-		writeJSON(w, http.StatusOK, updateResponse{Applied: total})
-	}
-}
-
 // shardClientError marks a shard holder's 4xx rejection - the client's
 // mistake (wrong side, bad geometry), reported as 400, never retried.
 type shardClientError struct{ msg string }
@@ -651,99 +553,18 @@ type shardClientError struct{ msg string }
 // Error returns the shard holder's rejection message.
 func (e *shardClientError) Error() string { return e.msg }
 
-// applyShardUpdate applies one partition's sub-batch at its owner,
-// healing through a map refresh when the shard just moved. Only
-// definitely-not-applied rejections (ownership, missing shard) are
-// retried; transport errors after the body was sent are not, because the
-// update may have been applied. A shard still missing after a map
-// refresh reports errShardMissing (the estimator likely does not exist);
-// the owner's 4xx reports shardClientError.
-func (c *clusterNode) applyShardUpdate(ctx context.Context, shard string, sub *updateRequest) (applied int, err error) {
-	ctx, sp := c.srv.tracer.Start(ctx, "fanout.update")
-	sp.SetAttr("shard", shard)
-	defer func() {
-		if err != nil {
-			sp.Fail(err.Error())
-		}
-		sp.End()
-	}()
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return 0, err
-	}
-	var lastErr error
-	missing := 0
-	for attempt := 0; attempt < 4; attempt++ {
-		if err := c.backoff.Wait(ctx, attempt); err != nil {
-			break
-		}
-		owner, ok := c.map_().Owner(shard)
-		if !ok {
-			return 0, fmt.Errorf("no owner for %q", shard)
-		}
-		if owner.ID == c.selfID {
-			applied, err := c.srv.applyUpdateLocal(shard, sub)
-			switch {
-			case err == nil:
-				return applied, nil
-			case errors.Is(err, errNotFoundLocal):
-				missing++
-				if missing >= 2 {
-					return 0, fmt.Errorf("%w: %q", errShardMissing, shard)
-				}
-				lastErr = err
-			case errors.Is(err, errNotOwner) || err == errStaleBinding:
-				lastErr = err // moved away mid-flight: refresh below and retry
-			default:
-				var lf *logFailure
-				if errors.As(err, &lf) {
-					return 0, err
-				}
-				return 0, &shardClientError{err.Error()}
-			}
-			c.refreshAny(ctx)
-		} else {
-			resp, err := c.callNode(ctx, owner, http.MethodPost, owner.URL+shardPath(shard, "/update"), body, internalHeader())
-			if errors.Is(err, errBreakerOpen) {
-				// Refused locally, definitely not applied: safe to retry
-				// after the backoff (the breaker may half-open, or the map
-				// may route the shard elsewhere).
-				lastErr = err
-				c.refreshAny(ctx)
-				continue
-			}
-			if err != nil {
-				return 0, fmt.Errorf("updating %q on %s: %w", shard, owner.ID, err)
-			}
-			switch resp.Status {
-			case http.StatusOK:
-				var ur updateResponse
-				if err := json.Unmarshal(resp.Body, &ur); err != nil {
-					return 0, err
-				}
-				return ur.Applied, nil
-			case http.StatusNotFound:
-				missing++
-				if missing >= 2 {
-					return 0, fmt.Errorf("%w: %q on %s", errShardMissing, shard, owner.ID)
-				}
-				lastErr = fmt.Errorf("updating %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
-				c.refreshFrom(ctx, owner.URL)
-			case http.StatusConflict:
-				lastErr = fmt.Errorf("updating %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
-				c.refreshFrom(ctx, owner.URL)
-			case http.StatusBadRequest:
-				var er errorResponse
-				if json.Unmarshal(resp.Body, &er) == nil && er.Error != "" {
-					return 0, &shardClientError{er.Error}
-				}
-				return 0, &shardClientError{string(resp.Body)}
-			default:
-				return 0, fmt.Errorf("updating %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
-			}
-		}
-	}
-	return 0, lastErr
+// partialUpdateError reports a plain update some of whose partitions
+// failed. A plain update is never resent, so the partitions that applied
+// stay applied (partition sub-batches are not atomic, see
+// docs/CLUSTER.md), and the answer names how many records landed.
+type partialUpdateError struct {
+	applied int
+	err     error
+}
+
+// Error names the applied count and the first partition failure.
+func (e *partialUpdateError) Error() string {
+	return fmt.Sprintf("partitioned update incomplete (%d records applied): %v", e.applied, e.err)
 }
 
 // errForwardFailed marks an ingest fan-out that exhausted its retries -
@@ -751,81 +572,125 @@ func (c *clusterNode) applyShardUpdate(ctx context.Context, shard string, sub *u
 // apply their sub-batches dedup the resend).
 var errForwardFailed = errors.New("ingest forward failed after retries")
 
-// routeIngest fans one exactly-once stream batch out to the partition
-// owners, every sub-batch stamped with the SAME (session, seq). Each
-// owner dedups on its own durable (session, shard) watermark, so a
-// partial fan-out failure followed by the client's retry re-applies
-// only at owners that missed it. The routing node's own mark is a pure
-// fast path: advanced only after ALL owners acked durably, it lets a
-// retried batch (and a resumed session's HelloAck) short-circuit
-// without a fan-out; losing it (routing-node restart) merely causes
-// re-forwarding that the owners drop.
+// routeIngest splits one record batch per record by routing hash and
+// fans the partitions' sub-batches out to their owners. An exactly-once
+// batch stamps every sub-batch with the SAME (session, seq). Each owner
+// dedups on its own durable (session, shard) watermark, so a partial
+// fan-out failure followed by the client's retry re-applies only at
+// owners that missed it. The routing node's own mark is a pure fast
+// path: advanced only after ALL owners acked durably, it lets a retried
+// batch (and a resumed session's HelloAck) short-circuit without a
+// fan-out; losing it (routing-node restart) merely causes re-forwarding
+// that the owners drop. A sessionless (plain) batch has no mark and is
+// never resent after an ambiguous failure, so a partial failure is
+// final: it reports the applied count (partialUpdateError).
 func (c *clusterNode) routeIngest(ctx context.Context, name, session string, batch ingest.Batch) (int, bool, error) {
-	ent := c.srv.sessions.entry(session, name, true)
-	if ent == nil {
-		return 0, false, errSessionTableFull
-	}
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	if batch.Seq <= ent.seq.Load() {
-		return 0, true, nil
+	var ent *sessionEntry
+	if session != "" {
+		if ent = c.srv.sessions.entry(session, name, true); ent == nil {
+			return 0, false, errSessionTableFull
+		}
+		ent.mu.Lock()
+		defer ent.mu.Unlock()
+		if batch.Seq <= ent.seq.Load() {
+			return 0, true, nil
+		}
 	}
 	recs, err := batch.DecodeRecords()
 	if err != nil {
 		return 0, false, &shardClientError{err.Error()}
 	}
-	partRecs := make([][]byte, c.parts)
-	partCount := make([]int, c.parts)
+	// The routing hash ignores the operation, so a delete always lands on
+	// the partition holding its insert.
+	parts := make([]ingest.Batch, c.parts)
 	for _, rec := range recs {
 		p := cluster.PartitionOf(rec.RoutingHash(), c.parts)
-		partRecs[p] = rec.AppendBinary(partRecs[p])
-		partCount[p]++
+		parts[p].Records = rec.AppendBinary(parts[p].Records)
+		parts[p].Count++
 	}
-	// Deliberately detached from cancellation (see routeUpdate): once the
-	// fan-out starts, it runs to completion so the ack decision is made
-	// on the owners' real state, not on a client disconnect. Trace values
-	// still flow.
+	// Deliberately detached from cancellation: once the fan-out starts,
+	// it runs to completion so the ack decision (and a plain update's
+	// applied count) is made on the owners' real state, not on a client
+	// disconnect. Trace values (and the request ID) still flow, so
+	// sub-requests stitch into the caller's trace.
 	ctx = context.WithoutCancel(ctx)
 	applied, errs := cluster.Scatter(c.parts, func(p int) (int, error) {
-		if partCount[p] == 0 {
+		if parts[p].Count == 0 {
 			return 0, nil
 		}
-		return c.forwardShardIngest(ctx, cluster.ShardName(name, p), session, batch.Seq, partCount[p], partRecs[p])
+		parts[p].Seq = batch.Seq
+		return c.forwardShardIngest(ctx, cluster.ShardName(name, p), session, parts[p])
 	})
 	total := 0
 	for _, a := range applied {
 		total += a
 	}
 	if err := cluster.FirstError(errs); err != nil {
+		if ent == nil {
+			return total, false, plainFanoutError(name, total, parts, errs)
+		}
 		// Some owners may have applied their sub-batches; the batch is NOT
 		// acked, the client resends it whole, and the owners that applied
 		// drop the duplicate - no double-apply, no loss.
 		return total, false, err
 	}
-	ent.seq.Store(batch.Seq)
+	if ent != nil {
+		ent.seq.Store(batch.Seq)
+	}
 	return total, false, nil
 }
 
-// forwardShardIngest delivers one partition's sub-batch to its owner.
-// Unlike applyShardUpdate, TRANSPORT errors after the body was sent are
-// retried too: the sub-batch carries (session, seq), so re-sending
-// something the owner already committed dedups instead of
-// double-applying - the whole point of the sequenced protocol.
-func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session string, seq uint64, count int, recs []byte) (applied int, err error) {
+// plainFanoutError classifies a failed fan-out of a plain update: every
+// partition with records missing means the estimator does not exist
+// (404, as on one node); a shard holder's rejection is the client's
+// mistake (400); anything else is a cluster-side failure that keeps what
+// the other partitions applied (502 with the applied count).
+func plainFanoutError(name string, applied int, parts []ingest.Batch, errs []error) error {
+	allMissing := true
+	var clientErr *shardClientError
+	for p, err := range errs {
+		if parts[p].Count == 0 {
+			continue
+		}
+		if err != nil {
+			errors.As(err, &clientErr)
+		}
+		if !errors.Is(err, errShardMissing) {
+			allMissing = false
+		}
+	}
+	switch {
+	case allMissing:
+		return fmt.Errorf("%w: %q", errNotFoundLocal, name)
+	case clientErr != nil:
+		return clientErr
+	}
+	return &partialUpdateError{applied: applied, err: cluster.FirstError(errs)}
+}
+
+// forwardShardIngest delivers one partition's sub-batch to its owner,
+// healing through a map refresh when the shard just moved. Definite
+// refusals - breaker open, 404, 409, 429 - are retried for every batch:
+// the owner applied nothing. A transport error or 5xx after the body was
+// sent is ambiguous, and only a batch with a session is resent after
+// one: it carries (session, seq), so re-sending something the owner
+// already committed dedups instead of double-applying - the whole point
+// of the sequenced protocol. A plain batch fails its partition there, as
+// a sketch counts every application. A shard still missing after a map
+// refresh reports errShardMissing; the owner's 4xx reports
+// shardClientError.
+func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session string, batch ingest.Batch) (applied int, err error) {
 	ctx, sp := c.srv.tracer.Start(ctx, "fanout.ingest")
 	sp.SetAttr("shard", shard)
-	sp.SetAttr("seq", strconv.FormatUint(seq, 10))
+	sp.SetAttr("seq", strconv.FormatUint(batch.Seq, 10))
 	defer func() {
 		if err != nil {
 			sp.Fail(err.Error())
 		}
 		sp.End()
 	}()
-	body := binary.AppendUvarint(nil, uint64(len(session)))
-	body = append(body, session...)
-	body = binary.AppendUvarint(body, seq)
-	body = binary.AppendUvarint(body, uint64(count))
-	body = append(body, recs...)
+	body := appendIngestRest(nil, session, batch)
+	resendable := session != ""
 	var lastErr error
 	missing := 0
 	for attempt := 0; attempt < 6; attempt++ {
@@ -837,7 +702,7 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 			return 0, fmt.Errorf("no owner for %q", shard)
 		}
 		if owner.ID == c.selfID {
-			applied, deduped, err := c.srv.applyIngestBatch(ctx, shard, session, seq, uint64(count), recs)
+			applied, deduped, err := c.srv.applyIngestBatch(ctx, shard, session, batch, false)
 			switch {
 			case err == nil:
 				if deduped {
@@ -863,6 +728,9 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 		} else {
 			resp, err := c.callNode(ctx, owner, http.MethodPost, owner.URL+shardPath(shard, "/ingest"), body, internalHeader())
 			if err != nil {
+				if !resendable && !errors.Is(err, errBreakerOpen) {
+					return 0, fmt.Errorf("ingesting into %q on %s: %w", shard, owner.ID, err)
+				}
 				lastErr = err
 				c.refreshAny(ctx)
 				continue
@@ -896,9 +764,13 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 				}
 				return 0, &shardClientError{string(resp.Body)}
 			default:
-				// 5xx at the owner (WAL outage, mid-crash): retryable here
-				// for the same dedup reason as transport errors.
+				// 5xx at the owner (WAL outage, mid-crash): resent only
+				// with a session, for the same dedup reason as transport
+				// errors.
 				lastErr = fmt.Errorf("ingesting into %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
+				if !resendable {
+					return 0, lastErr
+				}
 				c.refreshFrom(ctx, owner.URL)
 			}
 		}
@@ -1521,12 +1393,12 @@ func (c *clusterNode) shipSnapshot(ctx context.Context, target cluster.Node, sha
 	return nil
 }
 
-// shipRecords POSTs a batch of raw update records to the target's apply
-// endpoint.
+// shipRecords POSTs a batch of raw update records to the target's ingest
+// endpoint as a sessionless handoff batch: the target logs and applies it
+// like a plain update, without the ownership check it cannot pass yet.
 func (c *clusterNode) shipRecords(ctx context.Context, target cluster.Node, shard string, recs []byte, count uint64) error {
-	body := binary.AppendUvarint(nil, count)
-	body = append(body, recs...)
-	resp, err := c.client.Do(ctx, http.MethodPost, target.URL+shardPath(shard, "/apply"), body, internalHeader())
+	body := appendIngestRest(nil, "", ingest.Batch{Count: count, Records: recs})
+	resp, err := c.client.Do(ctx, http.MethodPost, target.URL+shardPath(shard, "/ingest")+"?handoff=1", body, internalHeader())
 	if err != nil {
 		return fmt.Errorf("shipping %d records of %q: %w", count, shard, err)
 	}
@@ -1559,12 +1431,13 @@ func (c *clusterNode) shipMarks(ctx context.Context, target cluster.Node, shard 
 
 // updateSuffix collects the raw update records logged for name after
 // `from`, returning their concatenated binary encoding, the record count
-// and the position one past the last WAL record examined. Ingest
-// records contribute their payload records (the watermark advance ships
-// separately via shipMarks at seal, so re-applying through the target's
-// tapped /apply path is safe). A registry operation
-// (create/delete/put/merge) on the name inside the suffix aborts the
-// caller's handoff - those do not commute with the move.
+// and the position one past the last WAL record examined. Plain
+// (walOpUpdate) and exactly-once (walOpIngest) records both contribute
+// their records: the watermark advances ship separately via shipMarks at
+// seal, so the target applies the suffix as one sessionless handoff
+// batch. A registry operation (create/delete/put/merge) or a session
+// drop on the name inside the suffix aborts the caller's handoff - those
+// do not commute with the move.
 func (p *persister) updateSuffix(from wal.Pos, name string) (recs []byte, count uint64, next wal.Pos, err error) {
 	next, err = p.w.ReadFrom(from, 0, func(pos wal.Pos, payload []byte) error {
 		op, rname, rest, perr := parseWalPayload(payload)
@@ -1574,101 +1447,24 @@ func (p *persister) updateSuffix(from wal.Pos, name string) (recs []byte, count 
 		if rname != name {
 			return nil
 		}
-		if op == walOpIngest {
-			_, _, n, irecs, ierr := parseIngestRest(rest)
-			if ierr != nil {
-				return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, ierr)
-			}
-			count += n
-			recs = append(recs, irecs...)
-			return nil
-		}
-		if op != walOpUpdate {
+		var batch ingest.Batch
+		switch op {
+		case walOpIngest:
+			_, batch, perr = parseIngestRest(rest)
+		case walOpUpdate:
+			batch, perr = parseUpdateRest(rest)
+		default:
 			return fmt.Errorf("registry operation (op %d) on %q at %v during handoff; retry the rebalance", op, name, pos)
 		}
-		n, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return fmt.Errorf("wal update for %q at %v: truncated record count", name, pos)
+		if perr != nil {
+			return fmt.Errorf("wal record for %q at %v: %w", name, pos, perr)
 		}
-		count += n
-		recs = append(recs, rest[k:]...)
+		count += batch.Count
+		recs = append(recs, batch.Records...)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, wal.Pos{}, err
 	}
 	return recs, count, next, nil
-}
-
-// handleApply applies a batch of binary update records (uvarint count
-// followed by UpdateRecord encodings) to one estimator through its public
-// update path - the WAL-suffix shipping channel of rebalancing. The
-// records run through the estimator's tap, so on a persistent node they
-// are re-logged locally before they are applied.
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if s.replicaReadOnly() {
-		writeError(w, http.StatusConflict, "node is a read-only replica (POST /admin/promote to take over)")
-		return
-	}
-	name := r.PathValue("name")
-	est, ok := s.lookup(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no estimator %q", name)
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	count, k := binary.Uvarint(data)
-	if k <= 0 {
-		writeError(w, http.StatusBadRequest, "truncated record count")
-		return
-	}
-	rest := data[k:]
-	// Every record costs at least 3 bytes (flags, side, dims), so a count
-	// the payload cannot possibly hold is rejected before it sizes an
-	// allocation - same hostile-header discipline as the snapshot decoder.
-	if count > uint64(len(rest))/3 {
-		writeError(w, http.StatusBadRequest, "record count %d exceeds what %d payload bytes can hold", count, len(rest))
-		return
-	}
-	recs := make([]spatial.UpdateRecord, 0, min(count, 65536))
-	for i := uint64(0); i < count; i++ {
-		rec, used, err := spatial.DecodeUpdateRecord(rest)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
-			return
-		}
-		rest = rest[used:]
-		recs = append(recs, rec)
-	}
-	if len(rest) != 0 {
-		writeError(w, http.StatusBadRequest, "%d trailing bytes after %d records", len(rest), count)
-		return
-	}
-	// NOTE: no shard-ownership check here - this endpoint receives a
-	// rebalance's suffix records while the SOURCE still owns the shard.
-	err := s.withEstimator(name, est, func() error {
-		for _, rec := range recs {
-			if err := est.applyRecord(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	var lf *logFailure
-	if errors.As(err, &lf) {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err == errStaleBinding {
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, updateResponse{Applied: len(recs)})
 }

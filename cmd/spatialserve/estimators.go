@@ -104,23 +104,6 @@ func restoreServable(data []byte) (servable, error) {
 	return nil, fmt.Errorf("unknown snapshot kind %v", k)
 }
 
-// applyBatch runs insert bulk-style and delete one-by-one (deletes are
-// rare corrections; inserts are the hot path).
-func applyBatch[T any](op string, items []T, insertBulk func([]T) error, del func(T) error) (int, error) {
-	if op == "insert" {
-		if err := insertBulk(items); err != nil {
-			return 0, err
-		}
-		return len(items), nil
-	}
-	for i, it := range items {
-		if err := del(it); err != nil {
-			return i, err
-		}
-	}
-	return len(items), nil
-}
-
 // errNoBatch is the estimateBatch implementation of the parameterless
 // estimator kinds: their estimate takes no query, so there is nothing to
 // batch - the single estimate is already memoized per view.
@@ -153,20 +136,6 @@ func (j *joinServable) counts() map[string]int64 {
 	return map[string]int64{"left": j.e.LeftCount(), "right": j.e.RightCount()}
 }
 
-func (j *joinServable) update(req *updateRequest) (int, error) {
-	if len(req.Points) > 0 {
-		return 0, fmt.Errorf("join estimators take rects, not points")
-	}
-	rects := decodeRects(req.Rects)
-	switch req.Side {
-	case "left":
-		return applyBatch(req.Op, rects, j.e.InsertLeftBulk, j.e.DeleteLeft)
-	case "right":
-		return applyBatch(req.Op, rects, j.e.InsertRightBulk, j.e.DeleteRight)
-	}
-	return 0, fmt.Errorf("join update needs side \"left\" or \"right\", got %q", req.Side)
-}
-
 func (j *joinServable) estimate(req *estimateRequest) (*estimateResponse, error) {
 	// Estimate and counts come from ONE consistent view, so the reported
 	// selectivity always divides by the sizes the estimate was computed
@@ -193,12 +162,10 @@ func (j *joinServable) estimateBatch(req *estimateRequest) (*batchEstimateRespon
 func (j *joinServable) snapshot() ([]byte, error)       { return j.e.Marshal() }
 func (j *joinServable) mergeSnapshot(data []byte) error { return j.e.MergeSnapshot(data) }
 
-func (j *joinServable) setTap(tap spatial.UpdateTap)               { j.e.SetUpdateTap(tap) }
 func (j *joinServable) applyRecord(rec spatial.UpdateRecord) error { return j.e.Apply(rec) }
 func (j *joinServable) validateRecord(rec spatial.UpdateRecord) error {
 	return j.e.ValidateRecord(rec)
 }
-func (j *joinServable) applyUntapped(rec spatial.UpdateRecord) error { return j.e.ApplyUntapped(rec) }
 
 // ---- range ----
 
@@ -223,16 +190,6 @@ func (s *rangeServable) configJSON() any {
 
 func (s *rangeServable) counts() map[string]int64 {
 	return map[string]int64{"data": s.e.Count()}
-}
-
-func (s *rangeServable) update(req *updateRequest) (int, error) {
-	if len(req.Points) > 0 {
-		return 0, fmt.Errorf("range estimators take rects, not points")
-	}
-	if req.Side != "" && req.Side != "data" {
-		return 0, fmt.Errorf("range update takes no side, got %q", req.Side)
-	}
-	return applyBatch(req.Op, decodeRects(req.Rects), s.e.InsertBulk, s.e.Delete)
 }
 
 func (s *rangeServable) estimate(req *estimateRequest) (*estimateResponse, error) {
@@ -288,12 +245,10 @@ func (s *rangeServable) estimateBatch(req *estimateRequest) (*batchEstimateRespo
 func (s *rangeServable) snapshot() ([]byte, error)       { return s.e.Marshal() }
 func (s *rangeServable) mergeSnapshot(data []byte) error { return s.e.MergeSnapshot(data) }
 
-func (s *rangeServable) setTap(tap spatial.UpdateTap)               { s.e.SetUpdateTap(tap) }
 func (s *rangeServable) applyRecord(rec spatial.UpdateRecord) error { return s.e.Apply(rec) }
 func (s *rangeServable) validateRecord(rec spatial.UpdateRecord) error {
 	return s.e.ValidateRecord(rec)
 }
-func (s *rangeServable) applyUntapped(rec spatial.UpdateRecord) error { return s.e.ApplyUntapped(rec) }
 
 // ---- epsilon-join ----
 
@@ -320,20 +275,6 @@ func (s *epsJoinServable) counts() map[string]int64 {
 	return map[string]int64{"left": s.e.LeftCount(), "right": s.e.RightCount()}
 }
 
-func (s *epsJoinServable) update(req *updateRequest) (int, error) {
-	if len(req.Rects) > 0 {
-		return 0, fmt.Errorf("epsjoin estimators take points, not rects")
-	}
-	pts := decodePoints(req.Points)
-	switch req.Side {
-	case "left":
-		return applyBatch(req.Op, pts, s.e.InsertLeftBulk, s.e.DeleteLeft)
-	case "right":
-		return applyBatch(req.Op, pts, s.e.InsertRightBulk, s.e.DeleteRight)
-	}
-	return 0, fmt.Errorf("epsjoin update needs side \"left\" or \"right\", got %q", req.Side)
-}
-
 func (s *epsJoinServable) estimate(req *estimateRequest) (*estimateResponse, error) {
 	est, left, right, err := s.e.CardinalityWithCounts()
 	if err != nil {
@@ -350,13 +291,9 @@ func (s *epsJoinServable) estimateBatch(req *estimateRequest) (*batchEstimateRes
 func (s *epsJoinServable) snapshot() ([]byte, error)       { return s.e.Marshal() }
 func (s *epsJoinServable) mergeSnapshot(data []byte) error { return s.e.MergeSnapshot(data) }
 
-func (s *epsJoinServable) setTap(tap spatial.UpdateTap)               { s.e.SetUpdateTap(tap) }
 func (s *epsJoinServable) applyRecord(rec spatial.UpdateRecord) error { return s.e.Apply(rec) }
 func (s *epsJoinServable) validateRecord(rec spatial.UpdateRecord) error {
 	return s.e.ValidateRecord(rec)
-}
-func (s *epsJoinServable) applyUntapped(rec spatial.UpdateRecord) error {
-	return s.e.ApplyUntapped(rec)
 }
 
 // ---- containment ----
@@ -384,20 +321,6 @@ func (s *containmentServable) counts() map[string]int64 {
 	return map[string]int64{"inner": s.e.InnerCount(), "outer": s.e.OuterCount()}
 }
 
-func (s *containmentServable) update(req *updateRequest) (int, error) {
-	if len(req.Points) > 0 {
-		return 0, fmt.Errorf("containment estimators take rects, not points")
-	}
-	rects := decodeRects(req.Rects)
-	switch req.Side {
-	case "inner":
-		return applyBatch(req.Op, rects, s.e.InsertInnerBulk, s.e.DeleteInner)
-	case "outer":
-		return applyBatch(req.Op, rects, s.e.InsertOuterBulk, s.e.DeleteOuter)
-	}
-	return 0, fmt.Errorf("containment update needs side \"inner\" or \"outer\", got %q", req.Side)
-}
-
 func (s *containmentServable) estimate(req *estimateRequest) (*estimateResponse, error) {
 	est, inner, outer, err := s.e.CardinalityWithCounts()
 	if err != nil {
@@ -414,11 +337,7 @@ func (s *containmentServable) estimateBatch(req *estimateRequest) (*batchEstimat
 func (s *containmentServable) snapshot() ([]byte, error)       { return s.e.Marshal() }
 func (s *containmentServable) mergeSnapshot(data []byte) error { return s.e.MergeSnapshot(data) }
 
-func (s *containmentServable) setTap(tap spatial.UpdateTap)               { s.e.SetUpdateTap(tap) }
 func (s *containmentServable) applyRecord(rec spatial.UpdateRecord) error { return s.e.Apply(rec) }
 func (s *containmentServable) validateRecord(rec spatial.UpdateRecord) error {
 	return s.e.ValidateRecord(rec)
-}
-func (s *containmentServable) applyUntapped(rec spatial.UpdateRecord) error {
-	return s.e.ApplyUntapped(rec)
 }

@@ -68,7 +68,11 @@ func (f *groupFixture) insert(t *testing.T, via int, side string, wr [][2]uint64
 // mirror applies one acknowledged insert to the reference.
 func (f *groupFixture) mirror(t *testing.T, side string, wr [][2]uint64) {
 	t.Helper()
-	rec := spatial.UpdateRecord{Op: spatial.OpInsert, Side: sideFromWire(side), Rect: decodeQuery(wr)}
+	recs, err := updateRecords(&updateRequest{Side: side, Rects: [][][2]uint64{wr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recs[0]
 	if err := f.ref.Apply(rec); err != nil {
 		t.Fatal(err)
 	}

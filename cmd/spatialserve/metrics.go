@@ -315,8 +315,6 @@ func classifyEndpoint(r *http.Request) string {
 		return "snapshot_get"
 	case strings.HasSuffix(p, "/merge"):
 		return "merge"
-	case strings.HasSuffix(p, "/apply"):
-		return "apply"
 	case strings.HasSuffix(p, "/ingest"), strings.HasSuffix(p, "/ingest-marks"):
 		return "ingest"
 	case p == "/v1/estimators" || p == "/v1/tenants":

@@ -15,7 +15,7 @@ import (
 	"sync"
 	"time"
 
-	spatial "repro"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -25,8 +25,8 @@ import (
 // Every mutation of the served registry is written ahead to a group-
 // committed WAL (internal/wal) before it is applied, so a crash - SIGKILL
 // included - loses nothing that was acknowledged. Estimator updates reach
-// the log through the library's update tap (one tap per registered
-// estimator, installed at registration); registry operations (create,
+// the log from one function, the write path's applyIngestBatch
+// (stream.go), under the request's context; registry operations (create,
 // delete, snapshot PUT, merge) are logged by their handlers. Because
 // sketches are linear projections, replaying the logged update stream into
 // same-config estimators reconstructs their counters bit-identically -
@@ -65,7 +65,7 @@ import (
 const (
 	walOpCreate byte = 1 // rest: JSON createRequest (kind + config)
 	walOpDelete byte = 2 // rest: empty
-	walOpUpdate byte = 3 // rest: uvarint record count | UpdateRecord*
+	walOpUpdate byte = 3 // rest: uvarint record count | UpdateRecord* (a plain, sessionless batch)
 	walOpMerge  byte = 4 // rest: raw SPE1 snapshot to fold in
 	walOpPut    byte = 5 // rest: raw SPE1 snapshot to create/replace from
 
@@ -257,11 +257,6 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 			len(srv.ests), p.seq, replayed)
 	}
 
-	// Recovery done: attach the taps that feed the log from now on.
-	for name, est := range srv.ests {
-		est.setTap(p.updateTap(name))
-	}
-
 	go p.checkpointLoop()
 	return p, nil
 }
@@ -325,9 +320,9 @@ func appendName(dst []byte, name string) []byte {
 // enqueue-to-acknowledgement lag (the latency a mutation pays for
 // durability) into the metrics registry. When the context carries an
 // active span (a traced request paying for durability) the wait is also
-// recorded as a child "wal.append" span; untraced paths - the update
-// tap, background GC - skip the span rather than mint a standalone
-// trace per record.
+// recorded as a child "wal.append" span; untraced paths - background GC,
+// replica bootstrap - skip the span rather than mint a standalone trace
+// per record.
 func (p *persister) appendRecord(ctx context.Context, payload []byte) error {
 	start := time.Now()
 	_, err := p.w.Append(payload)
@@ -382,34 +377,29 @@ func (p *persister) logTenant(ctx context.Context, op byte, tenant string, cfg T
 	return p.appendRecord(ctx, payload)
 }
 
-// updateTap returns the UpdateTap feeding name's update stream into the
-// WAL: it encodes the batch and blocks until the group commit accepts it,
-// so the estimator applies an update only after it is logged.
-func (p *persister) updateTap(name string) spatial.UpdateTap {
-	prefix := appendName([]byte{walOpUpdate}, name)
-	return func(recs []spatial.UpdateRecord) error {
-		payload := append([]byte(nil), prefix...)
-		payload = binary.AppendUvarint(payload, uint64(len(recs)))
-		for _, r := range recs {
-			payload = r.AppendBinary(payload)
-		}
-		// The tap has no request context by design (the library calls
-		// it); the durability wait still surfaces per-request through
-		// the handlers' own spans and per-batch through wal.commit.
-		return p.appendRecord(context.Background(), payload)
-	}
+// logUpdate writes one plain (sessionless) update batch record. Caller
+// holds the shared gate and validated every record.
+func (p *persister) logUpdate(ctx context.Context, name string, batch ingest.Batch) error {
+	payload := appendName([]byte{walOpUpdate}, name)
+	payload = binary.AppendUvarint(payload, batch.Count)
+	return p.appendRecord(ctx, append(payload, batch.Records...))
 }
 
 // logIngest writes one exactly-once ingest batch record: records plus
-// the session watermark advance, atomically. records is the raw
-// concatenated UpdateRecord encoding (already validated by the caller).
-// Caller holds the shared gate and the session entry's lock.
-func (p *persister) logIngest(ctx context.Context, name, session string, seq uint64, count int, records []byte) error {
-	payload := appendName([]byte{walOpIngest}, name)
-	payload = appendName(payload, session)
-	payload = binary.AppendUvarint(payload, seq)
-	payload = binary.AppendUvarint(payload, uint64(count))
-	return p.appendRecord(ctx, append(payload, records...))
+// the session watermark advance, atomically. Caller holds the shared gate
+// and the session entry's lock, and validated every record.
+func (p *persister) logIngest(ctx context.Context, name, session string, batch ingest.Batch) error {
+	return p.appendRecord(ctx, appendIngestRest(appendName([]byte{walOpIngest}, name), session, batch))
+}
+
+// appendIngestRest appends the walOpIngest rest layout - uvarint session
+// length | session | uvarint seq | uvarint record count | records - which
+// is also the body of the internal shard ingest endpoint.
+func appendIngestRest(dst []byte, session string, batch ingest.Batch) []byte {
+	dst = appendName(dst, session)
+	dst = binary.AppendUvarint(dst, batch.Seq)
+	dst = binary.AppendUvarint(dst, batch.Count)
+	return append(dst, batch.Records...)
 }
 
 // logSessionDrop writes one watermark-removal record. Caller holds the
@@ -429,30 +419,53 @@ func parseSessionDropRest(rest []byte) (string, error) {
 	return string(rest[n : n+int(sessLen)]), nil
 }
 
-// parseIngestRest splits a walOpIngest record's rest into session, seq,
-// count and the raw record bytes, with the same hostile-count bound as
-// the wire decoder.
-func parseIngestRest(rest []byte) (session string, seq, count uint64, records []byte, err error) {
+// parseIngestRest splits a walOpIngest record's rest into the session
+// and the batch, with the same hostile-count bound as the wire decoder.
+func parseIngestRest(rest []byte) (string, ingest.Batch, error) {
 	sessLen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < sessLen {
-		return "", 0, 0, nil, fmt.Errorf("truncated ingest session")
+		return "", ingest.Batch{}, fmt.Errorf("truncated ingest session")
 	}
-	session = string(rest[n : n+int(sessLen)])
+	session := string(rest[n : n+int(sessLen)])
 	rest = rest[n+int(sessLen):]
-	seq, n = binary.Uvarint(rest)
+	seq, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return "", 0, 0, nil, fmt.Errorf("truncated ingest seq")
+		return "", ingest.Batch{}, fmt.Errorf("truncated ingest seq")
 	}
-	rest = rest[n:]
-	count, n = binary.Uvarint(rest)
+	batch, err := parseUpdateRest(rest[n:])
+	batch.Seq = seq
+	return session, batch, err
+}
+
+// parseUpdateRest splits a walOpUpdate record's rest into a batch of
+// count records. Every record costs at least 3 bytes (flags, side,
+// dims), so a count the bytes cannot hold is rejected before it sizes an
+// allocation.
+func parseUpdateRest(rest []byte) (ingest.Batch, error) {
+	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return "", 0, 0, nil, fmt.Errorf("truncated ingest count")
+		return ingest.Batch{}, fmt.Errorf("truncated record count")
 	}
-	records = rest[n:]
+	records := rest[n:]
 	if count > uint64(len(records))/3 {
-		return "", 0, 0, nil, fmt.Errorf("ingest count %d exceeds body", count)
+		return ingest.Batch{}, fmt.Errorf("record count %d exceeds what %d bytes can hold", count, len(records))
 	}
-	return session, seq, count, records, nil
+	return ingest.Batch{Count: count, Records: records}, nil
+}
+
+// applyRecords decodes a logged batch and applies every record - the
+// replay step shared by recovery and replica apply.
+func applyRecords(est servable, batch ingest.Batch) error {
+	recs, err := batch.DecodeRecords()
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		if err := est.applyRecord(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- replay ----
@@ -473,8 +486,8 @@ func parseWalPayload(payload []byte) (op byte, name string, rest []byte, err err
 	return op, name, payload[1+n+int(nameLen):], nil
 }
 
-// applyLogged applies one WAL record to the recovering registry. No taps
-// are attached during recovery, so nothing is re-logged.
+// applyLogged applies one WAL record to the recovering registry; nothing
+// is re-logged.
 func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
 	op, name, rest, err := parseWalPayload(payload)
 	if err != nil {
@@ -504,23 +517,12 @@ func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
 		if !ok {
 			return fmt.Errorf("wal update for %q at %v: estimator not in recovered registry", name, pos)
 		}
-		count, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return fmt.Errorf("wal update for %q at %v: truncated record count", name, pos)
+		batch, err := parseUpdateRest(rest)
+		if err == nil {
+			err = applyRecords(est, batch)
 		}
-		rest = rest[k:]
-		for i := uint64(0); i < count; i++ {
-			rec, used, err := spatial.DecodeUpdateRecord(rest)
-			if err != nil {
-				return fmt.Errorf("wal update for %q at %v: %w", name, pos, err)
-			}
-			rest = rest[used:]
-			if err := est.applyRecord(rec); err != nil {
-				return fmt.Errorf("wal update for %q at %v: %w", name, pos, err)
-			}
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("wal update for %q at %v: %d trailing bytes", name, pos, len(rest))
+		if err != nil {
+			return fmt.Errorf("wal update for %q at %v: %w", name, pos, err)
 		}
 	case walOpMerge:
 		est, ok := p.srv.ests[name]
@@ -544,7 +546,7 @@ func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
 		if !ok {
 			return fmt.Errorf("wal ingest for %q at %v: estimator not in recovered registry", name, pos)
 		}
-		session, seq, count, recs, err := parseIngestRest(rest)
+		session, batch, err := parseIngestRest(rest)
 		if err != nil {
 			return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
 		}
@@ -552,23 +554,13 @@ func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
 		defer ent.mu.Unlock()
 		// The live path never logs a batch at-or-below the watermark, but
 		// the same skip keeps replay semantics identical to live apply.
-		if seq <= ent.seq.Load() {
+		if batch.Seq <= ent.seq.Load() {
 			return nil
 		}
-		for i := uint64(0); i < count; i++ {
-			rec, used, err := spatial.DecodeUpdateRecord(recs)
-			if err != nil {
-				return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
-			}
-			recs = recs[used:]
-			if err := est.applyUntapped(rec); err != nil {
-				return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
-			}
+		if err := applyRecords(est, batch); err != nil {
+			return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
 		}
-		if len(recs) != 0 {
-			return fmt.Errorf("wal ingest for %q at %v: %d trailing bytes", name, pos, len(recs))
-		}
-		ent.seq.Store(seq)
+		ent.seq.Store(batch.Seq)
 	case walOpSessionDrop:
 		session, err := parseSessionDropRest(rest)
 		if err != nil {

@@ -188,7 +188,7 @@ func TestPersistRegistryOpsSurvive(t *testing.T) {
 	mustStatus(t, do(t, s, "POST", "/v1/estimators/a/merge", snap), http.StatusOK)
 	// PUT the snapshot under a fresh name - restores are logged.
 	mustStatus(t, do(t, s, "PUT", "/v1/estimators/b/snapshot", snap), http.StatusOK)
-	// Updates applied to a PUT-restored estimator are logged through its tap.
+	// Updates applied to a PUT-restored estimator are logged by the write path.
 	mustStatus(t, do(t, s, "POST", "/v1/estimators/b/update", updateBody(t, "right", rects[:4])), http.StatusOK)
 	// Delete and re-create under the same name with a different config.
 	mustStatus(t, do(t, s, "DELETE", "/v1/estimators/doomed", nil), http.StatusOK)

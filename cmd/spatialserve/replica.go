@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	spatial "repro"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -35,8 +34,8 @@ import (
 // leader death the follower holds every update shipped before the crash;
 // updates acknowledged by the leader but not yet shipped are lost unless
 // the leader's data dir comes back. POST /admin/promote turns the
-// follower into an ordinary read-write node (taps attached, tailing
-// stopped); repointing clients - or, in cluster mode, broadcasting a
+// follower into an ordinary read-write node (tailing stopped, external
+// writes accepted); repointing clients - or, in cluster mode, broadcasting a
 // partition map that binds the dead node's ID to the replica's URL - is
 // the operator's half of failover. See docs/CLUSTER.md.
 
@@ -133,8 +132,9 @@ func (s *Server) stopReplica() {
 // bootstrapReplica replaces the local registry with the leader's exact
 // cut. Every installed estimator (and every removal of a stale local
 // name) is logged locally first, so the follower's own crash recovery
-// rebuilds the same state; taps stay detached - replication logs shipped
-// payloads verbatim instead, keeping the local WAL a byte mirror.
+// rebuilds the same state; shipped updates are then logged as the
+// verbatim payloads (applyReplicated), keeping the local WAL a byte
+// mirror.
 func (s *Server) bootstrapReplica(rs *replicaState) error {
 	resp, err := rs.client.Do(context.Background(), http.MethodGet, rs.leader+"/admin/bootstrap", nil, nil)
 	if err != nil {
@@ -168,8 +168,7 @@ func (s *Server) bootstrapReplica(rs *replicaState) error {
 	for _, n := range names {
 		incoming[n] = true
 	}
-	for name, est := range s.ests {
-		est.setTap(nil) // recovery attached taps; replication logs raw payloads
+	for name := range s.ests {
 		if incoming[name] {
 			continue
 		}
@@ -338,14 +337,15 @@ func parseWalFrames(body []byte) ([]walFrame, error) {
 // applyReplicated applies one shipped WAL payload to the live registry,
 // then - on a persistent follower - appends the raw payload to the local
 // WAL, inside the same gate hold so a local checkpoint cut never splits
-// the pair. Apply-then-log (the reverse of the serving path's tap
+// the pair. Apply-then-log (the reverse of the write path's log-then-apply
 // ordering) is deliberate: a frame that fails to apply must never enter
 // the local log, because the tail loop re-fetches failed frames and a
 // pre-logged retry would append duplicates that diverge crash recovery.
 // Any error here wedges replication (see tailLeader); a restart
 // re-bootstraps from a fresh leader cut, discarding local state, so the
-// lost apply-vs-log atomicity cannot outlive the process. Estimator taps
-// stay detached until promotion to avoid logging twice.
+// lost apply-vs-log atomicity cannot outlive the process. Shipped records
+// apply through applyRecords, never the write path, so nothing is logged
+// twice.
 func (s *Server) applyReplicated(payload []byte) error {
 	op, name, rest, err := parseWalPayload(payload)
 	if err != nil {
@@ -402,50 +402,35 @@ func (s *Server) applyReplicatedOp(op byte, name string, rest []byte) error {
 		if !ok {
 			return fmt.Errorf("replicated update for unknown estimator %q", name)
 		}
-		count, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return fmt.Errorf("replicated update for %q: truncated record count", name)
+		batch, err := parseUpdateRest(rest)
+		if err == nil {
+			err = applyRecords(est, batch)
 		}
-		rest = rest[k:]
-		for i := uint64(0); i < count; i++ {
-			rec, used, err := spatial.DecodeUpdateRecord(rest)
-			if err != nil {
-				return fmt.Errorf("replicated update for %q: %w", name, err)
-			}
-			rest = rest[used:]
-			if err := est.applyRecord(rec); err != nil {
-				return fmt.Errorf("replicated update for %q: %w", name, err)
-			}
+		if err != nil {
+			return fmt.Errorf("replicated update for %q: %w", name, err)
 		}
 	case walOpIngest:
 		// Mirrors the recovery replay in applyLogged: dedup on the session
-		// mark, apply untapped, advance - so the promoted replica's marks
-		// match the leader's exactly and a resumed stream cannot
-		// double-apply across a failover.
+		// mark, apply, advance - so the promoted replica's marks match the
+		// leader's exactly and a resumed stream cannot double-apply across
+		// a failover.
 		est, ok := s.lookup(name)
 		if !ok {
 			return fmt.Errorf("replicated ingest for unknown estimator %q", name)
 		}
-		session, seq, count, records, err := parseIngestRest(rest)
+		session, batch, err := parseIngestRest(rest)
 		if err != nil {
 			return fmt.Errorf("replicated ingest for %q: %w", name, err)
 		}
 		ent := s.sessions.lockEntry(session, name, false)
 		defer ent.mu.Unlock()
-		if seq <= ent.seq.Load() {
+		if batch.Seq <= ent.seq.Load() {
 			return nil
 		}
-		for i := uint64(0); i < count; i++ {
-			rec, used, derr := spatial.DecodeUpdateRecord(records)
-			if derr != nil {
-				return fmt.Errorf("replicated ingest for %q: %w", name, derr)
-			}
-			records = records[used:]
-			if aerr := est.applyUntapped(rec); aerr != nil {
-				return fmt.Errorf("replicated ingest for %q: %w", name, aerr)
-			}
+		if err := applyRecords(est, batch); err != nil {
+			return fmt.Errorf("replicated ingest for %q: %w", name, err)
 		}
-		ent.seq.Store(seq)
+		ent.seq.Store(batch.Seq)
 	case walOpSessionDrop:
 		// Mirror the leader's GC/admin drop so a promoted replica's marks
 		// match the leader's exactly.
@@ -487,10 +472,10 @@ func (s *Server) applyReplicatedOp(op byte, name string, rest []byte) error {
 }
 
 // handlePromote turns a follower into an ordinary read-write node:
-// tailing stops, estimator taps attach (on persistent nodes), external
-// mutations are accepted. The registry it serves is the replicated state
-// - recovery semantics identical to a crash restart of the leader at the
-// replicated position.
+// tailing stops and external mutations are accepted (the write path logs
+// them on a persistent node; nothing needs attaching). The registry it
+// serves is the replicated state - recovery semantics identical to a
+// crash restart of the leader at the replicated position.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	rs := s.replica
 	if rs == nil {
@@ -505,13 +490,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stopReplica()
-	if s.persist != nil {
-		s.mu.Lock()
-		for name, est := range s.ests {
-			est.setTap(s.persist.updateTap(name))
-		}
-		s.mu.Unlock()
-	}
 	rs.mu.Lock()
 	rs.active = false
 	pos := rs.pos

@@ -17,6 +17,7 @@ import (
 	spatial "repro"
 	"repro/geo"
 	"repro/internal/cluster"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -104,7 +105,6 @@ type servable interface {
 	instances() int
 	spaceWords() int
 	counts() map[string]int64
-	update(req *updateRequest) (applied int, err error)
 	estimate(req *estimateRequest) (*estimateResponse, error)
 	estimateBatch(req *estimateRequest) (*batchEstimateResponse, error)
 	snapshot() ([]byte, error)
@@ -115,18 +115,13 @@ type servable interface {
 	// snapshotTag is this object's snapshot validator at write version v
 	// (see incarnation).
 	snapshotTag(v uint64) string
-	// setTap installs the persistence update tap on the wrapped estimator.
-	setTap(tap spatial.UpdateTap)
-	// applyRecord replays one logged update record during recovery.
+	// applyRecord applies one update record: the write path's apply step
+	// (see applyIngestBatch) and the replay of a logged one.
 	applyRecord(rec spatial.UpdateRecord) error
 	// validateRecord checks a record without applying it - exactly the
 	// validation applyRecord performs, so a record that passes can be
 	// WAL-logged ahead of its apply.
 	validateRecord(rec spatial.UpdateRecord) error
-	// applyUntapped applies one record WITHOUT notifying the update tap,
-	// for the ingest path that journals its own atomic WAL record (a
-	// tapped apply would double-log).
-	applyUntapped(rec spatial.UpdateRecord) error
 }
 
 // NewServer returns a ready-to-serve handler with an empty in-memory
@@ -166,7 +161,6 @@ func NewServer() *Server {
 	s.mux.HandleFunc("GET /v1/estimators/{name}/snapshot", s.handleSnapshotGet)
 	s.mux.HandleFunc("PUT /v1/estimators/{name}/snapshot", s.handleSnapshotPut)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/merge", s.handleMerge)
-	s.mux.HandleFunc("POST /v1/estimators/{name}/apply", s.handleApply)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngestStream)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest", s.handleShardIngest)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest-marks", s.handleIngestMarks)
@@ -575,7 +569,6 @@ func (s *Server) createLocal(ctx context.Context, req *createRequest, enforceBud
 		if err := s.persist.logCreate(ctx, req); err != nil {
 			return nil, err
 		}
-		est.setTap(s.persist.updateTap(req.Name))
 	}
 	s.ests[req.Name] = est
 	return est, nil
@@ -609,27 +602,6 @@ func (s *Server) deleteLocal(ctx context.Context, name string) (bool, error) {
 		s.sessions.dropKey(base)
 	}
 	return true, nil
-}
-
-// applyUpdateLocal applies an update batch to a locally held estimator
-// under the shared mutation gate, re-verifying the name binding and - in
-// cluster mode - shard ownership, so a rebalance flip can never lose an
-// update raced against it.
-func (s *Server) applyUpdateLocal(name string, req *updateRequest) (int, error) {
-	est, ok := s.lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", errNotFoundLocal, name)
-	}
-	var applied int
-	err := s.withEstimator(name, est, func() error {
-		if s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name) {
-			return errNotOwner
-		}
-		var uerr error
-		applied, uerr = est.update(req)
-		return uerr
-	})
-	return applied, err
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -759,6 +731,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
+// handleUpdate applies a JSON batch of inserts or deletes. Every update,
+// keyed or not, becomes one record batch on the write path
+// (applyIngestBatch, or routeIngest in cluster mode), so it is validated
+// whole before anything is logged or applied. An Idempotency-Key makes
+// the batch exactly-once: the key becomes a single-batch session
+// ("idem:<key>", seq 1) whose persisted watermark turns any retry of the
+// same key into a durable no-op that still answers 200 (with Deduped
+// set). Keys are single-use by construction; reusing one replays the
+// first request's acknowledgement, not its effect. Without a key the
+// batch is sessionless: not deduplicated, and never resent by a router
+// after an ambiguous failure.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.replicaReadOnly() {
 		writeError(w, http.StatusConflict, readOnlyReplicaMsg)
@@ -776,43 +759,51 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "op %q is neither insert nor delete", req.Op)
 		return
 	}
+	var session string
 	if key := r.Header.Get("Idempotency-Key"); key != "" && !isInternal(r) {
-		s.serveIdempotentUpdate(r.Context(), w, name, key, &req)
-		return
+		if !validRequestID(key) {
+			writeError(w, http.StatusBadRequest, "Idempotency-Key must be 1-64 log-safe characters")
+			return
+		}
+		session = "idem:" + key
 	}
-	if s.cluster != nil && !isInternal(r) {
-		s.cluster.routeUpdate(r.Context(), w, name, &req)
-		return
-	}
-	// Under persistence, the gate brackets the whole logged mutation (the
-	// estimator's update tap appends to the WAL before applying), so a
-	// checkpoint cut never splits it; in cluster mode the same gate hold
-	// orders the update against rebalance ownership flips.
-	applied, err := s.applyUpdateLocal(name, &req)
-	if errors.Is(err, errNotFoundLocal) {
-		writeError(w, http.StatusNotFound, "no estimator %q", name)
-		return
-	}
-	if err == errStaleBinding || errors.Is(err, errNotOwner) {
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	var lf *logFailure
-	if errors.As(err, &lf) {
-		// A durability outage, not a client mistake: 500 so 5xx-based
-		// alerting sees it.
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	recs, err := updateRecords(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	batch := ingest.Batch{Count: uint64(len(recs))}
+	if session != "" {
+		if len(recs) == 0 {
+			writeError(w, http.StatusBadRequest, "idempotent update carries no rects or points")
+			return
+		}
+		batch.Seq = 1
+	}
+	for _, rec := range recs {
+		batch.Records = rec.AppendBinary(batch.Records)
+	}
+	routed := s.cluster != nil && !isInternal(r)
+	if routed && session == "" && cluster.IsShardName(name) {
+		writeError(w, http.StatusBadRequest, "shard keys are internal; update the base estimator name")
+		return
+	}
+	var applied int
+	var deduped bool
+	if routed && !cluster.IsShardName(name) {
+		applied, deduped, err = s.cluster.routeIngest(r.Context(), name, session, batch)
+	} else {
+		applied, deduped, err = s.applyIngestBatch(r.Context(), name, session, batch, false)
+	}
+	if err != nil {
+		writeIngestError(w, err)
 		return
 	}
 	var counts map[string]int64
 	if est, ok := s.lookup(name); ok {
 		counts = est.counts()
 	}
-	writeJSON(w, http.StatusOK, updateResponse{Applied: applied, Counts: counts})
+	writeJSON(w, http.StatusOK, updateResponse{Applied: applied, Counts: counts, Deduped: deduped})
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -960,7 +951,6 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "logging snapshot put: %v", err)
 			return
 		}
-		est.setTap(s.persist.updateTap(name))
 	}
 	s.mu.Lock()
 	s.ests[name] = est

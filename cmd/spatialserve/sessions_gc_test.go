@@ -10,6 +10,7 @@ import (
 	"time"
 
 	spatial "repro"
+	"repro/internal/ingest"
 )
 
 // Session-mark GC tests: expiry must never reopen a live session's dedup
@@ -31,7 +32,7 @@ func encodeRecords(recs []spatial.UpdateRecord) (uint64, []byte) {
 func ingestOnce(t *testing.T, s *Server, session string, seq uint64, recs []spatial.UpdateRecord) {
 	t.Helper()
 	count, enc := encodeRecords(recs)
-	applied, deduped, err := s.applyIngestBatch(context.Background(), "j", session, seq, count, enc)
+	applied, deduped, err := s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: seq, Count: count, Records: enc}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	// The active session's window stays closed: a retry is deduped, not
 	// re-applied.
 	count, enc := encodeRecords(liveRecs)
-	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", 1, count, enc); err != nil || !deduped {
+	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}, false); err != nil || !deduped {
 		t.Fatalf("retry after gc: deduped=%v err=%v, want dedup", deduped, err)
 	}
 	mustMatchRef(t, n.ht.URL, ref, "after expiry")
@@ -99,7 +100,7 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	if got := s.sessions.peek("gc-live", "j"); got != 1 {
 		t.Fatalf("recovered active mark: seq %d, want 1", got)
 	}
-	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", 1, count, enc); err != nil || !deduped {
+	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}, false); err != nil || !deduped {
 		t.Fatalf("retry after recovery: deduped=%v err=%v, want dedup", deduped, err)
 	}
 	mustMatchRef(t, n.ht.URL, ref, "after recovery")

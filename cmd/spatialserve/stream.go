@@ -43,6 +43,10 @@ import (
 // mark it advances after ALL owners acked - a pure fast-path dedup and
 // resume hint; losing it merely causes re-forwarding that the owners'
 // durable marks drop.
+//
+// A plain JSON update (no Idempotency-Key) rides the same batch path with
+// no session: validated whole, logged, applied, but neither deduplicated
+// nor ever resent after an ambiguous failure (see applyIngestBatch).
 
 // maxSessionEntries bounds the session table: entries are tiny, but a
 // hostile client minting sessions must hit a wall before the heap does.
@@ -320,7 +324,7 @@ func (s *Server) adoptMark(ctx context.Context, name string, est servable, m ses
 	}
 	return s.withEstimator(name, est, func() error {
 		if s.persist != nil {
-			if err := s.persist.logIngest(ctx, name, m.Session, m.Seq, 0, nil); err != nil {
+			if err := s.persist.logIngest(ctx, name, m.Session, ingest.Batch{Seq: m.Seq}); err != nil {
 				return err
 			}
 		}
@@ -329,64 +333,74 @@ func (s *Server) adoptMark(ctx context.Context, name string, est servable, m ses
 	})
 }
 
-// applyIngestBatch is the exactly-once core: dedup against the session
-// watermark, validate every record, log records + watermark advance as
-// one atomic WAL record, apply untapped (the tap would re-log), advance
-// the mark. Returns the applied record count, or deduped=true when the
-// batch is at-or-below the watermark (already durable - the caller acks
-// it again).
-func (s *Server) applyIngestBatch(ctx context.Context, name, session string, seq, count uint64, records []byte) (applied int, deduped bool, err error) {
+// applyIngestBatch is the one write path: every update - a plain JSON
+// update, a keyed update, a stream batch, a forwarded partition
+// sub-batch or a rebalance suffix - is validated, logged and applied
+// here, and nowhere else. Every record is validated before the WAL
+// append, so a batch applies whole or not at all and a logged record
+// always replays.
+//
+//   - With a session the batch is exactly-once: at or below the
+//     session's watermark it is dropped (deduped=true: already durable,
+//     the caller acks it again); otherwise its records and the watermark
+//     advance are logged as one atomic walOpIngest record.
+//   - Without a session it is a plain update: not deduplicated, no mark
+//     left, logged as a walOpUpdate record; an empty one logs nothing.
+//   - A handoff batch (rebalance shipping a shard's WAL suffix) skips the
+//     shard-ownership check: the target does not own the shard until the
+//     move seals.
+func (s *Server) applyIngestBatch(ctx context.Context, name, session string, batch ingest.Batch, handoff bool) (applied int, deduped bool, err error) {
 	est, ok := s.lookup(name)
 	if !ok {
 		return 0, false, fmt.Errorf("%w: %q", errNotFoundLocal, name)
 	}
-	ent := s.sessions.lockEntry(session, name, true)
-	if ent == nil {
-		return 0, false, errSessionTableFull
-	}
-	defer ent.mu.Unlock()
-	ent.touch()
-	if seq <= ent.seq.Load() {
-		return 0, true, nil
-	}
-	recs := make([]spatial.UpdateRecord, 0, count)
-	rest := records
-	for i := uint64(0); i < count; i++ {
-		rec, used, derr := spatial.DecodeUpdateRecord(rest)
-		if derr != nil {
-			return 0, false, fmt.Errorf("record %d: %w", i, derr)
+	var ent *sessionEntry
+	if session != "" {
+		if ent = s.sessions.lockEntry(session, name, true); ent == nil {
+			return 0, false, errSessionTableFull
 		}
-		rest = rest[used:]
-		recs = append(recs, rec)
+		defer ent.mu.Unlock()
+		ent.touch()
+		if batch.Seq <= ent.seq.Load() {
+			return 0, true, nil
+		}
+	} else if batch.Count == 0 {
+		return 0, false, nil
 	}
-	if len(rest) != 0 {
-		return 0, false, fmt.Errorf("%d trailing bytes after %d records", len(rest), count)
+	recs, err := batch.DecodeRecords()
+	if err != nil {
+		return 0, false, err
 	}
 	err = s.withEstimator(name, est, func() error {
-		if s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name) {
+		if !handoff && s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name) {
 			return errNotOwner
 		}
-		// Validate BEFORE the WAL append: a logged ingest record must
-		// replay cleanly, the same invariant the tap path gets from
-		// estimators validating before the tap fires.
 		for _, rec := range recs {
 			if verr := est.validateRecord(rec); verr != nil {
 				return verr
 			}
 		}
 		if s.persist != nil {
-			if lerr := s.persist.logIngest(ctx, name, session, seq, len(recs), records); lerr != nil {
+			var lerr error
+			if ent != nil {
+				lerr = s.persist.logIngest(ctx, name, session, batch)
+			} else {
+				lerr = s.persist.logUpdate(ctx, name, batch)
+			}
+			if lerr != nil {
 				return lerr
 			}
 		}
 		for _, rec := range recs {
-			if aerr := est.applyUntapped(rec); aerr != nil {
+			if aerr := est.applyRecord(rec); aerr != nil {
 				// Validated above; a failure here means the WAL record
 				// and the sketches disagree - surface loudly.
-				return fmt.Errorf("applying validated ingest record: %w", aerr)
+				return fmt.Errorf("applying validated record: %w", aerr)
 			}
 		}
-		ent.seq.Store(seq)
+		if ent != nil {
+			ent.seq.Store(batch.Seq)
+		}
 		return nil
 	})
 	if err != nil {
@@ -579,7 +593,7 @@ func (s *Server) ingestOneBatch(ctx context.Context, key, session string, cluste
 	if clustered {
 		applied, deduped, err = s.cluster.routeIngest(ctx, key, session, batch)
 	} else {
-		applied, deduped, err = s.applyIngestBatch(ctx, key, session, batch.Seq, batch.Count, batch.Records)
+		applied, deduped, err = s.applyIngestBatch(ctx, key, session, batch, false)
 	}
 	if err != nil {
 		return err
@@ -627,8 +641,11 @@ func (s *Server) streamTenant(key string) string {
 
 // handleShardIngest applies one forwarded sub-batch at a partition
 // owner: POST body is the walOpIngest rest layout (session | seq |
-// count | records). Internal only - the (session, seq) contract is
-// meaningless for external callers hitting shard keys directly.
+// count | records), with an empty session for a plain update. Internal
+// only - the (session, seq) contract is meaningless for external callers
+// hitting shard keys directly. ?handoff marks a rebalance's WAL suffix
+// (a sessionless batch), which the target applies before it owns the
+// shard.
 func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	if !isInternal(r) {
 		writeError(w, http.StatusForbidden, "shard ingest is internal")
@@ -643,12 +660,17 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	session, seq, count, records, err := parseIngestRest(data)
+	session, batch, err := parseIngestRest(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	applied, deduped, err := s.applyIngestBatch(r.Context(), name, session, seq, count, records)
+	handoff := r.URL.Query().Has("handoff")
+	if handoff && session != "" {
+		writeError(w, http.StatusBadRequest, "a handoff batch carries no session")
+		return
+	}
+	applied, deduped, err := s.applyIngestBatch(r.Context(), name, session, batch, handoff)
 	if err != nil {
 		writeIngestError(w, err)
 		return
@@ -656,12 +678,14 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestShardResponse{Applied: applied, Deduped: deduped})
 }
 
-// writeIngestError maps an exactly-once apply failure to its HTTP
-// status, shared by the internal shard endpoint and the
-// Idempotency-Key JSON path.
+// writeIngestError maps a write-path failure to its HTTP status, shared
+// by the JSON update endpoint and the internal shard endpoint.
 func writeIngestError(w http.ResponseWriter, err error) {
 	var lf *logFailure
+	var pe *partialUpdateError
 	switch {
+	case errors.As(err, &pe):
+		writeError(w, http.StatusBadGateway, "%v", err)
 	case errors.Is(err, errNotFoundLocal) || errors.Is(err, errShardMissing):
 		writeError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, errSessionTableFull):
@@ -717,10 +741,10 @@ func (s *Server) handleIngestMarks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"adopted": len(marks)})
 }
 
-// ---- Idempotency-Key on the JSON update path ----
+// ---- JSON updates as record batches ----
 
-// updateRecords converts a JSON update batch into wire records for the
-// exactly-once machinery.
+// updateRecords converts a JSON update batch into update records for the
+// write path.
 func updateRecords(req *updateRequest) ([]spatial.UpdateRecord, error) {
 	op := spatial.OpInsert
 	if req.Op == "delete" {
@@ -749,48 +773,4 @@ func updateRecords(req *updateRequest) ([]spatial.UpdateRecord, error) {
 		recs = append(recs, spatial.UpdateRecord{Op: op, Side: side, Point: p})
 	}
 	return recs, nil
-}
-
-// serveIdempotentUpdate runs one JSON update through the exactly-once
-// ingest machinery: the Idempotency-Key becomes a single-batch session
-// ("idem:<key>", seq 1) whose persisted watermark makes any retry of
-// the same key a durable no-op that still answers 200 (with Deduped
-// set). Keys are single-use by construction; reusing one replays the
-// first request's acknowledgement, not its effect.
-func (s *Server) serveIdempotentUpdate(ctx context.Context, w http.ResponseWriter, name, key string, req *updateRequest) {
-	if !validRequestID(key) {
-		writeError(w, http.StatusBadRequest, "Idempotency-Key must be 1-64 log-safe characters")
-		return
-	}
-	recs, err := updateRecords(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(recs) == 0 {
-		writeError(w, http.StatusBadRequest, "idempotent update carries no rects or points")
-		return
-	}
-	var enc []byte
-	for _, rec := range recs {
-		enc = rec.AppendBinary(enc)
-	}
-	session := "idem:" + key
-	var applied int
-	var deduped bool
-	if s.cluster != nil && !cluster.IsShardName(name) {
-		applied, deduped, err = s.cluster.routeIngest(ctx, name, session,
-			ingest.Batch{Seq: 1, Count: uint64(len(recs)), Records: enc})
-	} else {
-		applied, deduped, err = s.applyIngestBatch(ctx, name, session, 1, uint64(len(recs)), enc)
-	}
-	if err != nil {
-		writeIngestError(w, err)
-		return
-	}
-	var counts map[string]int64
-	if est, ok := s.lookup(name); ok {
-		counts = est.counts()
-	}
-	writeJSON(w, http.StatusOK, updateResponse{Applied: applied, Counts: counts, Deduped: deduped})
 }

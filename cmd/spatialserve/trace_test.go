@@ -206,9 +206,8 @@ func TestPprofGate(t *testing.T) {
 // writes and a traced estimate against a persistent 3-node cluster must
 // each assemble into a single tree - root span on the routing node,
 // fan-out child spans, remote owners' serving spans stitched under them,
-// and the WAL append visible for the create (the JSON update's WAL write
-// rides the library's context-free tap by design) - retrievable from ANY
-// node, including one that recorded nothing locally.
+// and the WAL appends visible - retrievable from ANY node, including one
+// that recorded nothing locally.
 func TestClusterTraceStitched(t *testing.T) {
 	srvs, urls := startCluster(t, 3, true)
 	for _, s := range srvs {
@@ -272,7 +271,7 @@ func TestClusterTraceStitched(t *testing.T) {
 	// yet another node.
 	upd := getTrace(t, urls[1], tidUpdate)
 	names = spanNames(upd)
-	if names["http update"] == 0 || names["fanout.update"] == 0 {
+	if names["http update"] == 0 || names["fanout.ingest"] == 0 {
 		t.Fatalf("update trace missing routing spans: %v", names)
 	}
 	if len(upd.Tree) != 1 {

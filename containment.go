@@ -125,13 +125,6 @@ func (e *ContainmentEstimator) updateInner(r geo.HyperRect, insert bool) error {
 	if err := e.check(r); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideInner, r, nil); err != nil {
-		return err
-	}
-	return e.ingestInner(r, insert)
-}
-
-func (e *ContainmentEstimator) ingestInner(r geo.HyperRect, insert bool) error {
 	pt := core.ContainmentPoint(r)
 	return e.st.ingest(func(s *pointBoxState) error {
 		if insert {
@@ -151,13 +144,6 @@ func (e *ContainmentEstimator) updateOuter(r geo.HyperRect, insert bool) error {
 	if err := e.check(r); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideOuter, r, nil); err != nil {
-		return err
-	}
-	return e.ingestOuter(r, insert)
-}
-
-func (e *ContainmentEstimator) ingestOuter(r geo.HyperRect, insert bool) error {
 	box := core.ContainmentBox(r)
 	return e.st.ingest(func(s *pointBoxState) error {
 		if insert {
@@ -174,9 +160,6 @@ func (e *ContainmentEstimator) InsertInnerBulk(rects []geo.HyperRect) error {
 			return err
 		}
 	}
-	if err := e.st.tapRects(OpInsert, SideInner, rects); err != nil {
-		return err
-	}
 	pts := make([]geo.Point, len(rects))
 	for i, r := range rects {
 		pts[i] = core.ContainmentPoint(r)
@@ -191,9 +174,6 @@ func (e *ContainmentEstimator) InsertOuterBulk(rects []geo.HyperRect) error {
 			return err
 		}
 	}
-	if err := e.st.tapRects(OpInsert, SideOuter, rects); err != nil {
-		return err
-	}
 	boxes := make([]geo.HyperRect, len(rects))
 	for i, r := range rects {
 		boxes[i] = core.ContainmentBox(r)
@@ -201,13 +181,8 @@ func (e *ContainmentEstimator) InsertOuterBulk(rects []geo.HyperRect) error {
 	return e.st.ingest(func(s *pointBoxState) error { return s.boxes.InsertAll(boxes) })
 }
 
-// SetUpdateTap installs tap to observe every point/bulk update before it
-// is applied (see UpdateTap); nil removes it. Merge and MergeSnapshot are
-// not tapped.
-func (e *ContainmentEstimator) SetUpdateTap(tap UpdateTap) { e.st.setTap(tap) }
-
 // Apply replays one update record through the estimator's public update
-// path - the inverse of the tap (see JoinEstimator.Apply).
+// path (see JoinEstimator.Apply).
 func (e *ContainmentEstimator) Apply(rec UpdateRecord) error {
 	if rec.Rect == nil {
 		return fmt.Errorf("spatial: containment estimators take rects, record carries a point")
@@ -236,18 +211,6 @@ func (e *ContainmentEstimator) ValidateRecord(rec UpdateRecord) error {
 		return fmt.Errorf("spatial: containment estimators have no %v side", rec.Side)
 	}
 	return e.check(rec.Rect)
-}
-
-// ApplyUntapped replays rec like Apply but without notifying the update
-// tap (see JoinEstimator.ApplyUntapped).
-func (e *ContainmentEstimator) ApplyUntapped(rec UpdateRecord) error {
-	if err := e.ValidateRecord(rec); err != nil {
-		return err
-	}
-	if rec.Side == SideInner {
-		return e.ingestInner(rec.Rect, rec.Op == OpInsert)
-	}
-	return e.ingestOuter(rec.Rect, rec.Op == OpInsert)
 }
 
 // header returns the full public configuration of this estimator.

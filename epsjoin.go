@@ -172,13 +172,6 @@ func (e *EpsJoinEstimator) updateLeft(p geo.Point, insert bool) error {
 	if err := e.check(p); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideLeft, nil, p); err != nil {
-		return err
-	}
-	return e.ingestLeft(p, insert)
-}
-
-func (e *EpsJoinEstimator) ingestLeft(p geo.Point, insert bool) error {
 	return e.st.ingest(func(s *pointBoxState) error {
 		if insert {
 			return s.pts.Insert(p)
@@ -197,13 +190,6 @@ func (e *EpsJoinEstimator) updateRight(p geo.Point, insert bool) error {
 	if err := e.check(p); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideRight, nil, p); err != nil {
-		return err
-	}
-	return e.ingestRight(p, insert)
-}
-
-func (e *EpsJoinEstimator) ingestRight(p geo.Point, insert bool) error {
 	ball := geo.Ball(p, e.cfg.Eps, e.cfg.DomainSize)
 	return e.st.ingest(func(s *pointBoxState) error {
 		if insert {
@@ -220,9 +206,6 @@ func (e *EpsJoinEstimator) InsertLeftBulk(pts []geo.Point) error {
 			return err
 		}
 	}
-	if err := e.st.tapPoints(OpInsert, SideLeft, pts); err != nil {
-		return err
-	}
 	return e.st.ingest(func(s *pointBoxState) error { return s.pts.InsertAll(pts) })
 }
 
@@ -233,9 +216,6 @@ func (e *EpsJoinEstimator) InsertRightBulk(pts []geo.Point) error {
 			return err
 		}
 	}
-	if err := e.st.tapPoints(OpInsert, SideRight, pts); err != nil {
-		return err
-	}
 	balls := make([]geo.HyperRect, len(pts))
 	for i, p := range pts {
 		balls[i] = geo.Ball(p, e.cfg.Eps, e.cfg.DomainSize)
@@ -243,13 +223,8 @@ func (e *EpsJoinEstimator) InsertRightBulk(pts []geo.Point) error {
 	return e.st.ingest(func(s *pointBoxState) error { return s.boxes.InsertAll(balls) })
 }
 
-// SetUpdateTap installs tap to observe every point/bulk update before it
-// is applied (see UpdateTap); nil removes it. Merge and MergeSnapshot are
-// not tapped.
-func (e *EpsJoinEstimator) SetUpdateTap(tap UpdateTap) { e.st.setTap(tap) }
-
 // Apply replays one update record through the estimator's public update
-// path - the inverse of the tap (see JoinEstimator.Apply).
+// path (see JoinEstimator.Apply).
 func (e *EpsJoinEstimator) Apply(rec UpdateRecord) error {
 	if rec.Point == nil {
 		return fmt.Errorf("spatial: epsilon-join estimators take points, record carries a rect")
@@ -278,18 +253,6 @@ func (e *EpsJoinEstimator) ValidateRecord(rec UpdateRecord) error {
 		return fmt.Errorf("spatial: epsilon-join estimators have no %v side", rec.Side)
 	}
 	return e.check(rec.Point)
-}
-
-// ApplyUntapped replays rec like Apply but without notifying the update
-// tap (see JoinEstimator.ApplyUntapped).
-func (e *EpsJoinEstimator) ApplyUntapped(rec UpdateRecord) error {
-	if err := e.ValidateRecord(rec); err != nil {
-		return err
-	}
-	if rec.Side == SideLeft {
-		return e.ingestLeft(rec.Point, rec.Op == OpInsert)
-	}
-	return e.ingestRight(rec.Point, rec.Op == OpInsert)
 }
 
 // header returns the full public configuration of this estimator.

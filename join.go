@@ -222,13 +222,6 @@ func (e *JoinEstimator) updateLeft(r geo.HyperRect, insert bool) error {
 	if err := e.checkInput(r); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideLeft, r, nil); err != nil {
-		return err
-	}
-	return e.ingestLeft(r, insert)
-}
-
-func (e *JoinEstimator) ingestLeft(r geo.HyperRect, insert bool) error {
 	return e.st.ingest(func(s *joinState) error {
 		if s.leftCE != nil {
 			if insert {
@@ -248,13 +241,6 @@ func (e *JoinEstimator) updateRight(r geo.HyperRect, insert bool) error {
 	if err := e.checkInput(r); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideRight, r, nil); err != nil {
-		return err
-	}
-	return e.ingestRight(r, insert)
-}
-
-func (e *JoinEstimator) ingestRight(r geo.HyperRect, insert bool) error {
 	return e.st.ingest(func(s *joinState) error {
 		if s.rightCE != nil {
 			if insert {
@@ -278,9 +264,6 @@ func (e *JoinEstimator) InsertLeftBulk(rects []geo.HyperRect) error {
 			return err
 		}
 	}
-	if err := e.st.tapRects(OpInsert, SideLeft, rects); err != nil {
-		return err
-	}
 	var t []geo.HyperRect
 	if e.cfg.Mode == ModeTransform {
 		t = make([]geo.HyperRect, len(rects))
@@ -303,9 +286,6 @@ func (e *JoinEstimator) InsertRightBulk(rects []geo.HyperRect) error {
 			return err
 		}
 	}
-	if err := e.st.tapRects(OpInsert, SideRight, rects); err != nil {
-		return err
-	}
 	var t []geo.HyperRect
 	if e.cfg.Mode == ModeTransform {
 		t = make([]geo.HyperRect, len(rects))
@@ -321,16 +301,11 @@ func (e *JoinEstimator) InsertRightBulk(rects []geo.HyperRect) error {
 	})
 }
 
-// SetUpdateTap installs tap to observe every point/bulk update before it
-// is applied (see UpdateTap); nil removes it. Updates that fail input
-// validation are not tapped; Merge and MergeSnapshot fold counters rather
-// than update streams and are not tapped either.
-func (e *JoinEstimator) SetUpdateTap(tap UpdateTap) { e.st.setTap(tap) }
-
 // Apply replays one update record through the estimator's public update
-// path - the inverse of the tap: feeding every tapped record of one
-// estimator into Apply on a same-config empty estimator reconstructs its
-// counters bit-identically (updates commute, so order does not matter).
+// path: feeding every update of one estimator, as records, into Apply on a
+// same-config empty estimator reconstructs its counters bit-identically
+// (updates commute, so order does not matter). A write-ahead log of
+// records (AppendBinary) replays this way.
 func (e *JoinEstimator) Apply(rec UpdateRecord) error {
 	if rec.Rect == nil {
 		return fmt.Errorf("spatial: join estimators take rects, record carries a point")
@@ -350,8 +325,8 @@ func (e *JoinEstimator) Apply(rec UpdateRecord) error {
 
 // ValidateRecord checks rec against this estimator's input contract -
 // exactly the validation Apply performs - without applying it. A record
-// that passes can be journaled ahead of its apply: the later
-// Apply/ApplyUntapped cannot fail validation.
+// that passes can be journaled ahead of its apply: the later Apply cannot
+// fail validation.
 func (e *JoinEstimator) ValidateRecord(rec UpdateRecord) error {
 	if rec.Rect == nil {
 		return fmt.Errorf("spatial: join estimators take rects, record carries a point")
@@ -360,19 +335,6 @@ func (e *JoinEstimator) ValidateRecord(rec UpdateRecord) error {
 		return fmt.Errorf("spatial: join estimators have no %v side", rec.Side)
 	}
 	return e.checkInput(rec.Rect)
-}
-
-// ApplyUntapped replays rec like Apply but without notifying the update
-// tap - for callers that already journaled the record themselves and
-// must not observe it a second time. Validation is identical to Apply.
-func (e *JoinEstimator) ApplyUntapped(rec UpdateRecord) error {
-	if err := e.ValidateRecord(rec); err != nil {
-		return err
-	}
-	if rec.Side == SideLeft {
-		return e.ingestLeft(rec.Rect, rec.Op == OpInsert)
-	}
-	return e.ingestRight(rec.Rect, rec.Op == OpInsert)
 }
 
 // LeftCount returns the current left input cardinality (inserts minus

@@ -122,13 +122,6 @@ func (e *RangeEstimator) update(r geo.HyperRect, insert bool) error {
 	if err := e.check(r); err != nil {
 		return err
 	}
-	if err := e.st.tapRecord1(opOf(insert), SideData, r, nil); err != nil {
-		return err
-	}
-	return e.ingestRect(r, insert)
-}
-
-func (e *RangeEstimator) ingestRect(r geo.HyperRect, insert bool) error {
 	t := geo.TransformKeepRect(r)
 	return e.st.ingest(func(s *core.RangeSketch) error {
 		if insert {
@@ -145,9 +138,6 @@ func (e *RangeEstimator) InsertBulk(rects []geo.HyperRect) error {
 			return err
 		}
 	}
-	if err := e.st.tapRects(OpInsert, SideData, rects); err != nil {
-		return err
-	}
 	t := make([]geo.HyperRect, len(rects))
 	for i, r := range rects {
 		t[i] = geo.TransformKeepRect(r)
@@ -155,13 +145,8 @@ func (e *RangeEstimator) InsertBulk(rects []geo.HyperRect) error {
 	return e.st.ingest(func(s *core.RangeSketch) error { return s.InsertAll(t) })
 }
 
-// SetUpdateTap installs tap to observe every point/bulk update before it
-// is applied (see UpdateTap); nil removes it. Merge and MergeSnapshot are
-// not tapped.
-func (e *RangeEstimator) SetUpdateTap(tap UpdateTap) { e.st.setTap(tap) }
-
 // Apply replays one update record through the estimator's public update
-// path - the inverse of the tap (see JoinEstimator.Apply).
+// path (see JoinEstimator.Apply).
 func (e *RangeEstimator) Apply(rec UpdateRecord) error {
 	if rec.Rect == nil {
 		return fmt.Errorf("spatial: range estimators take rects, record carries a point")
@@ -186,15 +171,6 @@ func (e *RangeEstimator) ValidateRecord(rec UpdateRecord) error {
 		return fmt.Errorf("spatial: range estimators have no %v side", rec.Side)
 	}
 	return e.check(rec.Rect)
-}
-
-// ApplyUntapped replays rec like Apply but without notifying the update
-// tap (see JoinEstimator.ApplyUntapped).
-func (e *RangeEstimator) ApplyUntapped(rec UpdateRecord) error {
-	if err := e.ValidateRecord(rec); err != nil {
-		return err
-	}
-	return e.ingestRect(rec.Rect, rec.Op != OpDelete)
 }
 
 // mergeRangeSketch adapts core merging to the shard helper.

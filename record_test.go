@@ -63,29 +63,29 @@ func TestUpdateRecordCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// collectTap returns a tap that appends every record it sees to out.
-func collectTap(out *[]spatial.UpdateRecord) spatial.UpdateTap {
-	return func(recs []spatial.UpdateRecord) error {
-		for _, r := range recs {
-			// Records are only valid during the call: deep-copy.
-			c := r
-			if r.Rect != nil {
-				c.Rect = r.Rect.Clone()
-			}
-			if r.Point != nil {
-				c.Point = append(geo.Point(nil), r.Point...)
-			}
-			*out = append(*out, c)
-		}
-		return nil
+// rectRecs returns one record per rect, all with the same op and side.
+func rectRecs(op spatial.UpdateOp, side spatial.UpdateSide, rects ...geo.HyperRect) []spatial.UpdateRecord {
+	recs := make([]spatial.UpdateRecord, len(rects))
+	for i, r := range rects {
+		recs[i] = spatial.UpdateRecord{Op: op, Side: side, Rect: r}
 	}
+	return recs
+}
+
+// pointRecs returns one record per point, all with the same op and side.
+func pointRecs(op spatial.UpdateOp, side spatial.UpdateSide, pts ...geo.Point) []spatial.UpdateRecord {
+	recs := make([]spatial.UpdateRecord, len(pts))
+	for i, p := range pts {
+		recs[i] = spatial.UpdateRecord{Op: op, Side: side, Point: p}
+	}
+	return recs
 }
 
 // TestTapReplayBitIdentical drives a mixed point/bulk insert/delete
-// workload through each estimator kind with a tap attached, replays the
-// tapped records through Apply on a same-config empty estimator, and
-// requires bit-identical snapshots - the exactness property the WAL
-// durability layer is built on.
+// workload through each estimator kind's public update methods, replays
+// the same updates as codec-round-tripped records through Apply on a
+// same-config empty estimator, and requires bit-identical snapshots - the
+// exactness property WAL replay is built on.
 func TestTapReplayBitIdentical(t *testing.T) {
 	const dom = 1 << 10
 	sz := spatial.Sizing{Instances: 64, Groups: 4}
@@ -95,90 +95,66 @@ func TestTapReplayBitIdentical(t *testing.T) {
 	for _, r := range rects {
 		pts = append(pts, geo.Point{r[0].Lo, r[1].Lo})
 	}
+	ins, del := spatial.OpInsert, spatial.OpDelete
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	t.Run("join", func(t *testing.T) {
 		mk := func() *spatial.JoinEstimator {
 			e, err := spatial.NewJoinEstimator(spatial.JoinConfig{Dims: 2, DomainSize: dom, Sizing: sz, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(err)
 			return e
 		}
 		src, dst := mk(), mk()
-		var recs []spatial.UpdateRecord
-		src.SetUpdateTap(collectTap(&recs))
-		if err := src.InsertLeftBulk(rects[:32]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.InsertRight(rects[40]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.DeleteLeft(rects[3]); err != nil {
-			t.Fatal(err)
-		}
+		must(src.InsertLeftBulk(rects[:32]))
+		must(src.InsertRight(rects[40]))
+		must(src.DeleteLeft(rects[3]))
+		recs := append(rectRecs(ins, spatial.SideLeft, rects[:32]...), rectRecs(ins, spatial.SideRight, rects[40])...)
+		recs = append(recs, rectRecs(del, spatial.SideLeft, rects[3])...)
 		replayAndCompare(t, recs, dst.Apply, src.Marshal, dst.Marshal)
 	})
 	t.Run("range", func(t *testing.T) {
 		mk := func() *spatial.RangeEstimator {
 			e, err := spatial.NewRangeEstimator(spatial.RangeConfig{Dims: 1, DomainSize: dom, Sizing: sz, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(err)
 			return e
 		}
 		src, dst := mk(), mk()
-		var recs []spatial.UpdateRecord
-		src.SetUpdateTap(collectTap(&recs))
-		if err := src.InsertBulk(spans[:20]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Delete(spans[5]); err != nil {
-			t.Fatal(err)
-		}
+		must(src.InsertBulk(spans[:20]))
+		must(src.Delete(spans[5]))
+		recs := append(rectRecs(ins, spatial.SideData, spans[:20]...), rectRecs(del, spatial.SideData, spans[5])...)
 		replayAndCompare(t, recs, dst.Apply, src.Marshal, dst.Marshal)
 	})
 	t.Run("epsjoin", func(t *testing.T) {
 		mk := func() *spatial.EpsJoinEstimator {
 			e, err := spatial.NewEpsJoinEstimator(spatial.EpsJoinConfig{Dims: 2, DomainSize: dom, Eps: 4, Sizing: sz, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(err)
 			return e
 		}
 		src, dst := mk(), mk()
-		var recs []spatial.UpdateRecord
-		src.SetUpdateTap(collectTap(&recs))
-		if err := src.InsertLeftBulk(pts[:16]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.InsertRightBulk(pts[16:32]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.DeleteRight(pts[20]); err != nil {
-			t.Fatal(err)
-		}
+		must(src.InsertLeftBulk(pts[:16]))
+		must(src.InsertRightBulk(pts[16:32]))
+		must(src.DeleteRight(pts[20]))
+		recs := append(pointRecs(ins, spatial.SideLeft, pts[:16]...), pointRecs(ins, spatial.SideRight, pts[16:32]...)...)
+		recs = append(recs, pointRecs(del, spatial.SideRight, pts[20])...)
 		replayAndCompare(t, recs, dst.Apply, src.Marshal, dst.Marshal)
 	})
 	t.Run("containment", func(t *testing.T) {
 		mk := func() *spatial.ContainmentEstimator {
 			e, err := spatial.NewContainmentEstimator(spatial.ContainmentConfig{Dims: 2, DomainSize: dom, Sizing: sz, Seed: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(err)
 			return e
 		}
 		src, dst := mk(), mk()
-		var recs []spatial.UpdateRecord
-		src.SetUpdateTap(collectTap(&recs))
-		if err := src.InsertInnerBulk(rects[:16]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.InsertOuter(rects[30]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.DeleteInner(rects[2]); err != nil {
-			t.Fatal(err)
-		}
+		must(src.InsertInnerBulk(rects[:16]))
+		must(src.InsertOuter(rects[30]))
+		must(src.DeleteInner(rects[2]))
+		recs := append(rectRecs(ins, spatial.SideInner, rects[:16]...), rectRecs(ins, spatial.SideOuter, rects[30])...)
+		recs = append(recs, rectRecs(del, spatial.SideInner, rects[2])...)
 		replayAndCompare(t, recs, dst.Apply, src.Marshal, dst.Marshal)
 	})
 }
@@ -188,9 +164,6 @@ func TestTapReplayBitIdentical(t *testing.T) {
 func replayAndCompare(t *testing.T, recs []spatial.UpdateRecord,
 	apply func(spatial.UpdateRecord) error, srcMarshal, dstMarshal func() ([]byte, error)) {
 	t.Helper()
-	if len(recs) == 0 {
-		t.Fatal("tap observed no records")
-	}
 	var buf []byte
 	for _, r := range recs {
 		buf = r.AppendBinary(buf)
@@ -214,44 +187,7 @@ func replayAndCompare(t *testing.T, recs []spatial.UpdateRecord,
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("replayed estimator snapshot differs from the tapped source")
-	}
-}
-
-// TestTapErrorAbortsUpdate verifies write-ahead ordering: a failing tap
-// aborts the update before any sketch is touched, and removing the tap
-// restores normal updates.
-func TestTapErrorAbortsUpdate(t *testing.T) {
-	est, err := spatial.NewJoinEstimator(spatial.JoinConfig{
-		Dims: 2, DomainSize: 1 << 10,
-		Sizing: spatial.Sizing{Instances: 64, Groups: 4}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := fmt.Errorf("log unavailable")
-	est.SetUpdateTap(func([]spatial.UpdateRecord) error { return boom })
-	if err := est.InsertLeft(geo.Rect(1, 5, 2, 6)); err != boom {
-		t.Fatalf("tapped insert returned %v, want the tap error", err)
-	}
-	if err := est.InsertRightBulk([]geo.HyperRect{geo.Rect(1, 5, 2, 6)}); err != boom {
-		t.Fatalf("tapped bulk insert returned %v, want the tap error", err)
-	}
-	if l, r := est.LeftCount(), est.RightCount(); l != 0 || r != 0 {
-		t.Fatalf("aborted updates still landed: counts (%d, %d)", l, r)
-	}
-	// Invalid input fails validation before the tap runs.
-	called := false
-	est.SetUpdateTap(func([]spatial.UpdateRecord) error { called = true; return nil })
-	if err := est.InsertLeft(geo.HyperRect{{Lo: 9, Hi: 5}, {Lo: 0, Hi: 2}}); err == nil || called {
-		t.Fatalf("invalid input: err %v, tap called %v", err, called)
-	}
-	est.SetUpdateTap(nil)
-	if err := est.InsertLeft(geo.Rect(1, 5, 2, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if est.LeftCount() != 1 {
-		t.Fatalf("untapped insert lost: count %d", est.LeftCount())
+		t.Fatal("replayed estimator snapshot differs from the directly updated source")
 	}
 }
 

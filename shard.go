@@ -107,10 +107,6 @@ type shardedState[T any] struct {
 	rr     atomic.Uint32
 	shards []lockedShard[T]
 
-	// tap, when set, observes every point/bulk update before it is applied
-	// (see tap.go). It is called outside the shard locks.
-	tap atomic.Pointer[UpdateTap]
-
 	// Epoch view cache (multi-shard estimators only).
 	cache    atomic.Pointer[cachedView[T]]
 	buildMu  sync.Mutex    // single-flight view rebuild
