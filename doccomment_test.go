@@ -48,7 +48,10 @@ func checkDecl(t *testing.T, fset *token.FileSet, decl ast.Decl) {
 	t.Helper()
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if !d.Name.IsExported() || !exportedReceiver(d) {
+		// Every exported method counts, whatever its receiver: methods of
+		// an unexported type embedded in an exported one are promoted
+		// into the public API.
+		if !d.Name.IsExported() {
 			return
 		}
 		requireDoc(t, fset, d.Pos(), d.Doc, d.Name.Name)
@@ -77,27 +80,6 @@ func checkDecl(t *testing.T, fset *token.FileSet, decl ast.Decl) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// exportedReceiver reports whether a method's receiver type is exported
-// (functions have no receiver and count as exported).
-func exportedReceiver(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	typ := d.Recv.List[0].Type
-	for {
-		switch x := typ.(type) {
-		case *ast.StarExpr:
-			typ = x.X
-		case *ast.IndexExpr: // generic receiver
-			typ = x.X
-		case *ast.Ident:
-			return x.IsExported()
-		default:
-			return true
 		}
 	}
 }

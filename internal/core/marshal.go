@@ -99,7 +99,10 @@ func unmarshalConfig(r *reader) (Config, error) {
 	for i := range c.LogDomain {
 		c.LogDomain[i] = int(int32(r.u32()))
 	}
-	if hasML := r.u32(); hasML == 1 {
+	switch hasML := r.u32(); {
+	case hasML > 1:
+		return c, fmt.Errorf("core: bad level-cap flag %d in serialized sketch", hasML)
+	case hasML == 1:
 		c.MaxLevel = make([]int, c.Dims)
 		for i := range c.MaxLevel {
 			c.MaxLevel[i] = int(int32(r.u32()))
@@ -173,6 +176,9 @@ func unmarshalSketch(kind uint32, data []byte) (Config, int64, []byte, error) {
 	}
 	if n > uint64(len(r.b)/8) {
 		return Config{}, 0, nil, fmt.Errorf("core: truncated sketch: %d counters declared, %d bytes left", n, len(r.b))
+	}
+	if uint64(len(r.b)) != 8*n {
+		return Config{}, 0, nil, fmt.Errorf("core: %d trailing bytes after the sketch's counters", uint64(len(r.b))-8*n)
 	}
 	// Cross-check the declared instance count against the counter payload
 	// BEFORE the caller builds a plan: a corrupted ~60-byte header claiming

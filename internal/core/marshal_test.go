@@ -157,6 +157,26 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalNonCanonicalRejected: a serialized sketch has one encoding
+// per (configuration, counters) pair, so a decoded sketch re-marshals to
+// exactly its input - a level-cap flag other than 0 or 1, or bytes after
+// the counters, are refused rather than dropped.
+func TestUnmarshalNonCanonicalRejected(t *testing.T) {
+	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1}) // uncapped: flag 0
+	data, _ := p.NewJoinSketch().MarshalBinary()
+	if _, err := UnmarshalJoinSketch(data); err != nil {
+		t.Fatal(err)
+	}
+	flag := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(flag[16:], 2) // past magic, kind, dims and logDomain[0]
+	if _, err := UnmarshalJoinSketch(flag); err == nil {
+		t.Error("level-cap flag 2 decoded")
+	}
+	if _, err := UnmarshalJoinSketch(append(bytes.Clone(data), 0)); err == nil {
+		t.Error("trailing byte decoded")
+	}
+}
+
 // TestUnmarshalHugeInstancesRejected: a tiny corrupted payload whose
 // header claims an enormous instance count must be rejected by the
 // counter-payload cross-check BEFORE NewPlan attempts the matching

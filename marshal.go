@@ -27,7 +27,8 @@ import (
 // estimator), Unmarshal<Kind>Estimator (reconstruct a working estimator
 // from one), and MergeSnapshot (fold a snapshot into an existing
 // estimator, rejecting ANY public-config mismatch at decode time rather
-// than by silent counter corruption). All integers are little-endian.
+// than by silent counter corruption), all through the one lifecycle of
+// estimator.go. All integers are little-endian.
 
 // SnapshotVersion is the current snapshot envelope version. Decoders
 // reject snapshots from a different version.
@@ -90,6 +91,17 @@ const (
 	sideRight
 )
 
+// span returns the range [lo, hi) of shard sides a snapshot of this side
+// carries, for an estimator of n sides.
+func (s snapSide) span(n int) (lo, hi int) {
+	if s == sideBoth {
+		return 0, n
+	}
+	return int(s) - 1, int(s)
+}
+
+// String returns the side's name in error messages ("full", "left",
+// "right").
 func (s snapSide) String() string {
 	switch s {
 	case sideBoth:
@@ -118,12 +130,14 @@ type snapHeader struct {
 	groups     uint64 // resolved group count
 }
 
-// compatible reports, as an error, the first public-config field on which
-// an incoming snapshot header diverges from the receiver's.
+// compatible reports, as an error, the first public-config field (or the
+// side) on which an incoming snapshot header diverges from the receiver's.
 func (h snapHeader) compatible(in snapHeader) error {
 	switch {
 	case in.kind != h.kind:
 		return fmt.Errorf("spatial: snapshot of a %v estimator cannot merge into a %v estimator", in.kind, h.kind)
+	case in.side != h.side:
+		return fmt.Errorf("spatial: snapshot holds the %v side, want %v", in.side, h.side)
 	case in.dims != h.dims:
 		return fmt.Errorf("spatial: snapshot dims %d, estimator has %d", in.dims, h.dims)
 	case in.domainSize != h.domainSize:
@@ -241,17 +255,6 @@ func unmarshalEnvelope(data []byte) (snapHeader, [][]byte, error) {
 		return h, nil, fmt.Errorf("spatial: snapshot declares %d instances but carries only %d payload bytes", h.instances, payload)
 	}
 	return h, blobs, nil
-}
-
-// expectBlobs validates the envelope shape shared by every decoder.
-func (h snapHeader) expectBlobs(blobs [][]byte, kind Kind, n int) error {
-	if h.kind != kind {
-		return fmt.Errorf("spatial: snapshot of a %v estimator, want %v", h.kind, kind)
-	}
-	if len(blobs) != n {
-		return fmt.Errorf("spatial: %v snapshot carries %d sub-sketches, want %d", h.kind, len(blobs), n)
-	}
-	return nil
 }
 
 // ---- update record codec ----
@@ -398,30 +401,16 @@ func MergeSnapshots(snaps ...[]byte) ([]byte, Kind, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	type mergeable interface {
-		MergeSnapshot(data []byte) error
-		Marshal() ([]byte, error)
-	}
-	var est mergeable
-	switch kind {
-	case KindJoin:
-		est, err = UnmarshalJoinEstimator(snaps[0])
-	case KindRange:
-		est, err = UnmarshalRangeEstimator(snaps[0])
-	case KindEpsJoin:
-		est, err = UnmarshalEpsJoinEstimator(snaps[0])
-	case KindContainment:
-		est, err = UnmarshalContainmentEstimator(snaps[0])
-	}
-	if err != nil {
+	var e estimator
+	if err := e.unmarshal(snaps[0], kind); err != nil {
 		return nil, 0, err
 	}
 	for _, s := range snaps[1:] {
-		if err := est.MergeSnapshot(s); err != nil {
+		if err := e.MergeSnapshot(s); err != nil {
 			return nil, 0, err
 		}
 	}
-	out, err := est.Marshal()
+	out, err := e.Marshal()
 	if err != nil {
 		return nil, 0, err
 	}

@@ -41,31 +41,32 @@ func selfJoinSize(cfg JoinConfig, rects []geo.HyperRect, shrink bool) (float64, 
 	if cfg.Dims < 1 {
 		return 0, fmt.Errorf("spatial: dims must be >= 1")
 	}
-	h := log2ceil(geo.TransformDomain(cfg.DomainSize))
-	doms := make([]dyadic.Domain, cfg.Dims)
-	ml := make([]int, cfg.Dims)
-	cap := resolveMaxLevel(cfg.MaxLevel, cfg.DomainSize)
+	p := params{dims: cfg.Dims, domainSize: cfg.DomainSize, maxLevel: cfg.MaxLevel}
+	sh, err := joinKind.shape(&p)
+	if err != nil {
+		return 0, err
+	}
+	dom, err := dyadic.New(sh.logDomain)
+	if err != nil {
+		return 0, err
+	}
+	ml := sh.maxLevel
+	if ml == 0 {
+		ml = sh.logDomain
+	}
+	doms, mls := make([]dyadic.Domain, cfg.Dims), make([]int, cfg.Dims)
 	for i := range doms {
-		d, err := dyadic.New(h)
-		if err != nil {
-			return 0, err
-		}
-		doms[i] = d
-		if cap > 0 {
-			ml[i] = cap
-		} else {
-			ml[i] = h
-		}
+		doms[i], mls[i] = dom, ml
+	}
+	side := joinKind.sides[0]
+	if shrink {
+		side = joinKind.sides[1]
 	}
 	t := make([]geo.HyperRect, len(rects))
 	for i, r := range rects {
-		if shrink {
-			t[i] = geo.TransformShrinkRect(r)
-		} else {
-			t[i] = geo.TransformKeepRect(r)
-		}
+		t[i] = side.input(&p, object{rect: r}).rect
 	}
-	sj, err := exact.SelfJoinSizes(doms, ml, t)
+	sj, err := exact.SelfJoinSizes(doms, mls, t)
 	if err != nil {
 		return 0, err
 	}

@@ -12,13 +12,13 @@ import (
 // into a same-config estimator reconstructs its counters bit-identically.
 // Persistence therefore needs only (a) every update in a stable encoding
 // and (b) a way to re-apply one. UpdateRecord with AppendBinary and
-// DecodeUpdateRecord is (a); Apply on each estimator type is (b): it
-// routes a decoded record back through the public update path it
-// describes. ValidateRecord runs Apply's validation alone, so a caller can
-// log a record ahead of applying it (write-ahead) knowing the apply cannot
-// be refused. Merge and MergeSnapshot fold counters, not update streams;
-// callers persisting updates log merged snapshots themselves, as
-// cmd/spatialserve does.
+// DecodeUpdateRecord is (a); Apply on each estimator type is (b): it is
+// the one update path, which every public insert and delete also takes
+// (estimator.go). ValidateRecord runs Apply's validation alone, so a
+// caller can log a record ahead of applying it (write-ahead) knowing the
+// apply cannot be refused. Merge and MergeSnapshot fold counters, not
+// update streams; callers persisting updates log merged snapshots
+// themselves, as cmd/spatialserve does.
 
 // UpdateOp says whether an update record inserts or deletes an object.
 type UpdateOp uint8

@@ -302,3 +302,52 @@ func TestApplyMismatchedKind(t *testing.T) {
 		t.Errorf("containment counters moved on rejected records: %d", n)
 	}
 }
+
+// TestValidateRecordAgreesWithApply: on every kind, ValidateRecord and
+// Apply accept and refuse the same records - an unknown Op included - so
+// a record journaled after ValidateRecord passed can always be applied,
+// and a refused one leaves the estimator untouched.
+func TestValidateRecordAgreesWithApply(t *testing.T) {
+	sz := spatial.Sizing{Instances: 16, Groups: 4}
+	type recordTaker interface {
+		Apply(spatial.UpdateRecord) error
+		ValidateRecord(spatial.UpdateRecord) error
+		Version() uint64
+	}
+	join, _ := spatial.NewJoinEstimator(spatial.JoinConfig{Dims: 2, DomainSize: 64, Sizing: sz})
+	rng, _ := spatial.NewRangeEstimator(spatial.RangeConfig{Dims: 2, DomainSize: 64, Sizing: sz})
+	eps, _ := spatial.NewEpsJoinEstimator(spatial.EpsJoinConfig{Dims: 2, DomainSize: 64, Eps: 4, Sizing: sz})
+	cont, _ := spatial.NewContainmentEstimator(spatial.ContainmentConfig{Dims: 2, DomainSize: 64, Sizing: sz})
+	rect, pt := geo.Rect(1, 5, 2, 6), geo.Point{1, 2}
+	cases := []struct {
+		name string
+		est  recordTaker
+		rec  spatial.UpdateRecord
+	}{
+		{"join", join, spatial.UpdateRecord{Side: spatial.SideLeft, Rect: rect}},
+		{"range", rng, spatial.UpdateRecord{Side: spatial.SideData, Rect: rect}},
+		{"epsjoin", eps, spatial.UpdateRecord{Side: spatial.SideRight, Point: pt}},
+		{"containment", cont, spatial.UpdateRecord{Side: spatial.SideOuter, Rect: rect}},
+	}
+	for _, c := range cases {
+		for _, op := range []spatial.UpdateOp{spatial.OpInsert, spatial.OpDelete, 2, 255} {
+			rec := c.rec
+			rec.Op = op
+			before := c.est.Version()
+			verr, aerr := c.est.ValidateRecord(rec), c.est.Apply(rec)
+			if (verr == nil) != (aerr == nil) {
+				t.Errorf("%s, op %v: ValidateRecord says %v, Apply says %v", c.name, op, verr, aerr)
+			}
+			known := op == spatial.OpInsert || op == spatial.OpDelete
+			if known != (aerr == nil) {
+				t.Errorf("%s, op %v: Apply error %v", c.name, op, aerr)
+			}
+			if wrote := c.est.Version() != before; wrote != known {
+				t.Errorf("%s, op %v: refused record changed the estimator (or accepted one did not)", c.name, op)
+			}
+		}
+	}
+	if n := rng.Count(); n != 0 {
+		t.Errorf("range count %d after one insert and one delete, want 0", n)
+	}
+}

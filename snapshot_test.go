@@ -2,6 +2,7 @@ package spatial_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	spatial "repro"
@@ -344,10 +345,105 @@ func TestSideSnapshotChecks(t *testing.T) {
 	}
 }
 
+// Offsets into the fixed SPE1 header (docs/SNAPSHOT_FORMAT.md): the
+// side field, and the end of the header (nblobs included).
+const (
+	snapSideOffset = 12
+	snapHeaderLen  = 72
+)
+
+// forgedSideSnapshot is a valid range snapshot whose side field claims a
+// single join side - a side no range estimator has.
+func forgedSideSnapshot(tb testing.TB) []byte {
+	data := rangeSnapForDecode(tb, 0)
+	binary.LittleEndian.PutUint32(data[snapSideOffset:], 1)
+	return data
+}
+
+// forgedConfigSnapshot is a range snapshot whose header declares level
+// cap 100 while its sub-sketch was planned with the cap 100 clamps to:
+// the same effective plan, a different SPK1 configuration.
+func forgedConfigSnapshot(tb testing.TB) []byte {
+	capped := rangeSnapForDecode(tb, 100)
+	clamped := rangeSnapForDecode(tb, 8) // log2ceil of the transformed domain 192
+	return append(capped[:snapHeaderLen:snapHeaderLen], clamped[snapHeaderLen:]...)
+}
+
+func rangeSnapForDecode(tb testing.TB, maxLevel int) []byte {
+	e, err := spatial.NewRangeEstimator(spatial.RangeConfig{
+		Dims: 1, DomainSize: 64, MaxLevel: maxLevel, Sizing: spatial.Sizing{Instances: 8, Groups: 4},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Insert(geo.Span1D(3, 9)); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := e.Marshal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestCanonicalSnapshotDecode: the one decode path refuses a full-kind
+// snapshot whose side is not "full" and a sub-sketch whose configuration
+// differs from the one its header derives - in every entry point, so an
+// accepted snapshot always re-marshals to its own bytes.
+func TestCanonicalSnapshotDecode(t *testing.T) {
+	valid := rangeSnapForDecode(t, 0)
+	for name, data := range map[string][]byte{
+		"side": forgedSideSnapshot(t), "sub-sketch config": forgedConfigSnapshot(t),
+	} {
+		if _, err := spatial.UnmarshalRangeEstimator(data); err == nil {
+			t.Errorf("%s: UnmarshalRangeEstimator accepted a forged snapshot", name)
+		}
+		if _, _, err := spatial.MergeSnapshots(data); err == nil {
+			t.Errorf("%s: MergeSnapshots accepted a forged first snapshot", name)
+		}
+		if _, _, err := spatial.MergeSnapshots(valid, data); err == nil {
+			t.Errorf("%s: MergeSnapshots accepted a forged second snapshot", name)
+		}
+		e, err := spatial.UnmarshalRangeEstimator(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.MergeSnapshot(data); err == nil {
+			t.Errorf("%s: MergeSnapshot accepted a forged snapshot", name)
+		}
+	}
+	// The side check holds for the two-input kinds too.
+	ee, _ := spatial.NewEpsJoinEstimator(spatial.EpsJoinConfig{
+		Dims: 1, DomainSize: 64, Eps: 3, Sizing: spatial.Sizing{Instances: 8, Groups: 4},
+	})
+	ke, _ := spatial.NewContainmentEstimator(spatial.ContainmentConfig{
+		Dims: 1, DomainSize: 64, Sizing: spatial.Sizing{Instances: 8, Groups: 4},
+	})
+	for _, side := range []uint32{1, 2} {
+		esnap, _ := ee.Marshal()
+		ksnap, _ := ke.Marshal()
+		binary.LittleEndian.PutUint32(esnap[snapSideOffset:], side)
+		binary.LittleEndian.PutUint32(ksnap[snapSideOffset:], side)
+		if _, err := spatial.UnmarshalEpsJoinEstimator(esnap); err == nil {
+			t.Errorf("epsilon-join snapshot with side %d decoded", side)
+		}
+		if err := ee.MergeSnapshot(esnap); err == nil {
+			t.Errorf("epsilon-join snapshot with side %d merged", side)
+		}
+		if _, err := spatial.UnmarshalContainmentEstimator(ksnap); err == nil {
+			t.Errorf("containment snapshot with side %d decoded", side)
+		}
+		if err := ke.MergeSnapshot(ksnap); err == nil {
+			t.Errorf("containment snapshot with side %d merged", side)
+		}
+	}
+}
+
 // FuzzUnmarshal drives arbitrary bytes through every snapshot decoder:
-// none may panic, and none may allocate proportionally to unvalidated
-// header fields (the decoders bound every allocation by the payload
-// actually present).
+// none may panic, none may allocate proportionally to unvalidated header
+// fields (the decoders bound every allocation by the payload actually
+// present), and every snapshot a decoder accepts re-marshals to exactly
+// its input bytes - one encoding per estimator state.
 func FuzzUnmarshal(f *testing.F) {
 	join := snapJoinForFuzz(f, spatial.ModeTransform)
 	ce := snapJoinForFuzz(f, spatial.ModeCommonEndpoints)
@@ -374,23 +470,38 @@ func FuzzUnmarshal(f *testing.F) {
 	if data, err := ke.Marshal(); err == nil {
 		f.Add(data)
 	}
+	f.Add(forgedSideSnapshot(f))
+	f.Add(forgedConfigSnapshot(f))
 	f.Add([]byte{})
 	f.Add(join[:8])
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spatial.SnapshotKind(data)
+		roundTrip := func(name string, marshal func() ([]byte, error)) {
+			out, err := marshal()
+			if err != nil {
+				t.Fatalf("%s: accepted snapshot does not marshal: %v", name, err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("%s: accepted snapshot re-marshals to different bytes", name)
+			}
+		}
 		if e, err := spatial.UnmarshalJoinEstimator(data); err == nil {
 			e.Cardinality()
+			roundTrip("join", e.Marshal)
 		}
 		if e, err := spatial.UnmarshalRangeEstimator(data); err == nil {
 			e.Count()
+			roundTrip("range", e.Marshal)
 		}
 		if e, err := spatial.UnmarshalEpsJoinEstimator(data); err == nil {
 			e.Cardinality()
+			roundTrip("epsjoin", e.Marshal)
 		}
 		if e, err := spatial.UnmarshalContainmentEstimator(data); err == nil {
 			e.Cardinality()
+			roundTrip("containment", e.Marshal)
 		}
 	})
 }

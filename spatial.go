@@ -55,6 +55,7 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -128,9 +129,14 @@ type Guarantee struct {
 //     instance for transform-mode joins, 4^d + d/2 for common-endpoints
 //     joins, 1 + d/2 for epsilon- and containment joins (in the doubled
 //     reduction dimensionality), 2^d + d for range synopses.
-//  3. Guarantee != nil: the Theorem 1 sizing from (eps, phi), the
-//     self-join size bounds and the result lower bound ("sanity bound",
-//     Section 2.3).
+//  3. Guarantee != nil: the (eps, phi) sizing of the estimator's own
+//     bound, from the self-join size bounds and the result lower bound
+//     ("sanity bound", Section 2.3): Theorem 3 for joins (either mode);
+//     Lemma 8 for epsilon-joins at d and for containment joins at the
+//     reduction's 2d, with SelfJoinLeft and SelfJoinRight bounding the
+//     point and box sides; Lemma 9 for range synopses, with SelfJoinLeft
+//     as SJ(R) (1-d only: range estimators with Dims > 1 refuse a
+//     Guarantee).
 //
 // If none is set, a default of 512 instances in 8 groups is used.
 type Sizing struct {
@@ -151,14 +157,10 @@ const (
 )
 
 // resolve turns a Sizing into concrete (instances, groups) for an
-// estimator of the given (internal) dimensionality whose per-instance
-// footprint is wordsPerInstance in the paper's word accounting. Each
-// estimator type passes its own accounting - 2^d + d/2 words per relation
-// for transform-mode joins, 4^d + d/2 for common-endpoints joins,
-// 1 + d/2 for the point/box sketches of epsilon- and containment joins,
-// 2^d + d for range synopses - so equal-MemoryWords comparisons across
-// estimator kinds are not skewed by the join-sketch layout.
-func (s Sizing) resolve(dims int, wordsPerInstance float64) (instances, groups int, err error) {
+// estimator of kind k whose configuration resolved to sh: MemoryWords
+// sizing uses the kind's word accounting (sh.words), Guarantee sizing
+// the kind's planner.
+func (s Sizing) resolve(k *kindSpec, sh shape) (instances, groups int, err error) {
 	switch {
 	case s.Instances > 0:
 		groups = s.Groups
@@ -175,11 +177,10 @@ func (s Sizing) resolve(dims int, wordsPerInstance float64) (instances, groups i
 		if groups <= 0 {
 			groups = defaultGroups
 		}
-		instances = core.InstancesForBudgetWords(wordsPerInstance, s.MemoryWords, groups)
+		instances = core.InstancesForBudgetWords(sh.words, s.MemoryWords, groups)
 		return instances, groups, nil
 	case s.Guarantee != nil:
-		k1, k2, err := core.PlanJoinInstances(dims, core.Guarantee(*s.Guarantee),
-			s.SelfJoinLeft, s.SelfJoinRight, s.ResultLowerBound)
+		k1, k2, err := k.guarantee(sh, core.Guarantee(*s.Guarantee), s)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -244,4 +245,20 @@ func resolveMaxLevel(configured int, domainSize uint64) int {
 		}
 		return ml
 	}
+}
+
+// configuredMaxLevel maps a snapshot's resolved level cap back to the
+// MaxLevel configuration field that resolves to it.
+func configuredMaxLevel(resolved int32) int {
+	if resolved == 0 {
+		return MaxLevelUncapped
+	}
+	return int(resolved)
+}
+
+func log2ceil(x uint64) int {
+	if x <= 1 {
+		return 0
+	}
+	return bits.Len64(x - 1)
 }

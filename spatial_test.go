@@ -420,18 +420,19 @@ func TestContainmentValidation(t *testing.T) {
 }
 
 func TestSizingModes(t *testing.T) {
+	joinShape1 := shape{dims: 1, words: core.JoinWordsPerRelation(1)}
 	// Default sizing.
-	inst, groups, err := Sizing{}.resolve(1, core.JoinWordsPerRelation(1))
+	inst, groups, err := Sizing{}.resolve(&joinKind, joinShape1)
 	if err != nil || inst != defaultInstances || groups != defaultGroups {
 		t.Fatalf("default sizing = %d/%d, err %v", inst, groups, err)
 	}
 	// Explicit rounds down to a multiple of groups.
-	inst, groups, err = Sizing{Instances: 103, Groups: 10}.resolve(1, core.JoinWordsPerRelation(1))
+	inst, groups, err = Sizing{Instances: 103, Groups: 10}.resolve(&joinKind, joinShape1)
 	if err != nil || inst != 100 || groups != 10 {
 		t.Fatalf("explicit sizing = %d/%d, err %v", inst, groups, err)
 	}
 	// Memory budget (1-d: 2.5 words per relation per instance).
-	inst, _, err = Sizing{MemoryWords: 1000, Groups: 4}.resolve(1, core.JoinWordsPerRelation(1))
+	inst, _, err = Sizing{MemoryWords: 1000, Groups: 4}.resolve(&joinKind, joinShape1)
 	if err != nil || inst != 400 {
 		t.Fatalf("budget sizing = %d, err %v", inst, err)
 	}
@@ -439,7 +440,7 @@ func TestSizingModes(t *testing.T) {
 	inst, groups, err = Sizing{
 		Guarantee:    &Guarantee{Eps: 0.5, Phi: 0.25},
 		SelfJoinLeft: 100, SelfJoinRight: 100, ResultLowerBound: 40,
-	}.resolve(1, core.JoinWordsPerRelation(1))
+	}.resolve(&joinKind, joinShape1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +448,64 @@ func TestSizingModes(t *testing.T) {
 		t.Fatalf("guarantee sizing = %d/%d", inst, groups)
 	}
 	// Guarantee without bounds fails.
-	if _, _, err := (Sizing{Guarantee: &Guarantee{Eps: 0.5, Phi: 0.25}}).resolve(1, core.JoinWordsPerRelation(1)); err == nil {
+	if _, _, err := (Sizing{Guarantee: &Guarantee{Eps: 0.5, Phi: 0.25}}).resolve(&joinKind, joinShape1); err == nil {
 		t.Fatal("guarantee sizing without SJ bounds should fail")
+	}
+}
+
+// TestGuaranteeSizingPerKind: Sizing.Guarantee sizes every kind by its
+// own bound - Theorem 3 for joins, Lemma 8 for epsilon-joins at d and for
+// containment joins at the reduction's 2d, Lemma 9 for 1-d range
+// synopses - and refuses range synopses of more dimensions.
+func TestGuaranteeSizingPerKind(t *testing.T) {
+	g := Guarantee{Eps: 0.5, Phi: 0.25}
+	sz := Sizing{Guarantee: &g, SelfJoinLeft: 100, SelfJoinRight: 100, ResultLowerBound: 100}
+	want := func(k1, k2 int, err error) int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k1 * k2
+	}
+	cg := core.Guarantee(g)
+	join := want(core.PlanJoinInstances(2, cg, 100, 100, 100))
+	lemma8 := want(core.PlanEpsJoinInstances(2, cg, 100, 100, 100))
+	if lemma8 != 16*join {
+		t.Fatalf("Lemma 8 plans %d instances at d = 2, Theorem 3 %d: want 16x", lemma8, join)
+	}
+	const dom = 1024
+	rng := want(core.PlanRangeInstances(log2ceil(geo.TransformDomain(dom)), cg, 100, 100))
+	for _, c := range []struct {
+		name string
+		new  func() (interface{ Instances() int }, error)
+		want int
+	}{
+		{"join", func() (interface{ Instances() int }, error) {
+			return NewJoinEstimator(JoinConfig{Dims: 2, DomainSize: dom, Sizing: sz})
+		}, join},
+		{"join/common-endpoints", func() (interface{ Instances() int }, error) {
+			return NewJoinEstimator(JoinConfig{Dims: 2, DomainSize: dom, Sizing: sz, Mode: ModeCommonEndpoints})
+		}, join},
+		{"epsjoin", func() (interface{ Instances() int }, error) {
+			return NewEpsJoinEstimator(EpsJoinConfig{Dims: 2, DomainSize: dom, Eps: 4, Sizing: sz})
+		}, lemma8},
+		{"containment (2d = 2)", func() (interface{ Instances() int }, error) {
+			return NewContainmentEstimator(ContainmentConfig{Dims: 1, DomainSize: dom, Sizing: sz})
+		}, lemma8},
+		{"range", func() (interface{ Instances() int }, error) {
+			return NewRangeEstimator(RangeConfig{Dims: 1, DomainSize: dom, Sizing: sz})
+		}, rng},
+	} {
+		e, err := c.new()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := e.Instances(); got != c.want {
+			t.Errorf("%s: Guarantee sizing gave %d instances, want %d", c.name, got, c.want)
+		}
+	}
+	if _, err := NewRangeEstimator(RangeConfig{Dims: 2, DomainSize: dom, Sizing: sz}); err == nil {
+		t.Error("2-d range estimator accepted a Guarantee it has no planner for")
 	}
 }
 
