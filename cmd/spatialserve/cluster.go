@@ -54,8 +54,6 @@ const (
 	// apply them locally instead of re-routing (forwarding loops are
 	// structurally impossible: internal requests never fan out).
 	headerInternal = "X-Spatial-Internal"
-	// headerWalPos carries the exact WAL cut of a bootstrap response.
-	headerWalPos = "X-Spatial-Wal-Pos"
 	// headerWalNext carries the resume position of a WAL shipping response.
 	headerWalNext = "X-Spatial-Wal-Next"
 )

@@ -394,127 +394,6 @@ func TestClusterRingAdoption(t *testing.T) {
 	}
 }
 
-// TestReplicaFollowAndPromote runs a leader and a WAL-shipped follower:
-// the follower bootstraps from an exact cut, tails the leader's log
-// (applying through UpdateRecord.Apply), rejects external writes, and on
-// promotion serves estimators byte-identical to a loss-free replay - then
-// accepts writes as an ordinary durable node.
-func TestReplicaFollowAndPromote(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process replication timing")
-	}
-	const dom = 1 << 12
-	leader, err := NewPersistentServer(PersistOptions{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lh := httptest.NewServer(leader)
-	refs := newClusterRefs(t, dom)
-	createFour(t, lh.URL, dom)
-
-	rng := rand.New(rand.NewSource(55))
-	ingest := func(n int) {
-		for i := 0; i < n; i++ {
-			wr := randRect(rng, dom)
-			rect := geo.Rect(wr[0][0], wr[0][1], wr[1][0], wr[1][1])
-			body, _ := json.Marshal(updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
-			mustDo(t, "POST", lh.URL+"/v1/estimators/j/update", body, http.StatusOK)
-			if err := refs.j.InsertLeft(rect); err != nil {
-				t.Fatal(err)
-			}
-			ws := randRect(rng, dom)
-			span := geo.Span1D(ws[0][0], ws[0][1])
-			body, _ = json.Marshal(updateRequest{Rects: [][][2]uint64{wireRect(span)}})
-			mustDo(t, "POST", lh.URL+"/v1/estimators/r/update", body, http.StatusOK)
-			if err := refs.r.Insert(span); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ingest(30) // pre-bootstrap history
-
-	follower, err := NewPersistentServer(PersistOptions{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh := httptest.NewServer(follower)
-	defer fh.Close()
-	defer follower.Close()
-	if err := follower.StartReplica(lh.URL, 20*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-
-	ingest(30) // shipped via WAL tailing
-
-	// Wait until the follower's applied position reaches the leader's
-	// frontier.
-	leaderPos := func() string {
-		var rr ringResponse
-		if err := json.Unmarshal(mustDo(t, "GET", lh.URL+"/admin/ring", nil, http.StatusOK), &rr); err != nil {
-			t.Fatal(err)
-		}
-		return rr.WalPos
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		var rr ringResponse
-		if err := json.Unmarshal(mustDo(t, "GET", fh.URL+"/admin/ring", nil, http.StatusOK), &rr); err != nil {
-			t.Fatal(err)
-		}
-		if rr.Replica == nil {
-			t.Fatal("follower reports no replica status")
-		}
-		if rr.Replica.Pos == leaderPos() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: at %s, leader at %s (lastError %q)",
-				rr.Replica.Pos, leaderPos(), rr.Replica.LastError)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Read-only while replicating.
-	body, _ := json.Marshal(updateRequest{Side: "left", Rects: [][][2]uint64{randRect(rng, dom)}})
-	resp, _ := httpDo(t, "POST", fh.URL+"/v1/estimators/j/update", body, nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("follower accepted an external write: %d", resp.StatusCode)
-	}
-
-	// Leader dies; promote the follower and verify bit-identical state.
-	lh.Close()
-	leader.Close()
-	mustDo(t, "POST", fh.URL+"/admin/promote", nil, http.StatusOK)
-	for name, ref := range map[string]interface{ Marshal() ([]byte, error) }{
-		"j": refs.j, "r": refs.r, "e": refs.e, "c": refs.c,
-	} {
-		want, err := ref.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mustDo(t, "GET", fh.URL+"/v1/estimators/"+name+"/snapshot", nil, http.StatusOK)
-		if !bytes.Equal(got, want) {
-			t.Errorf("promoted follower: estimator %q differs from the loss-free replay", name)
-		}
-	}
-
-	// The promoted node is an ordinary read-write durable server now.
-	wr := randRect(rng, dom)
-	body, _ = json.Marshal(updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
-	mustDo(t, "POST", fh.URL+"/v1/estimators/j/update", body, http.StatusOK)
-	if err := refs.j.InsertLeft(geo.Rect(wr[0][0], wr[0][1], wr[1][0], wr[1][1])); err != nil {
-		t.Fatal(err)
-	}
-	want, err := refs.j.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mustDo(t, "GET", fh.URL+"/v1/estimators/j/snapshot", nil, http.StatusOK)
-	if !bytes.Equal(got, want) {
-		t.Error("post-promotion write diverged from the reference")
-	}
-}
-
 // TestClusterMapPersistsAcrossRestart: rebalance overrides must survive a
 // full-cluster restart - the saved partition map restores ownership while
 // the (possibly changed) -peers flags stay authoritative for node

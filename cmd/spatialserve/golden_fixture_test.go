@@ -17,6 +17,25 @@ import (
 // saved partition map with one override.
 const goldenDataDir = "testdata/golden-datadir"
 
+// What recovery must rebuild from the golden data dir: every estimator's
+// snapshot SHA-256, the session marks and the tenant configs. A replica
+// bootstrapped from a leader that recovered it must hold the same
+// (TestReplicaBootstrapGoldenDataDir).
+var (
+	goldenDigests = map[string]string{
+		"acme/e": "fabb4e8a31714c4525a0ab2233ca91de9c2258fda09eba19a8beceab5bea4615",
+		"c":      "8fee66312a942c6d2fa8147a350d27821f2162f285ea8dfac876b7403b133d2a",
+		"j":      "498835368677508f42138086ec7ec6db362e0b10b66d8c9e4af9113a0d5d6add",
+		"p":      "23eee44459643e50a2263133f2f90f2c6d9276d904d91aff4efa31a02d3c53ae",
+		"r":      "3630537c26a7c46d4b338fff664e0a75389b9211246ad1da751a6ca83ab4611d",
+	}
+	goldenMarks = []sessionMark{
+		{Session: "writer", Estimator: "c", Seq: 2},
+		{Session: "idem:k1", Estimator: "r", Seq: 1},
+	}
+	goldenTenants = map[string]TenantConfig{"acme": {MemoryBudgetWords: 1 << 20, RateQPS: 500, MaxInflight: 16}}
+)
+
 // TestGoldenDataDirReplays boots a persistent cluster node on a copy of
 // the golden data directory and pins what recovery must rebuild from it:
 // every estimator's snapshot bytes, the session marks, the tenant configs
@@ -74,13 +93,6 @@ func TestGoldenDataDirReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantDigests := map[string]string{
-		"acme/e": "fabb4e8a31714c4525a0ab2233ca91de9c2258fda09eba19a8beceab5bea4615",
-		"c":      "8fee66312a942c6d2fa8147a350d27821f2162f285ea8dfac876b7403b133d2a",
-		"j":      "498835368677508f42138086ec7ec6db362e0b10b66d8c9e4af9113a0d5d6add",
-		"p":      "23eee44459643e50a2263133f2f90f2c6d9276d904d91aff4efa31a02d3c53ae",
-		"r":      "3630537c26a7c46d4b338fff664e0a75389b9211246ad1da751a6ca83ab4611d",
-	}
 	got := map[string]string{}
 	s.mu.RLock()
 	for name, est := range s.ests {
@@ -93,20 +105,15 @@ func TestGoldenDataDirReplays(t *testing.T) {
 		got[name] = hex.EncodeToString(sum[:])
 	}
 	s.mu.RUnlock()
-	if !reflect.DeepEqual(got, wantDigests) {
-		t.Errorf("recovered snapshot digests\n got %v\nwant %v", got, wantDigests)
+	if !reflect.DeepEqual(got, goldenDigests) {
+		t.Errorf("recovered snapshot digests\n got %v\nwant %v", got, goldenDigests)
 	}
 
-	wantMarks := []sessionMark{
-		{Session: "writer", Estimator: "c", Seq: 2},
-		{Session: "idem:k1", Estimator: "r", Seq: 1},
+	if marks := s.sessions.export(); !reflect.DeepEqual(marks, goldenMarks) {
+		t.Errorf("recovered session marks %+v, want %+v", marks, goldenMarks)
 	}
-	if marks := s.sessions.export(); !reflect.DeepEqual(marks, wantMarks) {
-		t.Errorf("recovered session marks %+v, want %+v", marks, wantMarks)
-	}
-	wantTenants := map[string]TenantConfig{"acme": {MemoryBudgetWords: 1 << 20, RateQPS: 500, MaxInflight: 16}}
-	if tenants := s.tenants.configs(); !reflect.DeepEqual(tenants, wantTenants) {
-		t.Errorf("recovered tenant configs %+v, want %+v", tenants, wantTenants)
+	if tenants := s.tenants.configs(); !reflect.DeepEqual(tenants, goldenTenants) {
+		t.Errorf("recovered tenant configs %+v, want %+v", tenants, goldenTenants)
 	}
 	pm := s.cluster.map_()
 	if pm.Version != 2 || !reflect.DeepEqual(pm.Overrides, map[string]string{"j#1": "n2"}) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -33,12 +34,14 @@ import (
 // durability here is exact, not approximate.
 //
 // Checkpoints bound replay time and WAL size: periodically (and on demand
-// via POST /admin/checkpoint, and on graceful shutdown) every estimator is
-// serialized through its SPE1 snapshot and the manifest records the WAL
-// position the snapshots correspond to; recovery loads the snapshots and
-// replays only the WAL suffix. Old checkpoint files and WAL segments are
-// removed once the new manifest is durable, so disk use stays proportional
-// to live state plus one checkpoint interval of traffic.
+// via POST /admin/checkpoint, and on graceful shutdown) the node's image -
+// every estimator's SPE1 snapshot, the tenant configs and the session
+// marks - is captured and the manifest records the WAL position it
+// corresponds to; recovery installs the image and replays only the WAL
+// suffix, through the interpreter replicas use too (applyWALRecord). Old
+// checkpoint files and WAL segments are removed once the new manifest is
+// durable, so disk use stays proportional to live state plus one
+// checkpoint interval of traffic.
 //
 // Consistency of the cut: a checkpoint must capture exactly the updates
 // logged before its WAL position - an update in both the snapshot and the
@@ -131,9 +134,8 @@ type persister struct {
 	// exclusive for binding changes (create, delete, PUT) and the cut.
 	gate sync.RWMutex
 
-	ckptMu    sync.Mutex // serializes whole checkpoints
-	seq       uint64     // last durable checkpoint sequence
-	lastCut   wal.Pos    // WAL position of the last durable checkpoint
+	ckptMu    sync.Mutex       // serializes whole checkpoints
+	last      checkpointResult // the last durable checkpoint
 	closeOnce sync.Once
 	closeErr  error
 	stop      chan struct{}
@@ -202,24 +204,18 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 	}
 	from := wal.Pos{}
 	if m != nil {
-		p.seq = m.Seq
-		from = wal.Pos{Seg: m.WALSegment, Off: m.WALOffset}
-		p.lastCut = from
-		for t, cfg := range m.Tenants {
-			srv.tenants.set(t, cfg)
-		}
-		srv.sessions.restore(m.Sessions)
+		img := image{m: *m}
 		for _, e := range m.Estimators {
 			data, err := os.ReadFile(filepath.Join(opts.DataDir, ckptSubdir, e.File))
 			if err != nil {
 				return nil, fmt.Errorf("loading checkpoint %d: %w", m.Seq, err)
 			}
-			est, err := restoreServable(data)
-			if err != nil {
-				return nil, fmt.Errorf("loading checkpoint %d, estimator %q: %w", m.Seq, e.Name, err)
-			}
-			srv.ests[e.Name] = est
+			img.snaps = append(img.snaps, data)
 		}
+		if err := srv.install(&img); err != nil {
+			return nil, fmt.Errorf("loading checkpoint %d: %w", m.Seq, err)
+		}
+		p.last, from = m.result(), m.cut()
 	}
 
 	// Open (trimming any torn tail) before replaying, so replay sees the
@@ -246,7 +242,10 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 	replayed := 0
 	err = wal.Replay(walDir, from, func(pos wal.Pos, payload []byte) error {
 		replayed++
-		return p.applyLogged(pos, payload)
+		if err := srv.applyWALRecord(payload); err != nil {
+			return fmt.Errorf("wal record at %v: %w", pos, err)
+		}
+		return nil
 	})
 	if err != nil {
 		p.w.Close()
@@ -254,7 +253,7 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 	}
 	if m != nil || replayed > 0 {
 		p.logf("spatialserve: recovered %d estimator(s) (checkpoint seq %d + %d wal record(s))",
-			len(srv.ests), p.seq, replayed)
+			len(srv.ests), p.last.Seq, replayed)
 	}
 
 	go p.checkpointLoop()
@@ -454,7 +453,7 @@ func parseUpdateRest(rest []byte) (ingest.Batch, error) {
 }
 
 // applyRecords decodes a logged batch and applies every record - the
-// replay step shared by recovery and replica apply.
+// WAL interpreter's apply step.
 func applyRecords(est servable, batch ingest.Batch) error {
 	recs, err := batch.DecodeRecords()
 	if err != nil {
@@ -471,8 +470,8 @@ func applyRecords(est servable, batch ingest.Batch) error {
 // ---- replay ----
 
 // parseWalPayload splits a WAL record payload into its op byte, the
-// estimator name and the op-specific rest - shared by recovery replay,
-// rebalance suffix filtering and replication apply.
+// estimator name and the op-specific rest - shared by the WAL
+// interpreter and rebalance suffix filtering.
 func parseWalPayload(payload []byte) (op byte, name string, rest []byte, err error) {
 	if len(payload) < 1 {
 		return 0, "", nil, fmt.Errorf("empty wal payload")
@@ -486,71 +485,66 @@ func parseWalPayload(payload []byte) (op byte, name string, rest []byte, err err
 	return op, name, payload[1+n+int(nameLen):], nil
 }
 
-// applyLogged applies one WAL record to the recovering registry; nothing
-// is re-logged.
-func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
+// applyWALRecord is the WAL interpreter: the only code that applies a
+// logged op. Recovery replays the log suffix after its checkpoint
+// through it, and a replica applies every shipped record through it
+// (applyReplicated), so both reach the state the live server had at that
+// record. Nothing is logged. Registry writes hold s.mu, so readers may
+// run beside it.
+func (s *Server) applyWALRecord(payload []byte) (err error) {
 	op, name, rest, err := parseWalPayload(payload)
 	if err != nil {
-		return fmt.Errorf("wal record at %v: %w", pos, err)
+		return err
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("wal op %d on %q: %w", op, name, err)
+		}
+	}()
+	var est servable
+	switch op {
+	case walOpDelete, walOpUpdate, walOpIngest, walOpMerge:
+		var ok bool
+		if est, ok = s.lookup(name); !ok {
+			return errors.New("estimator not in the registry")
+		}
 	}
 	switch op {
-	case walOpCreate:
-		var req createRequest
-		if err := json.Unmarshal(rest, &req); err != nil {
-			return fmt.Errorf("wal create %q at %v: %w", name, pos, err)
+	case walOpCreate, walOpPut:
+		if op == walOpCreate {
+			var req createRequest
+			if err := json.Unmarshal(rest, &req); err != nil {
+				return err
+			}
+			est, err = buildServable(req.Kind, req.Config)
+		} else {
+			est, err = restoreServable(rest)
 		}
-		est, err := buildServable(req.Kind, req.Config)
 		if err != nil {
-			return fmt.Errorf("wal create %q at %v: %w", name, pos, err)
+			return err
 		}
-		p.srv.ests[name] = est
+		s.mu.Lock()
+		s.ests[name] = est
+		s.mu.Unlock()
 	case walOpDelete:
-		if _, ok := p.srv.ests[name]; !ok {
-			return fmt.Errorf("wal delete %q at %v: estimator not in recovered registry", name, pos)
-		}
-		delete(p.srv.ests, name)
-		// Live deletes drop the estimator's session marks; replay must
-		// reach the identical mark state.
-		p.srv.sessions.dropKey(name)
+		s.mu.Lock()
+		delete(s.ests, name)
+		s.mu.Unlock()
+		// Live deletes drop the estimator's session marks (deleteLocal);
+		// replay must reach the identical mark state.
+		s.sessions.dropKey(name)
 	case walOpUpdate:
-		est, ok := p.srv.ests[name]
-		if !ok {
-			return fmt.Errorf("wal update for %q at %v: estimator not in recovered registry", name, pos)
-		}
 		batch, err := parseUpdateRest(rest)
-		if err == nil {
-			err = applyRecords(est, batch)
-		}
 		if err != nil {
-			return fmt.Errorf("wal update for %q at %v: %w", name, pos, err)
+			return err
 		}
-	case walOpMerge:
-		est, ok := p.srv.ests[name]
-		if !ok {
-			return fmt.Errorf("wal merge into %q at %v: estimator not in recovered registry", name, pos)
-		}
-		// Merges are logged before their config check runs, so a record
-		// can hold a snapshot the estimator rejected at runtime; the same
-		// deterministic rejection here leaves the same state.
-		if err := est.mergeSnapshot(rest); err != nil {
-			p.logf("spatialserve: replay: merge into %q at %v was rejected (as at runtime): %v", name, pos, err)
-		}
-	case walOpPut:
-		est, err := restoreServable(rest)
-		if err != nil {
-			return fmt.Errorf("wal put %q at %v: %w", name, pos, err)
-		}
-		p.srv.ests[name] = est
+		return applyRecords(est, batch)
 	case walOpIngest:
-		est, ok := p.srv.ests[name]
-		if !ok {
-			return fmt.Errorf("wal ingest for %q at %v: estimator not in recovered registry", name, pos)
-		}
 		session, batch, err := parseIngestRest(rest)
 		if err != nil {
-			return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
+			return err
 		}
-		ent := p.srv.sessions.lockEntry(session, name, false)
+		ent := s.sessions.lockEntry(session, name, false)
 		defer ent.mu.Unlock()
 		// The live path never logs a batch at-or-below the watermark, but
 		// the same skip keeps replay semantics identical to live apply.
@@ -558,32 +552,108 @@ func (p *persister) applyLogged(pos wal.Pos, payload []byte) error {
 			return nil
 		}
 		if err := applyRecords(est, batch); err != nil {
-			return fmt.Errorf("wal ingest for %q at %v: %w", name, pos, err)
+			return err
 		}
 		ent.seq.Store(batch.Seq)
+	case walOpMerge:
+		// Merges are logged before their config check runs, so a record
+		// can hold a snapshot the estimator rejected at runtime; the same
+		// deterministic rejection here leaves the same state.
+		if err := est.mergeSnapshot(rest); err != nil {
+			logfServer("spatialserve: wal merge into %q was rejected (as at runtime): %v", name, err)
+		}
 	case walOpSessionDrop:
 		session, err := parseSessionDropRest(rest)
 		if err != nil {
-			return fmt.Errorf("wal session drop for %q at %v: %w", name, pos, err)
+			return err
 		}
-		// Live drops remove the mark after logging; replay reaches the
-		// identical mark state (the estimator may legitimately be gone).
-		p.srv.sessions.removeMark(session, name)
+		// Live drops remove the mark after logging; the estimator may
+		// legitimately be gone.
+		s.sessions.removeMark(session, name)
 	case walOpTenantPut:
 		var cfg TenantConfig
 		if err := json.Unmarshal(rest, &cfg); err != nil {
-			return fmt.Errorf("wal tenant put %q at %v: %w", name, pos, err)
+			return err
 		}
-		p.srv.tenants.set(name, cfg)
+		s.tenants.set(name, cfg)
 	case walOpTenantDelete:
-		p.srv.tenants.delete(name)
+		s.tenants.delete(name)
 	default:
-		return fmt.Errorf("wal record at %v: unknown op %d", pos, op)
+		return errors.New("unknown op")
 	}
 	return nil
 }
 
-// ---- checkpoints ----
+// ---- images and checkpoints ----
+
+// image is a node's whole state at one WAL position: every estimator's
+// SPE1 snapshot, the tenant configs and the session marks - what a
+// checkpoint manifest describes. A checkpoint captures one and commits
+// it; GET /admin/bootstrap captures one and ships it; recovery and a
+// replica bootstrap install one, then replay the log after its position.
+type image struct {
+	m     manifest // commit sets Seq and the entries' File names
+	snaps [][]byte // snaps[i] is the snapshot of m.Estimators[i]
+}
+
+// cut is the WAL position the manifest's state is exact up to.
+func (m *manifest) cut() wal.Pos { return wal.Pos{Seg: m.WALSegment, Off: m.WALOffset} }
+
+// result is what a checkpoint reports for this manifest.
+func (m *manifest) result() checkpointResult {
+	return checkpointResult{Seq: m.Seq, WALSegment: m.WALSegment, WALOffset: m.WALOffset, Estimators: len(m.Estimators)}
+}
+
+// capture takes the node's image under the exclusive gate: no logged
+// mutation is in flight, so the WAL position and the states agree
+// exactly. Only in-memory work happens under the gate - the same
+// per-shard counter copy any reader imposes.
+func (p *persister) capture() (*image, error) {
+	p.gate.Lock()
+	defer p.gate.Unlock()
+	// The cut usually lands mid-segment; replay handles that, and
+	// TruncateBefore still releases every older segment, so the log on
+	// disk is bounded by one segment plus the traffic since the cut.
+	cut := p.w.Pos()
+	img := &image{m: manifest{Version: manifestVersion, WALSegment: cut.Seg, WALOffset: cut.Off,
+		Tenants: p.srv.tenants.configs(), Sessions: p.srv.sessions.export()}}
+	p.srv.mu.RLock()
+	defer p.srv.mu.RUnlock()
+	for name, est := range p.srv.ests {
+		data, err := est.snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("snapshotting %q: %w", name, err)
+		}
+		img.m.Estimators = append(img.m.Estimators, manifestEntry{Name: name})
+		img.snaps = append(img.snaps, data)
+	}
+	return img, nil
+}
+
+// install replaces the registry, the tenant configs and the session
+// marks with img's. Every snapshot is decoded before anything is
+// replaced, so an image that fails leaves the node as it was. Recovery
+// installs the checkpoint it loads; a replica installs its leader's
+// image under the exclusive gate (bootstrapReplica).
+func (s *Server) install(img *image) error {
+	ests := make(map[string]servable, len(img.snaps))
+	for i, e := range img.m.Estimators {
+		if _, dup := ests[e.Name]; dup {
+			return fmt.Errorf("estimator %q appears twice", e.Name)
+		}
+		est, err := restoreServable(img.snaps[i])
+		if err != nil {
+			return fmt.Errorf("estimator %q: %w", e.Name, err)
+		}
+		ests[e.Name] = est
+	}
+	s.mu.Lock()
+	s.ests = ests
+	s.mu.Unlock()
+	s.tenants.replace(img.m.Tenants)
+	s.sessions.replace(img.m.Sessions)
+	return nil
+}
 
 // checkpointResult reports what a checkpoint captured.
 type checkpointResult struct {
@@ -593,22 +663,20 @@ type checkpointResult struct {
 	Estimators int    `json:"estimators"`
 }
 
-// checkpoint snapshots every registered estimator at one consistent WAL
-// cut, makes the new manifest durable, then garbage-collects files the
-// previous checkpoint needed. Concurrent checkpoints serialize; a
-// checkpoint with nothing new logged since the last one is a no-op. The
-// context ties the work to the requesting trace: admin-triggered
-// checkpoints land as child spans, background ones as standalone spans.
+// checkpoint captures the node's image and commits it. Concurrent
+// checkpoints serialize; a checkpoint with nothing new logged since the
+// last one is a no-op. The context ties the work to the requesting
+// trace: admin-triggered checkpoints land as child spans, background
+// ones as standalone spans.
 func (p *persister) checkpoint(ctx context.Context) (res checkpointResult, err error) {
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
 
-	if p.w.Pos() == p.lastCut {
+	if p.w.Pos() == (wal.Pos{Seg: p.last.WALSegment, Off: p.last.WALOffset}) {
 		if m := p.srv.metrics; m != nil {
 			m.checkpointTotal.With("noop").Inc()
 		}
-		return checkpointResult{Seq: p.seq, WALSegment: p.lastCut.Seg, WALOffset: p.lastCut.Off,
-			Estimators: len(p.currentManifestEntries())}, nil
+		return p.last, nil
 	}
 	start := time.Now()
 	defer func() {
@@ -625,54 +693,36 @@ func (p *persister) checkpoint(ctx context.Context) (res checkpointResult, err e
 			trace.Attr{K: "estimators", V: strconv.Itoa(res.Estimators)},
 			trace.Attr{K: "seq", V: strconv.FormatUint(res.Seq, 10)})
 	}()
-
-	// The cut: exclusive gate, so no logged mutation is in flight - the
-	// rotated WAL position and the marshaled states agree exactly. Only
-	// in-memory work happens under the gate.
-	type snap struct {
-		name string
-		data []byte
+	img, err := p.capture()
+	if err != nil {
+		return checkpointResult{}, err
 	}
-	var snaps []snap
-	p.gate.Lock()
-	// The cut usually lands mid-segment; replay handles that, and
-	// TruncateBefore still releases every older segment, so the log on
-	// disk is bounded by one segment plus the traffic since the cut.
-	cut := p.w.Pos()
-	tenants := p.srv.tenants.configs()
-	sessions := p.srv.sessions.export()
-	p.srv.mu.RLock()
-	for name, est := range p.srv.ests {
-		data, err := est.snapshot()
-		if err != nil {
-			p.srv.mu.RUnlock()
-			p.gate.Unlock()
-			return checkpointResult{}, fmt.Errorf("snapshotting %q: %w", name, err)
-		}
-		snaps = append(snaps, snap{name: name, data: data})
-	}
-	p.srv.mu.RUnlock()
-	p.gate.Unlock()
+	return p.commit(img)
+}
 
-	// Durable phase, off the ingest path.
-	seq := p.seq + 1
+// commit makes img this node's durable checkpoint - numbers it, writes
+// its snapshot files, then the manifest naming them - and then removes
+// the files and WAL segments the previous checkpoint needed. img's
+// position must be in this node's own WAL. The work runs off the ingest
+// path, after the capture released the gate. Caller holds ckptMu.
+func (p *persister) commit(img *image) (checkpointResult, error) {
+	m := &img.m
+	m.Seq = p.last.Seq + 1
 	dir := filepath.Join(p.opts.DataDir, ckptSubdir)
-	m := manifest{Version: manifestVersion, Seq: seq, WALSegment: cut.Seg, WALOffset: cut.Off, Tenants: tenants, Sessions: sessions}
-	for i, s := range snaps {
-		file := fmt.Sprintf("est-%d-%d.spe1", seq, i)
-		if err := p.writeFile(filepath.Join(dir, file), func(w io.Writer) error {
-			_, err := w.Write(s.data)
+	for i := range m.Estimators {
+		m.Estimators[i].File = fmt.Sprintf("est-%d-%d.spe1", m.Seq, i)
+		if err := p.writeFile(filepath.Join(dir, m.Estimators[i].File), func(w io.Writer) error {
+			_, err := w.Write(img.snaps[i])
 			return err
 		}); err != nil {
 			return checkpointResult{}, err
 		}
-		m.Estimators = append(m.Estimators, manifestEntry{Name: s.name, File: file})
 	}
 	// The manifest streams into the file rather than through one encoded
 	// []byte: it carries every session mark, so a whole-document buffer
 	// would be garbage proportional to the marks at every checkpoint.
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := p.writeFile(tmp, func(w io.Writer) error { return json.NewEncoder(w).Encode(&m) }); err != nil {
+	if err := p.writeFile(tmp, func(w io.Writer) error { return json.NewEncoder(w).Encode(m) }); err != nil {
 		return checkpointResult{}, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
@@ -683,25 +733,15 @@ func (p *persister) checkpoint(ctx context.Context) (res checkpointResult, err e
 			return checkpointResult{}, err
 		}
 	}
-	p.seq, p.lastCut = seq, cut
+	p.last = m.result()
 
 	// The new manifest is durable: previous checkpoint files and WAL
 	// segments before the cut are garbage.
 	p.gcCheckpointFiles(dir, m)
-	if err := p.w.TruncateBefore(cut); err != nil {
-		p.logf("spatialserve: wal truncation after checkpoint %d failed: %v", seq, err)
+	if err := p.w.TruncateBefore(m.cut()); err != nil {
+		p.logf("spatialserve: wal truncation after checkpoint %d failed: %v", m.Seq, err)
 	}
-	return checkpointResult{Seq: seq, WALSegment: cut.Seg, WALOffset: cut.Off, Estimators: len(snaps)}, nil
-}
-
-// currentManifestEntries re-reads the manifest for the no-op checkpoint
-// response; errors degrade to an empty list.
-func (p *persister) currentManifestEntries() []manifestEntry {
-	m, err := p.readManifest()
-	if err != nil || m == nil {
-		return nil
-	}
-	return m.Estimators
+	return p.last, nil
 }
 
 // writeFile creates path and fills it through write over a buffered
@@ -728,7 +768,7 @@ func (p *persister) writeFile(path string, write func(io.Writer) error) error {
 
 // gcCheckpointFiles removes checkpoint-directory files the current
 // manifest does not reference.
-func (p *persister) gcCheckpointFiles(dir string, m manifest) {
+func (p *persister) gcCheckpointFiles(dir string, m *manifest) {
 	keep := map[string]bool{manifestName: true}
 	for _, e := range m.Estimators {
 		keep[e.File] = true

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,14 +21,17 @@ import (
 
 // WAL-shipped replicas: read scaling and failover.
 //
-// A follower bootstraps from the leader's /admin/bootstrap - every
-// estimator snapshot plus the WAL position they are exact up to, captured
-// under the leader's exclusive cut gate (the same instant-consistent cut a
-// checkpoint takes) - then tails /admin/wal, appending each shipped record
-// to its OWN log before applying it. The follower's disk state is thereby
-// a faithful mirror: its crash recovery is exactly PR4's checkpoint+replay
-// path, and because sketches are linear, the replica's counters are
-// bit-identical to the leader's at every applied position.
+// A follower bootstraps from the leader's /admin/bootstrap - the
+// leader's image: every estimator snapshot, the tenant configs and the
+// session marks at one WAL position, captured under the exclusive gate
+// exactly as a checkpoint captures it. It installs the image (and, with
+// its own data dir, commits it as its own checkpoint), then tails
+// /admin/wal, applying each shipped record through the WAL interpreter
+// recovery uses and appending it verbatim to its OWN log. Its crash
+// recovery is thereby the ordinary checkpoint + replay path, and because
+// sketches are linear, the replica's state is bit-identical to the
+// leader's at every applied position - dedup marks and tenants included,
+// so a promoted replica keeps the leader's exactly-once promise.
 //
 // While replicating, the node rejects external mutations (reads serve
 // normally - that is the scale-out). Replication is asynchronous: on
@@ -129,12 +133,14 @@ func (s *Server) stopReplica() {
 	<-rs.done
 }
 
-// bootstrapReplica replaces the local registry with the leader's exact
-// cut. Every installed estimator (and every removal of a stale local
-// name) is logged locally first, so the follower's own crash recovery
-// rebuilds the same state; shipped updates are then logged as the
-// verbatim payloads (applyReplicated), keeping the local WAL a byte
-// mirror.
+// bootstrapReplica replaces the node's state with the leader's image and
+// remembers the leader's position it is exact up to. A persistent
+// follower commits the installed image as its own checkpoint at its own
+// WAL position, so its crash recovery rebuilds the image and replays the
+// shipped records it appends after it (applyReplicated). ckptMu comes
+// before the gate, the order checkpoint takes them in; the reverse order
+// could deadlock against the background checkpoint loop. The commit's
+// file writes stall nothing: an active replica takes no writes.
 func (s *Server) bootstrapReplica(rs *replicaState) error {
 	resp, err := rs.client.Do(context.Background(), http.MethodGet, rs.leader+"/admin/bootstrap", nil, nil)
 	if err != nil {
@@ -143,52 +149,32 @@ func (s *Server) bootstrapReplica(rs *replicaState) error {
 	if resp.Status != http.StatusOK {
 		return fmt.Errorf("bootstrap: status %d: %s", resp.Status, resp.Body)
 	}
-	pos, err := parseWalPos(resp.Header.Get(headerWalPos))
-	if err != nil {
-		return fmt.Errorf("bootstrap: bad %s header: %w", headerWalPos, err)
-	}
-	names, snaps, err := decodeBootstrap(resp.Body)
+	img, err := decodeImage(resp.Body)
 	if err != nil {
 		return err
 	}
-	ests := make([]servable, len(names))
-	for i := range names {
-		if ests[i], err = restoreServable(snaps[i]); err != nil {
-			return fmt.Errorf("bootstrap estimator %q: %w", names[i], err)
-		}
+	leaderPos := img.m.cut()
+	p := s.persist
+	if p != nil {
+		p.ckptMu.Lock()
+		defer p.ckptMu.Unlock()
 	}
-	gate := s.mutGate()
-	if gate != nil {
+	if gate := s.mutGate(); gate != nil {
 		gate.Lock()
 		defer gate.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	incoming := make(map[string]bool, len(names))
-	for _, n := range names {
-		incoming[n] = true
+	if err := s.install(img); err != nil {
+		return fmt.Errorf("bootstrap: %w", err)
 	}
-	for name := range s.ests {
-		if incoming[name] {
-			continue
+	if p != nil {
+		cut := p.w.Pos()
+		img.m.WALSegment, img.m.WALOffset = cut.Seg, cut.Off
+		if _, err := p.commit(img); err != nil {
+			return fmt.Errorf("bootstrap: committing the image: %w", err)
 		}
-		if s.persist != nil {
-			if err := s.persist.logDelete(context.Background(), name); err != nil {
-				return err
-			}
-		}
-		delete(s.ests, name)
-	}
-	for i, name := range names {
-		if s.persist != nil {
-			if err := s.persist.logSnapshot(context.Background(), walOpPut, name, snaps[i]); err != nil {
-				return err
-			}
-		}
-		s.ests[name] = ests[i]
 	}
 	rs.mu.Lock()
-	rs.pos = pos
+	rs.pos = leaderPos
 	rs.mu.Unlock()
 	return nil
 }
@@ -334,139 +320,38 @@ func parseWalFrames(body []byte) ([]walFrame, error) {
 	return frames, nil
 }
 
-// applyReplicated applies one shipped WAL payload to the live registry,
-// then - on a persistent follower - appends the raw payload to the local
-// WAL, inside the same gate hold so a local checkpoint cut never splits
-// the pair. Apply-then-log (the reverse of the write path's log-then-apply
-// ordering) is deliberate: a frame that fails to apply must never enter
-// the local log, because the tail loop re-fetches failed frames and a
-// pre-logged retry would append duplicates that diverge crash recovery.
-// Any error here wedges replication (see tailLeader); a restart
-// re-bootstraps from a fresh leader cut, discarding local state, so the
-// lost apply-vs-log atomicity cannot outlive the process. Shipped records
-// apply through applyRecords, never the write path, so nothing is logged
-// twice.
+// applyReplicated applies one shipped WAL payload through the WAL
+// interpreter, then - on a persistent follower - appends the raw payload
+// to the local WAL, inside the same gate hold so a local checkpoint cut
+// never splits the pair. Apply-then-log (the reverse of the write path's
+// log-then-apply ordering) is deliberate: a frame that fails to apply
+// must never enter the local log, because the tail loop re-fetches
+// failed frames and a pre-logged retry would append duplicates that
+// diverge crash recovery. Any error here wedges replication (see
+// tailLeader); a restart re-bootstraps from a fresh leader image, so the
+// lost apply-vs-log atomicity cannot outlive the process.
 func (s *Server) applyReplicated(payload []byte) error {
-	op, name, rest, err := parseWalPayload(payload)
+	op, _, _, err := parseWalPayload(payload)
 	if err != nil {
 		return err
 	}
-	gate := s.mutGate()
-	binding := op == walOpCreate || op == walOpDelete || op == walOpPut ||
-		op == walOpTenantPut || op == walOpTenantDelete
-	if gate != nil {
-		if binding {
+	if gate := s.mutGate(); gate != nil {
+		switch op {
+		case walOpCreate, walOpDelete, walOpPut, walOpTenantPut, walOpTenantDelete:
 			gate.Lock()
 			defer gate.Unlock()
-		} else {
+		default:
 			gate.RLock()
 			defer gate.RUnlock()
 		}
 	}
-	if err := s.applyReplicatedOp(op, name, rest); err != nil {
+	if err := s.applyWALRecord(payload); err != nil {
 		return err
 	}
 	if s.persist != nil {
 		if _, err := s.persist.w.Append(payload); err != nil {
 			return &logFailure{err}
 		}
-	}
-	return nil
-}
-
-// applyReplicatedOp dispatches one shipped operation against the live
-// registry. Caller holds the appropriate gate.
-func (s *Server) applyReplicatedOp(op byte, name string, rest []byte) error {
-	switch op {
-	case walOpCreate:
-		var req createRequest
-		if err := json.Unmarshal(rest, &req); err != nil {
-			return fmt.Errorf("replicated create %q: %w", name, err)
-		}
-		est, err := buildServable(req.Kind, req.Config)
-		if err != nil {
-			return fmt.Errorf("replicated create %q: %w", name, err)
-		}
-		s.mu.Lock()
-		s.ests[name] = est
-		s.mu.Unlock()
-	case walOpDelete:
-		s.mu.Lock()
-		delete(s.ests, name)
-		s.mu.Unlock()
-		// Mirror deleteLocal: marks die with the binding, so a promoted
-		// replica is byte-for-byte the leader's recovery.
-		s.sessions.dropKey(name)
-	case walOpUpdate:
-		est, ok := s.lookup(name)
-		if !ok {
-			return fmt.Errorf("replicated update for unknown estimator %q", name)
-		}
-		batch, err := parseUpdateRest(rest)
-		if err == nil {
-			err = applyRecords(est, batch)
-		}
-		if err != nil {
-			return fmt.Errorf("replicated update for %q: %w", name, err)
-		}
-	case walOpIngest:
-		// Mirrors the recovery replay in applyLogged: dedup on the session
-		// mark, apply, advance - so the promoted replica's marks match the
-		// leader's exactly and a resumed stream cannot double-apply across
-		// a failover.
-		est, ok := s.lookup(name)
-		if !ok {
-			return fmt.Errorf("replicated ingest for unknown estimator %q", name)
-		}
-		session, batch, err := parseIngestRest(rest)
-		if err != nil {
-			return fmt.Errorf("replicated ingest for %q: %w", name, err)
-		}
-		ent := s.sessions.lockEntry(session, name, false)
-		defer ent.mu.Unlock()
-		if batch.Seq <= ent.seq.Load() {
-			return nil
-		}
-		if err := applyRecords(est, batch); err != nil {
-			return fmt.Errorf("replicated ingest for %q: %w", name, err)
-		}
-		ent.seq.Store(batch.Seq)
-	case walOpSessionDrop:
-		// Mirror the leader's GC/admin drop so a promoted replica's marks
-		// match the leader's exactly.
-		session, err := parseSessionDropRest(rest)
-		if err != nil {
-			return fmt.Errorf("replicated session drop for %q: %w", name, err)
-		}
-		s.sessions.removeMark(session, name)
-	case walOpMerge:
-		est, ok := s.lookup(name)
-		if !ok {
-			return fmt.Errorf("replicated merge into unknown estimator %q", name)
-		}
-		// Same tolerance as recovery replay: a merge the leader rejected
-		// deterministically rejects here too.
-		if err := est.mergeSnapshot(rest); err != nil {
-			logfServer("spatialserve: replicated merge into %q rejected (as at the leader): %v", name, err)
-		}
-	case walOpPut:
-		est, err := restoreServable(rest)
-		if err != nil {
-			return fmt.Errorf("replicated put %q: %w", name, err)
-		}
-		s.mu.Lock()
-		s.ests[name] = est
-		s.mu.Unlock()
-	case walOpTenantPut:
-		var cfg TenantConfig
-		if err := json.Unmarshal(rest, &cfg); err != nil {
-			return fmt.Errorf("replicated tenant put %q: %w", name, err)
-		}
-		s.tenants.set(name, cfg)
-	case walOpTenantDelete:
-		s.tenants.delete(name)
-	default:
-		return fmt.Errorf("replicated record: unknown op %d", op)
 	}
 	return nil
 }
@@ -499,90 +384,77 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // ---- leader-side endpoints ----
 
-// handleBootstrap serves a replica bootstrap: every estimator's snapshot
-// plus the WAL position they are exact up to, captured under the
-// exclusive cut gate (in-memory marshaling only - the same gate hold a
-// checkpoint takes). Body layout, all little-endian:
-//
-//	u32 count | count * ( uvarint len | name | u64 len | SPE1 bytes )
+// handleBootstrap serves a replica bootstrap: the node's image, captured
+// under the exclusive gate exactly as a checkpoint captures it, in the
+// layout of encode.
 func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	if s.persist == nil {
 		writeError(w, http.StatusConflict, "replication requires a durable leader (start with -data-dir)")
 		return
 	}
-	type snap struct {
-		name string
-		data []byte
-	}
-	var snaps []snap
-	p := s.persist
-	p.gate.Lock()
-	cut := p.w.Pos()
-	s.mu.RLock()
-	for name, est := range s.ests {
-		data, err := est.snapshot()
-		if err != nil {
-			s.mu.RUnlock()
-			p.gate.Unlock()
-			writeError(w, http.StatusInternalServerError, "snapshotting %q: %v", name, err)
-			return
-		}
-		snaps = append(snaps, snap{name, data})
-	}
-	s.mu.RUnlock()
-	p.gate.Unlock()
-
-	var buf bytes.Buffer
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(snaps)))
-	buf.Write(u32[:])
-	for _, sn := range snaps {
-		buf.Write(binary.AppendUvarint(nil, uint64(len(sn.name))))
-		buf.WriteString(sn.name)
-		var u64 [8]byte
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(sn.data)))
-		buf.Write(u64[:])
-		buf.Write(sn.data)
+	img, err := s.persist.capture()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(headerWalPos, cut.String())
-	w.Write(buf.Bytes())
+	// A failed write leaves a truncated body, which the follower's
+	// decoder refuses; the status is already sent.
+	_ = img.encode(w)
 }
 
-// decodeBootstrap parses a bootstrap body into names and snapshots.
-func decodeBootstrap(body []byte) (names []string, snaps [][]byte, err error) {
-	r := bytes.NewReader(body)
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, nil, fmt.Errorf("bootstrap body: %w", err)
+// encode writes img as a bootstrap body: the manifest as one line of
+// JSON, encoded as the MANIFEST file is, then every snapshot in manifest
+// order as uvarint length | SPE1 bytes.
+func (img *image) encode(w io.Writer) error {
+	if err := json.NewEncoder(w).Encode(&img.m); err != nil {
+		return err
 	}
-	for i := uint32(0); i < count; i++ {
-		n, err := binary.ReadUvarint(r)
-		if err != nil || n > uint64(r.Len()) {
-			return nil, nil, fmt.Errorf("bootstrap body: bad name length")
+	for _, snap := range img.snaps {
+		if _, err := w.Write(binary.AppendUvarint(nil, uint64(len(snap)))); err != nil {
+			return err
 		}
-		name := make([]byte, n)
-		if _, err := r.Read(name); err != nil {
-			return nil, nil, err
+		if _, err := w.Write(snap); err != nil {
+			return err
 		}
-		var sz uint64
-		if err := binary.Read(r, binary.LittleEndian, &sz); err != nil {
-			return nil, nil, err
-		}
-		if sz > uint64(r.Len()) {
-			return nil, nil, fmt.Errorf("bootstrap body: snapshot %d declares %d bytes, %d left", i, sz, r.Len())
-		}
-		data := make([]byte, sz)
-		if _, err := r.Read(data); err != nil {
-			return nil, nil, err
-		}
-		names = append(names, string(name))
-		snaps = append(snaps, data)
 	}
-	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("bootstrap body: %d trailing bytes", r.Len())
+	return nil
+}
+
+// decodeImage parses a bootstrap body. It accepts only what encode
+// writes in this build: the manifest must carry this build's version and
+// re-encode to its own line (so a leader of another build is refused,
+// not misread), every length is checked against the bytes left before it
+// is used, and no byte may follow the last snapshot. The snapshots
+// themselves are decoded by install.
+func decodeImage(body []byte) (*image, error) {
+	line, rest, ok := bytes.Cut(body, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("bootstrap body: no manifest line")
 	}
-	return names, snaps, nil
+	img := &image{}
+	if err := json.Unmarshal(line, &img.m); err != nil {
+		return nil, fmt.Errorf("bootstrap manifest: %w", err)
+	}
+	if img.m.Version != manifestVersion {
+		return nil, fmt.Errorf("bootstrap manifest version %d, this build reads %d", img.m.Version, manifestVersion)
+	}
+	if canon, err := json.Marshal(&img.m); err != nil || !bytes.Equal(canon, line) {
+		return nil, errors.New("bootstrap manifest is not in this build's encoding")
+	}
+	for _, e := range img.m.Estimators {
+		// An overlong uvarint (one encode never writes) ends in a zero byte.
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || (k > 1 && rest[k-1] == 0) || n > uint64(len(rest)-k) {
+			return nil, fmt.Errorf("bootstrap body: bad snapshot length for %q", e.Name)
+		}
+		img.snaps = append(img.snaps, rest[k:k+int(n)])
+		rest = rest[k+int(n):]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("bootstrap body: %d bytes after the last snapshot", len(rest))
+	}
+	return img, nil
 }
 
 // maxShipBytesCeiling caps the ?max= a WAL shipping client may request,

@@ -29,12 +29,12 @@ import (
 // dedups on a per-session high-water mark. The mark and the batch's
 // records are logged in ONE WAL record (walOpIngest), so recovery can
 // never apply a batch without remembering it, or vice versa; the mark
-// also rides the checkpoint manifest (like tenant configs) and the
-// replica WAL mirror, so dedup survives checkpoint truncation, crash
-// recovery and replica promotion. A batch is acked only after that WAL
-// record is group-committed: the client may retry every ambiguous
-// failure, and anything at-or-below the watermark is dropped (and
-// re-acked) instead of re-applied.
+// also rides the node's image (checkpoint manifest and replica
+// bootstrap, like tenant configs) and the replica WAL mirror, so dedup
+// survives checkpoint truncation, crash recovery and replica promotion.
+// A batch is acked only after that WAL record is group-committed: the
+// client may retry every ambiguous failure, and anything at-or-below the
+// watermark is dropped (and re-acked) instead of re-applied.
 //
 // Cluster mode forwards each batch per partition with the SAME
 // (session, seq); each owner keeps its own (session, shard) mark, so a
@@ -132,12 +132,15 @@ type sessionTable struct {
 func (t *sessionTable) entry(session, key string, enforceCap bool) *sessionEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.byKey[key][session]; e != nil {
+	if e := t.byKey[key][session]; e != nil || (enforceCap && t.n >= maxSessionEntries) {
 		return e
 	}
-	if enforceCap && t.n >= maxSessionEntries {
-		return nil
-	}
+	return t.addLocked(session, key)
+}
+
+// addLocked creates the absent entry of (session, key); the caller
+// holds t.mu.
+func (t *sessionTable) addLocked(session, key string) *sessionEntry {
 	if t.byKey == nil {
 		t.byKey = make(map[string]map[string]*sessionEntry)
 	}
@@ -280,9 +283,9 @@ func (t *sessionTable) marksFor(key string) []sessionMark {
 	return out
 }
 
-// export returns every mark, sorted by (estimator, session), for the
-// checkpoint manifest. Callers hold the exclusive mutation gate, so no
-// mark is mid-advance.
+// export returns every mark, sorted by (estimator, session), for an
+// image. Callers hold the exclusive mutation gate, so no mark is
+// mid-advance.
 func (t *sessionTable) export() []sessionMark {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -301,11 +304,22 @@ func (t *sessionTable) export() []sessionMark {
 	return out
 }
 
-// restore seeds the table from a checkpoint manifest (recovery, before
-// WAL replay).
-func (t *sessionTable) restore(marks []sessionMark) {
+// replace installs exactly marks (an image's), dropping every other
+// mark; a holder of a dropped entry re-fetches (see lockEntry).
+func (t *sessionTable) replace(marks []sessionMark) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, sessions := range t.byKey {
+		for _, e := range sessions {
+			e.dropped.Store(true)
+		}
+	}
+	t.byKey, t.n = nil, 0
 	for _, m := range marks {
-		e := t.entry(m.Session, m.Estimator, false)
+		e := t.byKey[m.Estimator][m.Session]
+		if e == nil {
+			e = t.addLocked(m.Session, m.Estimator)
+		}
 		if m.Seq > e.seq.Load() {
 			e.seq.Store(m.Seq)
 		}

@@ -92,6 +92,18 @@ func (tr *tenantRegistry) set(tenant string, cfg TenantConfig) {
 	tr.tenants[tenant] = newTenantState(cfg)
 }
 
+// replace installs exactly cfgs (an image's tenants), dropping every
+// other tenant.
+func (tr *tenantRegistry) replace(cfgs map[string]TenantConfig) {
+	tenants := make(map[string]*tenantState, len(cfgs))
+	for t, cfg := range cfgs {
+		tenants[t] = newTenantState(cfg)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.tenants = tenants
+}
+
 // delete removes a tenant's config, reporting whether it existed.
 func (tr *tenantRegistry) delete(tenant string) bool {
 	tr.mu.Lock()
@@ -122,7 +134,7 @@ func (tr *tenantRegistry) known(tenant string) bool {
 	return tr.get(tenant) != nil
 }
 
-// configs returns a copy of every tenant's config (for checkpoints).
+// configs returns a copy of every tenant's config (for images).
 func (tr *tenantRegistry) configs() map[string]TenantConfig {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
