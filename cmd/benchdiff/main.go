@@ -1,148 +1,79 @@
-// Command benchdiff compares two benchfmt JSON artifacts (the committed
-// BENCH_*.json trajectory files and fresh runs of cmd/benchjson or
-// cmd/spatialload) and flags per-benchmark regressions beyond a
-// threshold, exiting non-zero when any is found. CI runs it as a soft
-// gate: a regression marks the job for human attention without blocking
-// the merge outright.
-//
-// Records are matched by (pkg, name). Latency-class metrics (ns/op,
-// p50_ns, p99_ns, ...) regress when the new value exceeds the old by
-// more than -threshold percent; throughput-class metrics (ops_per_sec)
-// regress when the new value falls short by more than the threshold.
-// Benchmarks present on only one side are reported but never fail the
-// run - artifacts grow new benchmarks every PR, and environment changes
-// can drop one.
-//
-// Same-run ratio mode gates one benchmark against another from the same
-// artifact instead of against a baseline file: with -num and -den set,
-// the i-th run of -num pairs with the i-th run of -den, and the run fails
-// when the median of the per-pair ns/op ratios exceeds 1 + -threshold/100
-// (so -threshold 10 fails a median above 1.10). Run the two benchmarks
+// Command benchdiff gates one benchmark against another from the same
+// `go test -bench` run. It reads the raw benchmark text on stdin, pairs
+// the i-th result of -num with the i-th result of -den, and fails when
+// the median of the per-pair ns/op ratios exceeds 1 + -threshold/100 (so
+// -threshold 10 fails a median above 1.10). Run the two benchmarks
 // interleaved so each pair shares the machine's state; a median of pairs
 // then shrugs off one slow run on either side, which a ratio of two bests
-// or two means does not.
+// or two means does not. The gate is relative, so the machine's speed
+// does not matter.
 //
 // Usage:
 //
-//	benchdiff -old BENCH_PR9.json -new fresh.json -threshold 30
-//	benchdiff -new gate.json -num BenchmarkA -den BenchmarkB -threshold 10
+//	for i in $(seq 10); do
+//	    ./a.test -test.run='^$' -test.bench='^BenchmarkA$'
+//	    ./b.test -test.run='^$' -test.bench='^BenchmarkB$'
+//	done | benchdiff -num BenchmarkA -den BenchmarkB -threshold 10
+//
+// Exit status is 1 when the median ratio is over the bound and 2 when
+// the input cannot be gated (no runs, or unpaired runs).
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
-
-	"repro/internal/benchfmt"
 )
 
-// comparison is one metric's old-vs-new verdict.
-type comparison struct {
-	key        string // "pkg name metric"
-	metric     string
-	oldV, newV float64
-	deltaPct   float64 // signed: positive = got worse
-	regressed  bool
-}
-
-// higherIsBetter reports the metric's improvement direction: throughput
-// metrics regress downward, everything else (latencies, allocations,
-// error counts) regresses upward.
-func higherIsBetter(metric string) bool {
-	return strings.Contains(metric, "ops_per_sec") || strings.Contains(metric, "ops/s")
-}
-
-// compareDocs diffs the metric sets of matching records. onlyMetrics,
-// when non-empty, restricts the comparison to those metric names.
-// minBase suppresses comparisons whose baseline value is below it -
-// sub-microsecond latencies and near-zero counters are noise, not
-// signal. Returns the comparisons plus the names present on one side
-// only.
-func compareDocs(oldDoc, newDoc *benchfmt.Document, onlyMetrics []string, threshold, minBase float64) (comps []comparison, onlyOld, onlyNew []string) {
-	type key struct{ pkg, name string }
-	oldBy := make(map[key]benchfmt.Record)
-	for _, r := range oldDoc.Benchmarks {
-		oldBy[key{r.Pkg, r.Name}] = r
-	}
-	newBy := make(map[key]benchfmt.Record)
-	for _, r := range newDoc.Benchmarks {
-		newBy[key{r.Pkg, r.Name}] = r
-	}
-	wanted := func(m string) bool {
-		if len(onlyMetrics) == 0 {
-			return true
-		}
-		for _, w := range onlyMetrics {
-			if m == w {
-				return true
-			}
-		}
-		return false
-	}
-	for k, oldRec := range oldBy {
-		newRec, ok := newBy[k]
-		if !ok {
-			onlyOld = append(onlyOld, k.pkg+" "+k.name)
+// nsPerOp collects the ns/op of every result line in `go test -bench`
+// text, in order, by benchmark name. A result line reads
+// "BenchmarkName-P  N  v1 unit1  v2 unit2 ..."; the -P GOMAXPROCS suffix
+// is dropped from the name, and a line whose iteration count does not
+// parse is not a result.
+func nsPerOp(r io.Reader) (map[string][]float64, error) {
+	runs := map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		for metric, oldV := range oldRec.Metrics {
-			newV, ok := newRec.Metrics[metric]
-			if !ok || !wanted(metric) {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			continue
+		}
+		name := fields[0]
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		for i := 2; i+1 < len(fields); i += 2 {
+			if fields[i+1] != "ns/op" {
 				continue
 			}
-			if math.Abs(oldV) < minBase && math.Abs(newV) < minBase {
-				continue
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				runs[name] = append(runs[name], v)
 			}
-			c := comparison{
-				key:    strings.TrimSpace(k.pkg + " " + k.name + " " + metric),
-				metric: metric, oldV: oldV, newV: newV,
-			}
-			if oldV != 0 {
-				if higherIsBetter(metric) {
-					c.deltaPct = (oldV - newV) / oldV * 100
-				} else {
-					c.deltaPct = (newV - oldV) / oldV * 100
-				}
-				c.regressed = c.deltaPct > threshold
-			}
-			comps = append(comps, c)
 		}
 	}
-	for k := range newBy {
-		if _, ok := oldBy[k]; !ok {
-			onlyNew = append(onlyNew, k.pkg+" "+k.name)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i].key < comps[j].key })
-	sort.Strings(onlyOld)
-	sort.Strings(onlyNew)
-	return comps, onlyOld, onlyNew
+	return runs, sc.Err()
 }
 
-// ratioGate runs the same-run ratio mode over doc and returns 1 when the
-// median per-pair ns/op ratio of num to den exceeds 1 + threshold/100, 0
+// ratioGate pairs the runs of num and den in order and returns 1 when
+// the median per-pair ns/op ratio exceeds 1 + threshold/100, 0
 // otherwise.
-func ratioGate(doc *benchfmt.Document, num, den string, threshold float64, out io.Writer) (int, error) {
+func ratioGate(runs map[string][]float64, num, den string, threshold float64, out io.Writer) (int, error) {
 	const metric = "ns/op"
 	limit := 1 + threshold/100
-	var nums, dens []float64
-	for _, r := range doc.Benchmarks {
-		v, ok := r.Metrics[metric]
-		switch {
-		case !ok:
-		case r.Name == num:
-			nums = append(nums, v)
-		case r.Name == den:
-			dens = append(dens, v)
-		}
-	}
+	nums, dens := runs[num], runs[den]
 	if len(nums) == 0 || len(nums) != len(dens) {
-		return 0, fmt.Errorf("ratio mode needs as many %s runs of %s (%d) as of %s (%d), at least one", metric, num, len(nums), den, len(dens))
+		return 0, fmt.Errorf("need as many %s runs of %s (%d) as of %s (%d), at least one", metric, num, len(nums), den, len(dens))
 	}
 	ratios := make([]float64, len(nums))
 	for i := range nums {
@@ -162,87 +93,30 @@ func ratioGate(doc *benchfmt.Document, num, den string, threshold float64, out i
 	return 0, nil
 }
 
-// readDoc loads one benchfmt artifact.
-func readDoc(path string) (*benchfmt.Document, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d benchfmt.Document
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &d, nil
-}
-
-// run executes the diff and returns the number of regressions.
-func run(args []string, out io.Writer) (int, error) {
+// run parses the flags, reads the benchmark text from in and gates it,
+// returning 1 for a regression and 0 for a pass.
+func run(args []string, in io.Reader, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(out)
-	oldPath := fs.String("old", "", "baseline benchfmt JSON artifact (required)")
-	newPath := fs.String("new", "", "candidate benchfmt JSON artifact (required)")
-	threshold := fs.Float64("threshold", 25, "regression threshold in percent (ratio mode: how far above 1 the median ratio may go)")
-	minBase := fs.Float64("min-base", 0, "skip comparisons where both values are below this (noise floor, metric units)")
-	metricList := fs.String("metrics", "p99_ns,ops_per_sec,ns/op", "comma-separated metrics to compare (empty = all shared metrics)")
-	verbose := fs.Bool("v", false, "print every comparison, not just regressions")
-	num := fs.String("num", "", "ratio mode: numerator benchmark name (runs paired in order with -den)")
-	den := fs.String("den", "", "ratio mode: denominator benchmark name")
+	num := fs.String("num", "", "numerator benchmark name (required; runs paired in order with -den)")
+	den := fs.String("den", "", "denominator benchmark name (required)")
+	threshold := fs.Float64("threshold", 25, "how far above 1 the median ratio may go, in percent")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
-	if *num != "" || *den != "" {
-		if *num == "" || *den == "" || *newPath == "" {
-			return 0, fmt.Errorf("ratio mode needs -new, -num and -den")
-		}
-		doc, err := readDoc(*newPath)
-		if err != nil {
-			return 0, err
-		}
-		return ratioGate(doc, *num, *den, *threshold, out)
-	}
-	if *oldPath == "" || *newPath == "" {
+	if *num == "" || *den == "" {
 		fs.Usage()
-		return 0, fmt.Errorf("both -old and -new are required")
+		return 0, fmt.Errorf("both -num and -den are required")
 	}
-	oldDoc, err := readDoc(*oldPath)
+	runs, err := nsPerOp(in)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("reading benchmark output: %w", err)
 	}
-	newDoc, err := readDoc(*newPath)
-	if err != nil {
-		return 0, err
-	}
-	var only []string
-	if *metricList != "" {
-		for _, m := range strings.Split(*metricList, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				only = append(only, m)
-			}
-		}
-	}
-	comps, onlyOld, onlyNew := compareDocs(oldDoc, newDoc, only, *threshold, *minBase)
-	regressions := 0
-	for _, c := range comps {
-		if c.regressed {
-			regressions++
-			fmt.Fprintf(out, "REGRESSION %-60s %14.1f -> %14.1f  (%+.1f%% worse, threshold %.0f%%)\n",
-				c.key, c.oldV, c.newV, c.deltaPct, *threshold)
-		} else if *verbose {
-			fmt.Fprintf(out, "ok         %-60s %14.1f -> %14.1f  (%+.1f%%)\n", c.key, c.oldV, c.newV, c.deltaPct)
-		}
-	}
-	for _, k := range onlyOld {
-		fmt.Fprintf(out, "note: %s only in %s\n", k, *oldPath)
-	}
-	for _, k := range onlyNew {
-		fmt.Fprintf(out, "note: %s only in %s\n", k, *newPath)
-	}
-	fmt.Fprintf(out, "benchdiff: %d comparison(s), %d regression(s)\n", len(comps), regressions)
-	return regressions, nil
+	return ratioGate(runs, *num, *den, *threshold, out)
 }
 
 func main() {
-	regressions, err := run(os.Args[1:], os.Stdout)
+	regressions, err := run(os.Args[1:], os.Stdin, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)

@@ -20,129 +20,73 @@ func buildServe(t *testing.T) string {
 	return bin
 }
 
-// TestLoadHarnessScriptedRun is the PR's acceptance gate: a 3-node
-// cluster driven through steady-state, rebalance-under-load and
-// SIGKILL-failover-with-promote, with the byte-exactness oracle on at
-// every quiesce point and a benchfmt report at the end.
+// TestLoadHarnessScriptedRun is the harness's acceptance gate: a 3-node
+// cluster driven through steady-state, rebalance-under-load,
+// SIGKILL-failover-with-promote and steady-state again on the promoted
+// replica, with the byte-exactness oracle run after every phase. The
+// counts prove each phase carried traffic, so a green oracle checked
+// something; the repeated phase name proves a phase's idempotency keys
+// and stream sessions never collide with an earlier phase's.
 func TestLoadHarnessScriptedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process load run in -short mode")
 	}
 	bin := buildServe(t)
-	phases, err := parseScenario("steady:2s,rebalance:3s,failover:4s")
+	phases, err := parseScenario("steady:2s,rebalance:3s,failover:4s,steady:2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Binary:          bin,
-		Nodes:           3,
-		Partitions:      4,
-		DataRoot:        t.TempDir(),
-		Tenants:         []string{"acme"},
-		UpdateWorkers:   3,
-		StreamWorkers:   2,
-		EstimateWorkers: 2,
-		BatchSize:       8,
-		ZipfS:           1.2,
-		Dom:             1 << 10,
-		Seed:            42,
-		Oracle:          true,
-		Phases:          phases,
-		Log:             testWriter{t},
-		Stderr:          os.Stderr,
-	}
 	start := time.Now()
-	doc, err := runLoad(cfg)
+	counts, err := runLoad(Config{
+		Binary:   bin,
+		DataRoot: t.TempDir(),
+		Seed:     42,
+		Phases:   phases,
+		Log:      testWriter{t},
+		Stderr:   os.Stderr,
+	})
 	if err != nil {
 		t.Fatalf("runLoad: %v", err)
 	}
-	t.Logf("run completed in %v, %d benchmark records", time.Since(start), len(doc.Benchmarks))
-
-	if doc.Context["acked_ops"] == "0" {
-		t.Fatal("no acked operations recorded - the workload did nothing")
+	t.Logf("run completed in %v", time.Since(start))
+	if len(counts) != len(phases) {
+		t.Fatalf("got counts for %d phases, want %d", len(counts), len(phases))
 	}
-	// Every phase must have produced update and estimate samples, and
-	// the failover phase must carry stream samples (sessions survive the
-	// cutover via Flush-drain before the SIGKILL).
-	wantClasses := map[string]bool{
-		"Load/steady/update":      true,
-		"Load/steady/estimate":    true,
-		"Load/steady/stream":      true,
-		"Load/rebalance/update":   true,
-		"Load/rebalance/estimate": true,
-		"Load/failover/update":    true,
-	}
-	for _, rec := range doc.Benchmarks {
-		if rec.Pkg != "repro/cmd/spatialload" {
-			t.Errorf("record %q has pkg %q", rec.Name, rec.Pkg)
-		}
-		delete(wantClasses, rec.Name)
-		if rec.Metrics["ops"] == 0 && rec.Metrics["errors"] == 0 {
-			t.Errorf("record %q is empty", rec.Name)
-		}
-		for _, k := range []string{"p50_ns", "p95_ns", "p99_ns", "max_ns", "ops_per_sec"} {
-			if _, ok := rec.Metrics[k]; !ok {
-				t.Errorf("record %q missing metric %q", rec.Name, k)
-			}
+	// Every phase must have acked updates and answered estimates, and the
+	// steady phase must have streamed batches (sessions survive the
+	// failover cut-over via a Flush-drain before the SIGKILL).
+	for _, c := range counts {
+		if c.updates.Load() == 0 || c.estimates.Load() == 0 {
+			t.Errorf("%v: a phase without updates or estimates checks nothing", c)
 		}
 	}
-	for name := range wantClasses {
-		t.Errorf("no benchmark record for %s", name)
+	if counts[0].batches.Load() == 0 {
+		t.Errorf("%v: no stream batches", counts[0])
 	}
 }
 
 // TestParseScenario pins the scenario mini-language.
 func TestParseScenario(t *testing.T) {
-	phases, err := parseScenario("steady:1s, ramp:2s,rebalance:6s,failover:3s")
+	phases, err := parseScenario("steady:1s, rebalance:6s,failover:3s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases) != 4 {
-		t.Fatalf("got %d phases, want 4", len(phases))
+	if len(phases) != 3 {
+		t.Fatalf("got %d phases, want 3", len(phases))
 	}
-	if phases[1].Ramp != true || phases[0].Ramp {
-		t.Error("ramp flag wrong")
+	if phases[0].Rebalance != 0 || phases[0].Failover {
+		t.Errorf("steady phase carries control events: %+v", phases[0])
 	}
-	if phases[2].Rebalance != 3 {
-		t.Errorf("rebalance moves = %d, want 3 (6s / 2s)", phases[2].Rebalance)
+	if phases[1].Rebalance != 3 {
+		t.Errorf("rebalance moves = %d, want 3 (6s / 2s)", phases[1].Rebalance)
 	}
-	if !phases[3].Failover {
+	if !phases[2].Failover {
 		t.Error("failover flag not set")
 	}
-	for _, bad := range []string{"", "warp:1s", "steady", "steady:xx"} {
+	for _, bad := range []string{"", "warp:1s", "ramp:2s", "steady", "steady:xx"} {
 		if _, err := parseScenario(bad); err == nil {
 			t.Errorf("parseScenario(%q) accepted", bad)
 		}
-	}
-}
-
-// TestHistQuantiles pins the bucket math: quantiles report the bucket
-// lower bound, within one sub-bucket (12.5%) of the true value.
-func TestHistQuantiles(t *testing.T) {
-	h := &hist{}
-	for i := 1; i <= 1000; i++ {
-		h.observe(time.Duration(i) * time.Microsecond)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n != 1000 {
-		t.Fatalf("n = %d", h.n)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 500 * time.Microsecond},
-		{0.99, 990 * time.Microsecond},
-	} {
-		got := h.quantile(tc.q)
-		lo, hi := tc.want*7/8, tc.want
-		if got < lo || got > hi {
-			t.Errorf("quantile(%v) = %v, want in [%v, %v]", tc.q, got, lo, hi)
-		}
-	}
-	if h.max != 1000*time.Microsecond {
-		t.Errorf("max = %v", h.max)
 	}
 }
 

@@ -1,30 +1,24 @@
-// Command spatialload is the closed-loop cluster load harness: it brings
-// up a real multi-node spatialserve cluster (separate processes, real
-// WALs, real sockets), drives it with a configurable mixed workload -
-// JSON updates with Idempotency-Key retry safety, spatial-ingest/1
-// streaming sessions, single and batched estimates across all four
-// estimator kinds, multiple tenants, zipf hot-key skew - through a
-// scripted scenario of phases (steady-state, ramp, rebalance-under-load,
-// SIGKILL-failover with replica promote), and verifies the paper's
-// exactness claim the whole way: at every quiesce point, the merged
-// cluster snapshot of every estimator on every node must be
+// Command spatialload is the scripted cluster fault harness: it brings
+// up a real 3-node spatialserve cluster (separate processes, real WALs,
+// real sockets), drives it with mixed traffic - JSON updates with
+// Idempotency-Key retry safety, spatial-ingest/1 streaming sessions,
+// single and batched estimates across all four estimator kinds, two
+// tenants, zipf hot-key skew - through a scripted scenario of phases
+// (steady-state, rebalance-under-load, SIGKILL-failover with replica
+// promote), and verifies the paper's exactness claim after every phase:
+// the merged cluster snapshot of every estimator on every node must be
 // byte-identical to an in-process loss-free replay of exactly the acked
 // mutations (the TestChaosSoak oracle, scriptable).
 //
-// Latencies are recorded per operation class and per phase in HDR-style
-// log buckets and reported as p50/p95/p99/max plus throughput, in the
-// benchfmt JSON schema shared with cmd/benchjson - the repo's committed
-// perf trajectory (BENCH_*.json) speaks one dialect.
+// It measures no latency: the repository benchmark (perfbench/) does.
+// What it prints is each phase's op counts, so a run that did nothing
+// cannot pass for a run that checked something.
 //
 // Usage:
 //
 //	go build -o /tmp/spatialserve ./cmd/spatialserve
 //	spatialload -binary /tmp/spatialserve \
-//	    -nodes 3 -partitions 4 \
-//	    -scenario steady:10s,ramp:10s,rebalance:20s,failover:20s \
-//	    -tenants acme \
-//	    -update-workers 4 -stream-workers 2 -estimate-workers 4 \
-//	    -out BENCH_load.json
+//	    -scenario steady:10s,rebalance:20s,failover:20s -seed 1
 //
 // Exit status is non-zero if any phase fails or the oracle finds a
 // single byte of divergence.
@@ -37,12 +31,24 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"strings"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/cluster"
+)
+
+// The run's fixed shape: three nodes exercise real fan-out and leave two
+// survivors for the failover phase; the scenario and the seed are the
+// only knobs.
+const (
+	nodes           = 3
+	partitions      = 4
+	updateWorkers   = 4
+	streamWorkers   = 2
+	estimateWorkers = 4
+	batchSize       = 32      // records per streaming batch
+	zipfS           = 1.2     // skew over targets (hot keys)
+	dom             = 1 << 12 // domain size per dimension
 )
 
 // Config parameterizes one load run. Exposed so the smoke test drives
@@ -50,34 +56,10 @@ import (
 type Config struct {
 	// Binary is the spatialserve executable to launch nodes from.
 	Binary string
-	// Nodes is the cluster size (3 exercises real fan-out).
-	Nodes int
-	// Partitions is the per-estimator partition count.
-	Partitions int
 	// DataRoot holds the per-node data directories.
 	DataRoot string
-	// Tenants lists extra tenants to load beyond the default namespace.
-	Tenants []string
-	// UpdateWorkers, StreamWorkers and EstimateWorkers size the fleet.
-	UpdateWorkers, StreamWorkers, EstimateWorkers int
-	// BatchSize is records per streaming-ingest batch.
-	BatchSize int
-	// ZipfS is the zipf skew parameter over targets (>1 enables hot
-	// keys; 0 is uniform).
-	ZipfS float64
-	// Dom is the spatial domain size per dimension.
-	Dom uint64
 	// Seed makes the workload deterministic per worker.
 	Seed int64
-	// Oracle enables the byte-exactness verification at quiesce points.
-	Oracle bool
-	// TraceDump, when non-empty, is a directory that receives each node's
-	// /admin/trace listing before teardown (CI failure artifacts). The
-	// nodes are launched with random sampling disabled and a low slow
-	// threshold, so the bounded ring holds the run's tail-latency and
-	// errored traces rather than the last few seconds of everything -
-	// that is what makes the report's worst_op trace IDs resolve.
-	TraceDump string
 	// Phases is the scripted scenario.
 	Phases []Phase
 	// Log, when non-nil, receives progress lines.
@@ -86,23 +68,24 @@ type Config struct {
 	Stderr io.Writer
 }
 
+// phaseCounts is what one phase did: the updates and stream batches the
+// cluster acknowledged and the estimates it answered.
+type phaseCounts struct {
+	name                        string
+	updates, batches, estimates atomic.Int64
+}
+
+// String renders the counts as one summary line.
+func (c *phaseCounts) String() string {
+	return fmt.Sprintf("phase %s: %d updates, %d stream batches, %d estimates",
+		c.name, c.updates.Load(), c.batches.Load(), c.estimates.Load())
+}
+
 func main() {
 	fs := flag.NewFlagSet("spatialload", flag.ExitOnError)
 	binary := fs.String("binary", "", "path to the spatialserve binary (required)")
-	nodes := fs.Int("nodes", 3, "cluster size")
-	partitions := fs.Int("partitions", 4, "partitions per estimator")
-	scenario := fs.String("scenario", "steady:10s,rebalance:10s", "comma-separated phase:duration list (steady|ramp|rebalance|failover)")
-	tenants := fs.String("tenants", "acme", "comma-separated extra tenants (empty for default-only)")
-	updateWorkers := fs.Int("update-workers", 4, "JSON update writer goroutines")
-	streamWorkers := fs.Int("stream-workers", 2, "streaming-ingest sessions")
-	estimateWorkers := fs.Int("estimate-workers", 4, "estimate reader goroutines")
-	batch := fs.Int("batch", 32, "records per streaming batch")
-	zipfS := fs.Float64("zipf", 1.2, "zipf skew over targets (<=1 disables)")
-	dom := fs.Uint64("dom", 1<<12, "domain size per dimension")
+	scenario := fs.String("scenario", "steady:10s,rebalance:10s", "comma-separated phase:duration list (steady|rebalance|failover)")
 	seed := fs.Int64("seed", 1, "workload seed")
-	oracle := fs.Bool("oracle", true, "verify byte-exactness at quiesce points")
-	traceDump := fs.String("trace-dump", "", "directory to write each node's /admin/trace listing into before teardown (empty disables)")
-	out := fs.String("out", "-", "report destination ('-' for stdout)")
 	fs.Parse(os.Args[1:])
 
 	if *binary == "" {
@@ -121,83 +104,38 @@ func main() {
 	}
 	defer os.RemoveAll(dataRoot)
 
-	var extraTenants []string
-	for _, t := range strings.Split(*tenants, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			extraTenants = append(extraTenants, t)
-		}
-	}
-	cfg := Config{
-		Binary:          *binary,
-		Nodes:           *nodes,
-		Partitions:      *partitions,
-		DataRoot:        dataRoot,
-		Tenants:         extraTenants,
-		UpdateWorkers:   *updateWorkers,
-		StreamWorkers:   *streamWorkers,
-		EstimateWorkers: *estimateWorkers,
-		BatchSize:       *batch,
-		ZipfS:           *zipfS,
-		Dom:             *dom,
-		Seed:            *seed,
-		Oracle:          *oracle,
-		TraceDump:       *traceDump,
-		Phases:          phases,
-		Log:             os.Stderr,
-		Stderr:          os.Stderr,
-	}
-	doc, err := runLoad(cfg)
+	counts, err := runLoad(Config{
+		Binary:   *binary,
+		DataRoot: dataRoot,
+		Seed:     *seed,
+		Phases:   phases,
+		Log:      os.Stderr,
+		Stderr:   os.Stderr,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spatialload: %v\n", err)
+		os.RemoveAll(dataRoot)
 		os.Exit(1)
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spatialload: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := doc.Encode(w); err != nil {
-		fmt.Fprintf(os.Stderr, "spatialload: %v\n", err)
-		os.Exit(1)
+	for _, c := range counts {
+		fmt.Println(c)
 	}
 }
 
 // runLoad executes one full load run: cluster up, targets created,
-// phases executed (each ending in quiesce + optional oracle pass),
-// report assembled. The cluster is torn down before return.
-func runLoad(cfg Config) (*benchfmt.Document, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("need at least 2 nodes, got %d", cfg.Nodes)
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.Dom == 0 {
-		cfg.Dom = 1 << 12
-	}
-	extraArgs := []string{"-checkpoint-interval=2s"}
-	if cfg.TraceDump != "" {
-		// Only tail and errored traces enter the ring: retaining
-		// everything (-trace-sample=1) would churn the 256-slot ring in
-		// seconds under load, evicting the worst ops the report points
-		// at before the dump runs.
-		extraArgs = append(extraArgs, "-trace-sample=-1", "-slow-op-threshold=25ms")
-	}
+// phases executed (each ending in quiesce + oracle pass). It returns
+// each phase's op counts; the cluster is torn down before return.
+func runLoad(cfg Config) ([]*phaseCounts, error) {
 	cl, err := cluster.LaunchProcCluster(cluster.ProcClusterSpec{
 		Binary:     cfg.Binary,
-		Nodes:      cfg.Nodes,
-		Partitions: cfg.Partitions,
+		Nodes:      nodes,
+		Partitions: partitions,
 		DataRoot:   cfg.DataRoot,
 		Stderr:     cfg.Stderr,
-		ExtraArgs:  extraArgs,
+		ExtraArgs:  []string{"-checkpoint-interval=2s"},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("launching %d-node cluster: %w", cfg.Nodes, err)
+		return nil, fmt.Errorf("launching %d-node cluster: %w", nodes, err)
 	}
 	defer cl.Close()
 
@@ -207,48 +145,22 @@ func runLoad(cfg Config) (*benchfmt.Document, error) {
 		hc:    &http.Client{Timeout: 30 * time.Second},
 		nodes: append([]string(nil), cl.URLs...),
 	}
-	if cfg.TraceDump != "" {
-		// Runs before cl.Close (deferred later = runs earlier), and runs
-		// on failure returns too - failed runs are when the dump matters.
-		defer r.dumpTraces(cfg.TraceDump)
-	}
 	if err := r.createTargets(); err != nil {
 		return nil, fmt.Errorf("creating estimators: %w", err)
 	}
-	r.logf("cluster up: %d nodes, %d partitions, %d targets", cfg.Nodes, cfg.Partitions, len(r.targets))
+	r.logf("cluster up: %d nodes, %d partitions, %d targets", nodes, partitions, len(r.targets))
 
 	runctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, ph := range cfg.Phases {
-		if err := r.runPhase(runctx, ph); err != nil {
-			return nil, err
+	var out []*phaseCounts
+	for i, ph := range cfg.Phases {
+		c := &phaseCounts{name: ph.Name}
+		out = append(out, c)
+		// Idempotency keys and stream sessions are named by the phase's
+		// position: a repeated phase name must not replay earlier keys.
+		if err := r.runPhase(runctx, fmt.Sprintf("%d-%s", i, ph.Name), ph, c); err != nil {
+			return out, err
 		}
 	}
-
-	doc := benchfmt.NewDocument()
-	doc.Context["harness"] = "spatialload"
-	doc.Context["goos"] = runtime.GOOS
-	doc.Context["goarch"] = runtime.GOARCH
-	doc.Context["nodes"] = fmt.Sprint(cfg.Nodes)
-	doc.Context["partitions"] = fmt.Sprint(cfg.Partitions)
-	doc.Context["tenants"] = fmt.Sprint(1 + len(cfg.Tenants))
-	doc.Context["targets"] = fmt.Sprint(len(r.targets))
-	doc.Context["workers"] = fmt.Sprintf("update=%d stream=%d estimate=%d",
-		cfg.UpdateWorkers, cfg.StreamWorkers, cfg.EstimateWorkers)
-	doc.Context["zipf"] = fmt.Sprint(cfg.ZipfS)
-	doc.Context["oracle"] = fmt.Sprint(cfg.Oracle)
-	scenarioParts := make([]string, len(cfg.Phases))
-	for i, ph := range cfg.Phases {
-		scenarioParts[i] = ph.Name + ":" + ph.Duration.String()
-	}
-	doc.Context["scenario"] = strings.Join(scenarioParts, ",")
-	r.mu.Lock()
-	doc.Context["acked_ops"] = fmt.Sprint(len(r.acked))
-	phases := r.phases
-	r.mu.Unlock()
-	for _, ps := range phases {
-		ps.record(doc)
-	}
-	doc.Sort()
-	return doc, nil
+	return out, nil
 }

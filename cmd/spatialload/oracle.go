@@ -18,15 +18,17 @@ import (
 // and fails the comparison. This is TestChaosSoak's discipline, made
 // scriptable.
 
-// refEstimator is the common surface of the four reference builds.
+// refEstimator is the surface the oracle needs of the four reference
+// builds: every acked record goes through the one update path, Apply.
 type refEstimator interface {
+	Apply(spatial.UpdateRecord) error
 	Marshal() ([]byte, error)
 }
 
 // newRef builds the loss-free reference estimator for a target, with
 // the same config the harness used to create it on the cluster (see
 // createTargets - the two must stay in lockstep).
-func newRef(kind string, dom uint64) (refEstimator, error) {
+func newRef(kind string) (refEstimator, error) {
 	sz := spatial.Sizing{Instances: 64, Groups: 4}
 	switch kind {
 	case "join":
@@ -41,52 +43,6 @@ func newRef(kind string, dom uint64) (refEstimator, error) {
 	return nil, fmt.Errorf("unknown kind %q", kind)
 }
 
-// applyRefRecord replays one acked record into a reference estimator.
-func applyRefRecord(ref refEstimator, rec spatial.UpdateRecord) error {
-	ins := rec.Op == spatial.OpInsert
-	switch e := ref.(type) {
-	case *spatial.JoinEstimator:
-		switch {
-		case rec.Side == spatial.SideLeft && ins:
-			return e.InsertLeft(rec.Rect)
-		case rec.Side == spatial.SideLeft:
-			return e.DeleteLeft(rec.Rect)
-		case ins:
-			return e.InsertRight(rec.Rect)
-		default:
-			return e.DeleteRight(rec.Rect)
-		}
-	case *spatial.RangeEstimator:
-		if ins {
-			return e.Insert(rec.Rect)
-		}
-		return e.Delete(rec.Rect)
-	case *spatial.EpsJoinEstimator:
-		switch {
-		case rec.Side == spatial.SideLeft && ins:
-			return e.InsertLeft(rec.Point)
-		case rec.Side == spatial.SideLeft:
-			return e.DeleteLeft(rec.Point)
-		case ins:
-			return e.InsertRight(rec.Point)
-		default:
-			return e.DeleteRight(rec.Point)
-		}
-	case *spatial.ContainmentEstimator:
-		switch {
-		case rec.Side == spatial.SideInner && ins:
-			return e.InsertInner(rec.Rect)
-		case rec.Side == spatial.SideInner:
-			return e.DeleteInner(rec.Rect)
-		case ins:
-			return e.InsertOuter(rec.Rect)
-		default:
-			return e.DeleteOuter(rec.Rect)
-		}
-	}
-	return fmt.Errorf("unknown reference estimator %T", ref)
-}
-
 // verify replays the cumulative acked log and asserts every node serves
 // a merged snapshot byte-identical to the loss-free build, for every
 // target. Called at quiesce points (no traffic in flight); the retry
@@ -94,7 +50,7 @@ func applyRefRecord(ref refEstimator, rec spatial.UpdateRecord) error {
 func (r *runner) verify(when string) error {
 	refs := make([]refEstimator, len(r.targets))
 	for i, tg := range r.targets {
-		ref, err := newRef(tg.kind, r.cfg.Dom)
+		ref, err := newRef(tg.kind)
 		if err != nil {
 			return err
 		}
@@ -104,7 +60,7 @@ func (r *runner) verify(when string) error {
 	acked := r.acked
 	r.mu.Unlock()
 	for _, op := range acked {
-		if err := applyRefRecord(refs[op.target], op.rec); err != nil {
+		if err := refs[op.target].Apply(op.rec); err != nil {
 			return fmt.Errorf("%s: replaying acked log: %w", when, err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -24,12 +23,10 @@ import (
 
 // Phase is one scripted scenario segment.
 type Phase struct {
-	// Name labels the phase in the report ("steady", "ramp", ...).
+	// Name labels the phase in logs and counts ("steady", ...).
 	Name string
 	// Duration is the workers-active window.
 	Duration time.Duration
-	// Ramp staggers worker starts across the first 60% of the phase.
-	Ramp bool
 	// Rebalance is how many partition moves to perform, spread across
 	// the phase, while traffic flows.
 	Rebalance int
@@ -39,8 +36,8 @@ type Phase struct {
 }
 
 // parseScenario turns "steady:5s,rebalance:10s,failover:15s" into
-// phases. Known names: steady, ramp, rebalance (one move per 2s,
-// minimum 1), failover.
+// phases. Known names: steady, rebalance (one move per 2s, minimum 1),
+// failover.
 func parseScenario(s string) ([]Phase, error) {
 	var out []Phase
 	for _, part := range strings.Split(s, ",") {
@@ -59,8 +56,6 @@ func parseScenario(s string) ([]Phase, error) {
 		ph := Phase{Name: name, Duration: d}
 		switch name {
 		case "steady":
-		case "ramp":
-			ph.Ramp = true
 		case "rebalance":
 			ph.Rebalance = int(d / (2 * time.Second))
 			if ph.Rebalance < 1 {
@@ -69,7 +64,7 @@ func parseScenario(s string) ([]Phase, error) {
 		case "failover":
 			ph.Failover = true
 		default:
-			return nil, fmt.Errorf("unknown phase %q (want steady|ramp|rebalance|failover)", name)
+			return nil, fmt.Errorf("unknown phase %q (want steady|rebalance|failover)", name)
 		}
 		out = append(out, ph)
 	}
@@ -95,7 +90,6 @@ type runner struct {
 	nodes  []string // current base URLs (failover swaps the victim's)
 	acked  []refOp  // cumulative acked reference log
 	fatals []error  // unresolvable worker outcomes (poison the oracle)
-	phases []*phaseStats
 }
 
 // node returns a current node base URL by rotating index.
@@ -172,13 +166,12 @@ func (r *runner) createTargets() error {
 		name, kind string
 		cfg        map[string]any
 	}{
-		{"j", "join", map[string]any{"dims": 2, "domainSize": r.cfg.Dom, "seed": 1, "instances": 64, "groups": 4}},
-		{"r", "range", map[string]any{"dims": 1, "domainSize": r.cfg.Dom, "seed": 2, "instances": 64, "groups": 4}},
-		{"e", "epsjoin", map[string]any{"dims": 2, "domainSize": r.cfg.Dom, "eps": 8, "seed": 3, "instances": 64, "groups": 4}},
-		{"c", "containment", map[string]any{"dims": 2, "domainSize": r.cfg.Dom, "seed": 4, "instances": 64, "groups": 4}},
+		{"j", "join", map[string]any{"dims": 2, "domainSize": dom, "seed": 1, "instances": 64, "groups": 4}},
+		{"r", "range", map[string]any{"dims": 1, "domainSize": dom, "seed": 2, "instances": 64, "groups": 4}},
+		{"e", "epsjoin", map[string]any{"dims": 2, "domainSize": dom, "eps": 8, "seed": 3, "instances": 64, "groups": 4}},
+		{"c", "containment", map[string]any{"dims": 2, "domainSize": dom, "seed": 4, "instances": 64, "groups": 4}},
 	}
-	tenants := append([]string{""}, r.cfg.Tenants...)
-	for _, tenant := range tenants {
+	for _, tenant := range []string{"", "acme"} { // the default namespace and one tenant
 		createURL := base + "/v1/estimators"
 		if tenant != "" {
 			if err := r.httpJSON("PUT", base+"/v1/tenants/"+tenant, map[string]any{}, http.StatusOK, nil); err != nil {
@@ -216,7 +209,7 @@ func (r *runner) ringMap(node string) (*cluster.Map, error) {
 // the move to be acknowledged.
 func (r *runner) rebalanceOnce(n int) error {
 	tg := r.targets[n%len(r.targets)]
-	part := n % r.cfg.Partitions
+	part := n % partitions
 	m, err := r.ringMap(r.node(0))
 	if err != nil {
 		return err
@@ -250,11 +243,7 @@ func (r *runner) rebalanceOnce(n int) error {
 // walPos fetches a node's WAL frontier.
 func (r *runner) walPos(node string) (string, error) {
 	var rr struct {
-		WalPos  string `json:"walPos"`
-		Replica *struct {
-			Pos       string `json:"pos"`
-			LastError string `json:"lastError"`
-		} `json:"replica"`
+		WalPos string `json:"walPos"`
 	}
 	if err := r.httpJSON("GET", node+"/admin/ring", nil, http.StatusOK, &rr); err != nil {
 		return "", err
@@ -266,8 +255,7 @@ func (r *runner) walPos(node string) (string, error) {
 func (r *runner) replicaPos(node string) (string, error) {
 	var rr struct {
 		Replica *struct {
-			Pos       string `json:"pos"`
-			LastError string `json:"lastError"`
+			Pos string `json:"pos"`
 		} `json:"replica"`
 	}
 	if err := r.httpJSON("GET", node+"/admin/ring", nil, http.StatusOK, &rr); err != nil {
@@ -298,13 +286,10 @@ func (r *runner) failover(streams []*streamWriter) error {
 		"-data-dir=" + filepath.Join(r.cfg.DataRoot, "node-"+vID+"-replica"),
 		"-node-id=" + vID,
 		"-peers=" + r.cl.PeersFlag(),
-		"-partitions=" + fmt.Sprint(r.cfg.Partitions),
+		"-partitions=" + fmt.Sprint(partitions),
 		"-checkpoint-interval=0",
 		"-follow=" + vURL,
 		"-replica-poll=50ms",
-	}
-	if r.cfg.TraceDump != "" {
-		args = append(args, "-trace-sample=-1", "-slow-op-threshold=25ms")
 	}
 	proc, err := cluster.Launch(cluster.LaunchOptions{
 		Binary: r.cfg.Binary, Args: args, Stderr: r.cfg.Stderr,
@@ -380,80 +365,13 @@ func (r *runner) failover(streams []*streamWriter) error {
 	return nil
 }
 
-// dumpTraces fetches each node's retained-trace listing and writes it to
-// <dir>/trace-<i>.json - the CI artifact that pairs a failed run's
-// latency report with the server-side spans behind it. Best-effort: a
-// dead node (failover leaves corpses) logs a line and is skipped.
-func (r *runner) dumpTraces(dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		r.logf("trace dump: %v", err)
-		return
-	}
-	for i, node := range r.nodeList() {
-		path := filepath.Join(dir, fmt.Sprintf("trace-%d.json", i))
-		resp, err := r.hc.Get(node + "/admin/trace?limit=256")
-		if err != nil {
-			r.logf("trace dump: node %d (%s): %v", i, node, err)
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			r.logf("trace dump: node %d (%s): status %d, err %v", i, node, resp.StatusCode, err)
-			continue
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			r.logf("trace dump: %v", err)
-			continue
-		}
-		r.logf("trace dump: wrote %s (%d bytes)", path, len(data))
-	}
-	// The listing only carries summaries; the worst ops the report points
-	// at deserve their full cross-node trees while the cluster can still
-	// assemble them. Any live node can serve any trace.
-	r.mu.Lock()
-	phases := r.phases
-	r.mu.Unlock()
-	for _, ps := range phases {
-		for _, id := range ps.worstTraceIDs() {
-			r.dumpTraceTree(dir, id)
-		}
-	}
-}
-
-// dumpTraceTree fetches one assembled trace tree from the first node
-// that can serve it and writes <dir>/worst-<id>.json. Best-effort.
-func (r *runner) dumpTraceTree(dir, id string) {
-	for _, node := range r.nodeList() {
-		resp, err := r.hc.Get(node + "/admin/trace/" + id)
-		if err != nil {
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		path := filepath.Join(dir, "worst-"+id+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			r.logf("trace dump: %v", err)
-			return
-		}
-		r.logf("trace dump: wrote %s (%d bytes)", path, len(data))
-		return
-	}
-	r.logf("trace dump: worst-op trace %s not resolvable (evicted or nodes down)", id)
-}
-
 // runPhase runs one phase's worker fleet plus its control events, then
-// quiesces: workers stopped, streams flushed, acked logs harvested.
-func (r *runner) runPhase(runctx context.Context, ph Phase) error {
-	ps := &phaseStats{name: ph.Name, hists: map[string]*hist{}}
-	r.mu.Lock()
-	r.phases = append(r.phases, ps)
-	r.mu.Unlock()
+// quiesces: workers stopped, streams flushed, acked logs harvested, and
+// the oracle run over everything acked so far. tag names the phase's
+// stream sessions and update keys, unique within the run.
+func (r *runner) runPhase(runctx context.Context, tag string, ph Phase, counts *phaseCounts) error {
 	r.logf("phase %s: %v (update=%d stream=%d estimate=%d workers)",
-		ph.Name, ph.Duration, r.cfg.UpdateWorkers, r.cfg.StreamWorkers, r.cfg.EstimateWorkers)
+		ph.Name, ph.Duration, updateWorkers, streamWorkers, estimateWorkers)
 
 	phasectx, cancel := context.WithTimeout(runctx, ph.Duration)
 	defer cancel()
@@ -462,87 +380,53 @@ func (r *runner) runPhase(runctx context.Context, ph Phase) error {
 	opctx, opCancel := context.WithTimeout(runctx, ph.Duration+30*time.Second)
 	defer opCancel()
 
-	stagger := func(i, n int) time.Duration {
-		if !ph.Ramp || n <= 1 {
-			return 0
-		}
-		return time.Duration(i) * (ph.Duration * 6 / 10) / time.Duration(n)
-	}
-
 	var wg sync.WaitGroup
-	start := time.Now()
 
 	// Streaming writers: one session per worker, rotating join targets,
 	// attached to non-victim nodes so a failover exercises routed fan-out
 	// recovery rather than killing the session's own endpoint.
-	joinTargets := make([]int, 0, len(r.targets))
+	var joinTargets []int
 	for i, tg := range r.targets {
 		if tg.kind == "join" {
 			joinTargets = append(joinTargets, i)
 		}
 	}
-	streams := make([]*streamWriter, 0, r.cfg.StreamWorkers)
-	attach := len(r.cl.IDs) - 1 // node count eligible for stream attach
-	if attach < 1 {
-		attach = 1
-	}
-	for i := 0; i < r.cfg.StreamWorkers; i++ {
+	streams := make([]*streamWriter, 0, streamWorkers)
+	for i := 0; i < streamWorkers; i++ {
 		ti := joinTargets[i%len(joinTargets)]
-		session := fmt.Sprintf("load-%s-w%d", ph.Name, i)
 		client, err := ingestclient.Dial(ingestclient.Options{
-			BaseURL:   r.node(i % attach),
+			BaseURL:   r.node(i % (nodes - 1)),
 			Estimator: r.targets[ti].qualified(),
-			Session:   session,
+			Session:   fmt.Sprintf("load-%s-w%d", tag, i),
 		})
 		if err != nil {
 			return err
 		}
-		sw := &streamWriter{client: client, session: session, target: ti}
+		sw := &streamWriter{client: client, target: ti}
 		streams = append(streams, sw)
 		wg.Add(1)
 		go func(i int, sw *streamWriter) {
 			defer wg.Done()
-			if d := stagger(i, r.cfg.StreamWorkers); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-phasectx.Done():
-					return
-				}
-			}
-			r.streamWorker(phasectx, i, ps, sw)
+			r.streamWorker(phasectx, i, counts, sw)
 		}(i, sw)
 	}
 
-	for i := 0; i < r.cfg.UpdateWorkers; i++ {
+	for i := 0; i < updateWorkers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if d := stagger(i, r.cfg.UpdateWorkers); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-phasectx.Done():
-					return
-				}
-			}
-			acked := r.updateWorker(phasectx, opctx, i, ps)
+			acked := r.updateWorker(phasectx, opctx, tag, i, counts)
 			r.mu.Lock()
 			r.acked = append(r.acked, acked...)
 			r.mu.Unlock()
 		}(i)
 	}
 
-	for i := 0; i < r.cfg.EstimateWorkers; i++ {
+	for i := 0; i < estimateWorkers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if d := stagger(i, r.cfg.EstimateWorkers); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-phasectx.Done():
-					return
-				}
-			}
-			r.estimateWorker(phasectx, i, ps, ph.Failover)
+			r.estimateWorker(phasectx, i, counts, ph.Failover)
 		}(i)
 	}
 
@@ -561,32 +445,20 @@ func (r *runner) runPhase(runctx context.Context, ph Phase) error {
 			}
 		case ph.Rebalance > 0:
 			step := ph.Duration / time.Duration(ph.Rebalance+1)
-			for n := 0; n < ph.Rebalance; n++ {
+			for n := 0; n < ph.Rebalance && err == nil && phasectx.Err() == nil; n++ {
 				select {
 				case <-time.After(step):
-					if err = r.rebalanceOnce(n); err != nil {
-						break
-					}
+					err = r.rebalanceOnce(n)
 				case <-phasectx.Done():
-				}
-				if err != nil || phasectx.Err() != nil {
-					break
 				}
 			}
 		}
 		if err != nil {
-			select {
-			case ctrlErr <- err:
-			default:
-			}
+			ctrlErr <- err
 		}
 	}()
 
 	wg.Wait()
-	ps.dur = time.Since(start)
-	for _, line := range ps.worstOps() {
-		r.logf("%s", line)
-	}
 	select {
 	case err := <-ctrlErr:
 		return fmt.Errorf("phase %s: %w", ph.Name, err)
@@ -613,10 +485,6 @@ func (r *runner) runPhase(runctx context.Context, ph Phase) error {
 	if len(fatals) > 0 {
 		return fmt.Errorf("phase %s: %d unresolvable worker outcomes, first: %w", ph.Name, len(fatals), fatals[0])
 	}
-	if r.cfg.Oracle {
-		if err := r.verify("after " + ph.Name); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.logf("%v", counts)
+	return r.verify("after " + ph.Name)
 }

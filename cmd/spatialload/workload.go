@@ -13,7 +13,6 @@ import (
 	spatial "repro"
 	"repro/geo"
 	"repro/ingestclient"
-	"repro/internal/trace"
 )
 
 // The workload side of the harness: targets (tenant x estimator kind),
@@ -24,7 +23,7 @@ import (
 // exactly the set the oracle replays.
 
 // target is one estimator the load run drives: a tenant ("" = default)
-// plus the estimator's name and kind. The configs mirror newRefs.
+// plus the estimator's name and kind. The configs mirror newRef.
 type target struct {
 	tenant string
 	name   string
@@ -92,7 +91,7 @@ func wireSide(s spatial.UpdateSide) string {
 // occasional delete of a record this worker already got acknowledged
 // (so the delete is always of a present object). For a delete it also
 // returns the deleted record's index in history, else -1.
-func randRecord(rng *rand.Rand, kind string, dom uint64, history []spatial.UpdateRecord) (spatial.UpdateRecord, int) {
+func randRecord(rng *rand.Rand, kind string, history []spatial.UpdateRecord) (spatial.UpdateRecord, int) {
 	if len(history) > 0 && rng.Intn(8) == 0 {
 		i := rng.Intn(len(history))
 		rec := history[i]
@@ -130,45 +129,18 @@ func randRecord(rng *rand.Rand, kind string, dom uint64, history []spatial.Updat
 	return rec, -1
 }
 
-// pickTarget draws a target index: zipf-skewed when the run configures
-// skew (hot keys), uniform otherwise.
-func pickTarget(rng *rand.Rand, zipf *rand.Zipf, n int) int {
-	if zipf != nil {
-		return int(zipf.Uint64())
-	}
-	return rng.Intn(n)
-}
-
-// newZipf builds the worker's skew source (nil when disabled).
-func newZipf(rng *rand.Rand, s float64, n int) *rand.Zipf {
-	if s <= 1 || n < 2 {
-		return nil
-	}
-	return rand.NewZipf(rng, s, 1, uint64(n-1))
-}
-
-// mintTraceparent draws a fresh W3C trace context from the worker's rng
-// and returns the header value plus the trace ID's hex form, so client-
-// side op records and server-side /admin/trace segments share one ID.
-func mintTraceparent(rng *rand.Rand) (header, traceID string) {
-	var tid trace.TraceID
-	var sid trace.SpanID
-	rng.Read(tid[:])
-	rng.Read(sid[:])
-	if tid.IsZero() {
-		tid[15] = 1
-	}
-	return trace.Traceparent(tid, sid), tid.String()
+// newZipf builds the worker's hot-key source over n targets: its
+// Uint64 draws a target index, low indexes most often.
+func newZipf(rng *rand.Rand, n int) *rand.Zipf {
+	return rand.NewZipf(rng, zipfS, 1, uint64(n-1))
 }
 
 // postUpdate sends one idempotent JSON update and resolves it to a
 // definitive outcome: retries with the same Idempotency-Key ride the
 // server's exactly-once window, so an ambiguous failure (connection
 // error, 5xx during a node kill) never double-applies and never silently
-// drops an acked op. Every attempt carries the op's X-Request-Id and
-// traceparent, so retries of one op land in one trace. Returns whether
-// the op is durably applied.
-func (r *runner) postUpdate(ctx context.Context, url, key, traceparent string, body []byte) (bool, error) {
+// drops an acked op. Returns whether the op is durably applied.
+func (r *runner) postUpdate(ctx context.Context, url, key string, body []byte) (bool, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
@@ -180,10 +152,6 @@ func (r *runner) postUpdate(ctx context.Context, url, key, traceparent string, b
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("Idempotency-Key", key)
-		req.Header.Set("X-Request-Id", key)
-		if traceparent != "" {
-			req.Header.Set("traceparent", traceparent)
-		}
 		resp, err := r.hc.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
@@ -213,19 +181,18 @@ func (r *runner) postUpdate(ctx context.Context, url, key, traceparent string, b
 // target, post one idempotent update via a rotating node, and log it as
 // acked once the outcome is definitive. phasectx ends the loop; opctx
 // survives the phase so in-flight ambiguity resolves during quiesce.
-func (r *runner) updateWorker(phasectx, opctx context.Context, id int, ps *phaseStats) []refOp {
+func (r *runner) updateWorker(phasectx, opctx context.Context, tag string, id int, counts *phaseCounts) []refOp {
 	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(id)*7919))
-	zipf := newZipf(rng, r.cfg.ZipfS, len(r.targets))
-	h := ps.hist("update")
+	zipf := newZipf(rng, len(r.targets))
 	history := make([][]spatial.UpdateRecord, len(r.targets))
 	var acked []refOp
 	for n := 0; ; n++ {
 		if phasectx.Err() != nil {
 			return acked
 		}
-		ti := pickTarget(rng, zipf, len(r.targets))
+		ti := int(zipf.Uint64())
 		tg := r.targets[ti]
-		rec, del := randRecord(rng, tg.kind, r.cfg.Dom, history[ti])
+		rec, del := randRecord(rng, tg.kind, history[ti])
 		wire := updateWireRequest{Side: wireSide(rec.Side)}
 		if rec.Op == spatial.OpDelete {
 			wire.Op = "delete"
@@ -236,27 +203,22 @@ func (r *runner) updateWorker(phasectx, opctx context.Context, id int, ps *phase
 			wire.Rects = [][][2]uint64{wireRect(rec.Rect)}
 		}
 		body, _ := json.Marshal(wire)
-		key := fmt.Sprintf("%s-w%d-%d", ps.name, id, n)
-		tp, traceID := mintTraceparent(rng)
+		key := fmt.Sprintf("%s-w%d-%d", tag, id, n)
 
 		r.gate.RLock()
 		node := r.node(rng.Intn(1 << 20))
-		start := time.Now()
-		applied, err := r.postUpdate(opctx, tg.path(node)+"/update", key, tp, body)
-		d := time.Since(start)
+		applied, err := r.postUpdate(opctx, tg.path(node)+"/update", key, body)
 		r.gate.RUnlock()
 		if err != nil {
 			// The op's outcome is unknown and the grace window is gone: the
 			// acked log can no longer be trusted either way.
-			h.fail()
 			r.fatalf("update worker %d: ambiguous op %s: %v", id, key, err)
 			return acked
 		}
 		if !applied {
-			h.fail()
 			continue
 		}
-		h.observeOp(d, start, "rid="+key+" trace="+traceID)
+		counts.updates.Add(1)
 		acked = append(acked, refOp{target: ti, rec: rec})
 		if del >= 0 {
 			history[ti] = removeAt(history[ti], del)
@@ -269,39 +231,32 @@ func (r *runner) updateWorker(phasectx, opctx context.Context, id int, ps *phase
 // removeAt drops history[i] so a deleted object is not deleted twice.
 // The history's order carries no meaning, so it swap-removes in O(1) and
 // a writer's rate does not fall as its history grows.
-func removeAt(hist []spatial.UpdateRecord, i int) []spatial.UpdateRecord {
-	last := len(hist) - 1
-	hist[i] = hist[last]
-	return hist[:last]
+func removeAt(history []spatial.UpdateRecord, i int) []spatial.UpdateRecord {
+	last := len(history) - 1
+	history[i] = history[last]
+	return history[:last]
 }
 
 // streamWriter is one streaming-ingest session and its sent history.
 // Exactly-once ordered delivery means that after a successful Flush the
 // whole history is acked, in order - the stream's reference log.
 type streamWriter struct {
-	client  *ingestclient.Client
-	session string
-	target  int
-	sent    []spatial.UpdateRecord
+	client *ingestclient.Client
+	target int
+	sent   []spatial.UpdateRecord
 	// history holds the not-yet-deleted inserts, so in-session deletes
 	// always target a present object.
 	history []spatial.UpdateRecord
 }
 
 // streamWorker drives one spatial-ingest/1 session against a join-kind
-// target: batches of records with occasional in-session deletes, Send
-// latency recorded per batch (closed-loop: Send blocks while the credit
-// window is full, so it measures real backpressure).
-func (r *runner) streamWorker(phasectx context.Context, id int, ps *phaseStats, sw *streamWriter) {
+// target: batches of records with occasional in-session deletes.
+func (r *runner) streamWorker(phasectx context.Context, id int, counts *phaseCounts, sw *streamWriter) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed + 104729 + int64(id)*7919))
-	h := ps.hist("stream")
-	for batchNo := 1; ; batchNo++ {
-		if phasectx.Err() != nil {
-			return
-		}
-		recs := make([]spatial.UpdateRecord, 0, r.cfg.BatchSize)
-		for i := 0; i < r.cfg.BatchSize; i++ {
-			rec, del := randRecord(rng, "join", r.cfg.Dom, sw.history)
+	for phasectx.Err() == nil {
+		recs := make([]spatial.UpdateRecord, 0, batchSize)
+		for i := 0; i < batchSize; i++ {
+			rec, del := randRecord(rng, "join", sw.history)
 			if del >= 0 {
 				sw.history = removeAt(sw.history, del)
 			} else {
@@ -310,80 +265,47 @@ func (r *runner) streamWorker(phasectx context.Context, id int, ps *phaseStats, 
 			recs = append(recs, rec)
 		}
 		r.gate.RLock()
-		start := time.Now()
 		err := sw.client.Send(recs)
-		d := time.Since(start)
 		r.gate.RUnlock()
 		if err != nil {
 			// Terminal stream error: the sent history's applied prefix is
 			// unknown, so the oracle cannot be satisfied.
-			h.fail()
 			r.fatalf("stream worker %d: terminal: %v", id, err)
 			return
 		}
-		// The server's ingest.batch spans carry (session, seq) attrs; this
-		// reference lets the report's worst batch be found among them.
-		h.observeOp(d, start, fmt.Sprintf("session=%s batch=%d", sw.session, batchNo))
+		counts.batches.Add(1)
 		sw.sent = append(sw.sent, recs...)
 	}
 }
 
 // estimateWorker is the closed-loop reader: zipf-picked targets, single
 // estimates on every kind and batched range estimates, via rotating
-// nodes. Failures are recorded, not fatal - phases that kill nodes
-// expect a bounded error window.
-func (r *runner) estimateWorker(phasectx context.Context, id int, ps *phaseStats, allowPartial bool) {
+// nodes. Failures are not fatal - phases that kill nodes expect a
+// bounded error window - and only answered estimates are counted.
+func (r *runner) estimateWorker(phasectx context.Context, id int, counts *phaseCounts, allowPartial bool) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed + 224737 + int64(id)*7919))
-	zipf := newZipf(rng, r.cfg.ZipfS, len(r.targets))
-	single := ps.hist("estimate")
-	batch := ps.hist("estimate-batch")
-	for n := 0; ; n++ {
-		if phasectx.Err() != nil {
-			return
-		}
-		ti := pickTarget(rng, zipf, len(r.targets))
-		tg := r.targets[ti]
+	zipf := newZipf(rng, len(r.targets))
+	for n := 0; phasectx.Err() == nil; n++ {
+		tg := r.targets[zipf.Uint64()]
 		ec := ingestclient.NewEstimateClient(r.node(rng.Intn(1<<20)), r.hc)
 		ctx, cancel := context.WithTimeout(phasectx, 10*time.Second)
-		rid := fmt.Sprintf("%s-e%d-%d", ps.name, id, n)
-		tp, traceID := mintTraceparent(rng)
-		ref := "rid=" + rid + " trace=" + traceID
 		var err error
-		h := single
-		if tg.kind == "range" {
-			q := wireRect(geo.HyperRect{geo.NewInterval(0, r.cfg.Dom/2+rng.Uint64()%(r.cfg.Dom/2))})
-			if n%2 == 0 {
-				h = batch
-				qs := [][][2]uint64{q, wireRect(geo.HyperRect{geo.NewInterval(r.cfg.Dom/4, r.cfg.Dom-1)})}
-				start := time.Now()
-				_, err = ec.EstimateBatch(ctx, tg.qualified(), qs, allowPartial)
-				recordOutcome(h, start, time.Since(start), err, "")
-				cancel()
-				continue
+		switch {
+		case tg.kind == "range" && n%2 == 0:
+			qs := [][][2]uint64{
+				wireRect(geo.HyperRect{geo.NewInterval(0, dom/2+rng.Uint64()%(dom/2))}),
+				wireRect(geo.HyperRect{geo.NewInterval(dom/4, dom-1)}),
 			}
-			start := time.Now()
-			_, err = ec.Estimate(ctx, tg.qualified(), ingestclient.EstimateOptions{
-				Query: q, AllowPartial: allowPartial, RequestID: rid, Traceparent: tp,
-			})
-			recordOutcome(h, start, time.Since(start), err, ref)
-			cancel()
-			continue
+			_, err = ec.EstimateBatch(ctx, tg.qualified(), qs, allowPartial)
+		case tg.kind == "range":
+			q := wireRect(geo.HyperRect{geo.NewInterval(0, dom/2+rng.Uint64()%(dom/2))})
+			_, err = ec.Estimate(ctx, tg.qualified(), ingestclient.EstimateOptions{Query: q, AllowPartial: allowPartial})
+		default:
+			_, err = ec.Estimate(ctx, tg.qualified(), ingestclient.EstimateOptions{AllowPartial: allowPartial})
 		}
-		start := time.Now()
-		_, err = ec.Estimate(ctx, tg.qualified(), ingestclient.EstimateOptions{
-			AllowPartial: allowPartial, RequestID: rid, Traceparent: tp,
-		})
-		recordOutcome(h, start, time.Since(start), err, ref)
 		cancel()
+		if err == nil {
+			counts.estimates.Add(1)
+		}
 	}
-}
-
-// recordOutcome folds one op's result into its histogram, pinning the
-// worst op's start time and reference.
-func recordOutcome(h *hist, start time.Time, d time.Duration, err error, ref string) {
-	if err != nil {
-		h.fail()
-		return
-	}
-	h.observeOp(d, start, ref)
 }

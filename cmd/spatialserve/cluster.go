@@ -810,41 +810,11 @@ func (c *clusterNode) routeEstimate(ctx context.Context, w http.ResponseWriter, 
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
+	var rep partialReport
 	if answered < c.parts {
-		servePartialEstimate(w, est, req, answered, c.parts)
-		return
+		rep = partialReport{Partial: true, PartitionsAnswered: answered, PartitionsTotal: c.parts}
 	}
-	serveEstimate(w, est, req)
-}
-
-// servePartialEstimate is serveEstimate with the degraded-read report
-// stamped on the response.
-func servePartialEstimate(w http.ResponseWriter, est servable, req *estimateRequest, answered, total int) {
-	if len(req.Queries) > 0 {
-		if len(req.Query) > 0 {
-			writeError(w, http.StatusBadRequest, "use either query or queries, not both")
-			return
-		}
-		resp, err := est.estimateBatch(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		resp.Partial = true
-		resp.PartitionsAnswered = answered
-		resp.PartitionsTotal = total
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp, err := est.estimate(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp.Partial = true
-	resp.PartitionsAnswered = answered
-	resp.PartitionsTotal = total
-	writeJSON(w, http.StatusOK, resp)
+	serveEstimate(w, est, req, rep)
 }
 
 // routeInfo serves a base estimator's info document from the gathered
@@ -865,24 +835,15 @@ func (c *clusterNode) routeInfo(ctx context.Context, w http.ResponseWriter, name
 	})
 }
 
-// routeList aggregates the estimator listings of every node, mapping
-// shard keys back to their base estimator names.
-func (c *clusterNode) routeList(ctx context.Context, w http.ResponseWriter) {
-	type entry struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
-	}
+// listCluster gathers every node's registry entries, maps shard keys
+// back to their base estimator names and sorts them; it fails unless
+// every node answers.
+func (c *clusterNode) listCluster(ctx context.Context) ([]listEntry, error) {
 	m := c.map_()
-	lists, errs := cluster.Scatter(len(m.Nodes), func(i int) ([]entry, error) {
+	lists, errs := cluster.Scatter(len(m.Nodes), func(i int) ([]listEntry, error) {
 		n := m.Nodes[i]
 		if n.ID == c.selfID {
-			var out []entry
-			c.srv.mu.RLock()
-			for name, e := range c.srv.ests {
-				out = append(out, entry{Name: name, Kind: e.kind().String()})
-			}
-			c.srv.mu.RUnlock()
-			return out, nil
+			return c.srv.localList(), nil
 		}
 		resp, err := c.callNodeGet(ctx, n, n.URL+"/v1/estimators", internalHeader())
 		if err != nil {
@@ -892,7 +853,7 @@ func (c *clusterNode) routeList(ctx context.Context, w http.ResponseWriter) {
 			return nil, fmt.Errorf("listing on %s: status %d", n.ID, resp.Status)
 		}
 		var body struct {
-			Estimators []entry `json:"estimators"`
+			Estimators []listEntry `json:"estimators"`
 		}
 		if err := json.Unmarshal(resp.Body, &body); err != nil {
 			return nil, err
@@ -900,8 +861,7 @@ func (c *clusterNode) routeList(ctx context.Context, w http.ResponseWriter) {
 		return body.Estimators, nil
 	})
 	if err := cluster.FirstError(errs); err != nil {
-		writeError(w, http.StatusBadGateway, "cluster list incomplete: %v", err)
-		return
+		return nil, err
 	}
 	kinds := map[string]string{}
 	for _, list := range lists {
@@ -913,16 +873,12 @@ func (c *clusterNode) routeList(ctx context.Context, w http.ResponseWriter) {
 			kinds[name] = e.Kind
 		}
 	}
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
-		names = append(names, name)
+	out := make([]listEntry, 0, len(kinds))
+	for name, kind := range kinds {
+		out = append(out, listEntry{Name: name, Kind: kind})
 	}
-	sort.Strings(names)
-	out := make([]entry, len(names))
-	for i, name := range names {
-		out[i] = entry{Name: name, Kind: kinds[name]}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"estimators": out})
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }
 
 // ---- routing: tenants ----

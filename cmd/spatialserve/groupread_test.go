@@ -12,6 +12,7 @@ import (
 	"time"
 
 	spatial "repro"
+	"repro/geo"
 	"repro/internal/cluster"
 )
 
@@ -249,6 +250,89 @@ func TestClusterPartialReadNoCacheEntry(t *testing.T) {
 	}
 	if e := f.srvs[0].cluster.readCacheGet("j"); e != nil {
 		t.Fatal("a partial read left a read-cache entry")
+	}
+}
+
+// TestClusterPartialBatchEstimate: a batch of range queries with one
+// owner down and ?partial=ok carries the same degraded-read report as a
+// single estimate, and every result is exact over the answered
+// partitions; the strict batch fails.
+func TestClusterPartialBatchEstimate(t *testing.T) {
+	f := newGroupFixture(t, false)
+	const dom = 1 << 12
+	mustDo(t, "POST", f.urls[0]+"/v1/estimators", mustJSON(t, createRequest{Name: "r", Kind: "range",
+		Config: configRequest{Dims: 1, DomainSize: dom, Seed: 2, Instances: 64, Groups: 4}}), http.StatusCreated)
+	rng := rand.New(rand.NewSource(19))
+	var recs []spatial.UpdateRecord
+	for i := 0; i < 48; i++ {
+		wr := randRect(rng, dom)[:1]
+		mustDo(t, "POST", f.urls[i%3]+"/v1/estimators/r/update",
+			mustJSON(t, updateRequest{Rects: [][][2]uint64{wr}}), http.StatusOK)
+		rs, err := updateRecords(&updateRequest{Rects: [][][2]uint64{wr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rs...)
+	}
+	// The victim is a remote owner of some of r's partitions.
+	m := f.srvs[0].cluster.map_()
+	owned := map[string][]int{}
+	for p := 0; p < groupParts; p++ {
+		owner, _ := m.Owner(cluster.ShardName("r", p))
+		owned[owner.ID] = append(owned[owner.ID], p)
+	}
+	victim := "n1"
+	if len(owned[victim]) == 0 {
+		victim = "n2"
+	}
+	if len(owned[victim]) == 0 {
+		t.Fatalf("no remote node owns a partition of r: %v", owned)
+	}
+	for i := 0; i < cluster.DefaultFailureThreshold; i++ {
+		f.srvs[0].cluster.health.Record(victim, false, 0)
+	}
+
+	queries := [][][2]uint64{{{0, dom / 2}}, {{dom / 4, dom - 1}}, {{100, 3000}}}
+	body := mustJSON(t, estimateRequest{Queries: queries})
+	if resp, data := httpDo(t, "POST", f.urls[0]+"/v1/estimators/r/estimate", body, nil); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("strict batch with an owner down: status %d: %s", resp.StatusCode, data)
+	}
+	var got batchEstimateResponse
+	if err := json.Unmarshal(mustDo(t, "POST", f.urls[0]+"/v1/estimators/r/estimate?partial=ok", body, http.StatusOK), &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := groupParts - len(owned[victim]); !got.Partial || got.PartitionsAnswered != want || got.PartitionsTotal != groupParts {
+		t.Fatalf("partial batch = {partial:%v answered:%d total:%d}, want {true %d %d}",
+			got.Partial, got.PartitionsAnswered, got.PartitionsTotal, want, groupParts)
+	}
+
+	part, err := spatial.NewRangeEstimator(spatial.RangeConfig{Dims: 1, DomainSize: dom, Seed: 2,
+		Sizing: spatial.Sizing{Instances: 64, Groups: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := map[int]bool{}
+	for _, p := range owned[victim] {
+		down[p] = true
+	}
+	for _, rec := range recs {
+		if !down[cluster.PartitionOf(rec.RoutingHash(), groupParts)] {
+			if err := part.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wantEsts, _, err := part.EstimateBatch([]geo.HyperRect{decodeQuery(queries[0]), decodeQuery(queries[1]), decodeQuery(queries[2])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(got.Results), len(queries))
+	}
+	for i, r := range got.Results {
+		if r.Error != "" || r.Value != wantEsts[i].Value || r.Partial {
+			t.Fatalf("result %d = %+v, want value %v from the answered partitions and no per-result report", i, r, wantEsts[i].Value)
+		}
 	}
 }
 

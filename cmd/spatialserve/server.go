@@ -356,11 +356,21 @@ type estimateRequest struct {
 // queries still being answered.
 type batchEstimateResponse struct {
 	Results []*estimateResponse `json:"results"`
-	// Partial, PartitionsAnswered and PartitionsTotal mirror the single
-	// estimate response's degraded-read report (see estimateResponse).
-	Partial            bool `json:"partial,omitempty"`
-	PartitionsAnswered int  `json:"partitions_answered,omitempty"`
-	PartitionsTotal    int  `json:"partitions_total,omitempty"`
+	partialReport
+}
+
+// partialReport is a degraded cluster read's report, stamped on single
+// and batch estimate responses alike; all zero (omitted) on a full
+// answer.
+type partialReport struct {
+	// Partial reports a degraded cluster read: the estimate merges only
+	// the reachable partitions (a bounded under-count; sketches are
+	// linear, so the answer is exact over the partitions it did reach).
+	Partial bool `json:"partial,omitempty"`
+	// PartitionsAnswered is how many partitions the merge includes.
+	PartitionsAnswered int `json:"partitions_answered,omitempty"`
+	// PartitionsTotal is the estimator's partition count.
+	PartitionsTotal int `json:"partitions_total,omitempty"`
 }
 
 type estimateResponse struct {
@@ -381,16 +391,7 @@ type estimateResponse struct {
 	Selectivity *float64         `json:"selectivity,omitempty"`
 	Counts      map[string]int64 `json:"counts"`
 	Instances   int              `json:"instances"`
-	// Partial reports a degraded cluster read: the estimate merges only
-	// the reachable partitions (a bounded under-count; sketches are
-	// linear, so the answer is exact over the partitions it did reach).
-	Partial bool `json:"partial,omitempty"`
-	// PartitionsAnswered is how many partitions the merge includes (only
-	// set on partial responses).
-	PartitionsAnswered int `json:"partitions_answered,omitempty"`
-	// PartitionsTotal is the estimator's partition count (only set on
-	// partial responses).
-	PartitionsTotal int `json:"partitions_total,omitempty"`
+	partialReport
 }
 
 type infoResponse struct {
@@ -665,31 +666,42 @@ func (s *Server) serveCreate(w http.ResponseWriter, r *http.Request, req *create
 	})
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+// listEntry is one row of an estimator listing.
+type listEntry struct {
+	Name string `json:"name"`
+	Kind string `json:"kind"`
+}
+
+// listEstimators returns the sorted entries a listing request sees: this
+// node's registry, or - for a client request on a cluster node - every
+// node's registry with shard keys mapped back to their base names, which
+// fails unless every node answers.
+func (s *Server) listEstimators(r *http.Request) ([]listEntry, error) {
 	if s.cluster != nil && !isInternal(r) {
-		s.cluster.routeList(r.Context(), w)
-		return
+		return s.cluster.listCluster(r.Context())
 	}
+	return s.localList(), nil
+}
+
+// localList returns this node's registry entries, sorted by name.
+func (s *Server) localList() []listEntry {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.ests))
-	for name := range s.ests {
-		names = append(names, name)
-	}
-	kinds := make(map[string]string, len(names))
+	out := make([]listEntry, 0, len(s.ests))
 	for name, e := range s.ests {
-		kinds[name] = e.kind().String()
+		out = append(out, listEntry{Name: name, Kind: e.kind().String()})
 	}
 	s.mu.RUnlock()
-	sort.Strings(names)
-	type entry struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	list, err := s.listEstimators(r)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "cluster list incomplete: %v", err)
+		return
 	}
-	out := make([]entry, len(names))
-	for i, name := range names {
-		out[i] = entry{Name: name, Kind: kinds[name]}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"estimators": out})
+	writeJSON(w, http.StatusOK, map[string]any{"estimators": list})
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -765,7 +777,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "Idempotency-Key must be 1-64 log-safe characters")
 			return
 		}
-		session = "idem:" + key
+		session = idemSessionPrefix + key
 	}
 	recs, err := updateRecords(&req)
 	if err != nil {
@@ -824,12 +836,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no estimator %q", name)
 		return
 	}
-	serveEstimate(w, est, &req)
+	serveEstimate(w, est, &req, partialReport{})
 }
 
 // serveEstimate answers a decoded estimate request from one estimator -
-// shared by the local path and the cluster's gathered path.
-func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest) {
+// shared by the local path and the cluster's gathered path, which passes
+// the report of a degraded read (zero for a full one).
+func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest, rep partialReport) {
 	if len(req.Queries) > 0 {
 		if len(req.Query) > 0 {
 			writeError(w, http.StatusBadRequest, "use either query or queries, not both")
@@ -840,6 +853,7 @@ func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		resp.partialReport = rep
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -848,6 +862,7 @@ func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	resp.partialReport = rep
 	writeJSON(w, http.StatusOK, resp)
 }
 

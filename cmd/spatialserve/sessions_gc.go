@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -21,9 +22,13 @@ import (
 //     reconnect backoff (seconds); a mark untouched for a TTL measured
 //     in hours has no outstanding retry left to dedup.
 //   - LRU pressure eviction: when the table nears its cap, the
-//     least-recently-touched unpinned marks are evicted (still never a
-//     mark touched within the last sessionLRUMinIdle) so new sessions
-//     keep working instead of hitting the cap wall.
+//     least-recently-touched Idempotency-Key marks are evicted (still
+//     never a mark touched within the last sessionLRUMinIdle) so new
+//     keys keep working instead of hitting the cap wall. Stream marks
+//     are never evicted under pressure: a stream client resumes from the
+//     HelloAck watermark, so a forgotten mark would re-apply its acked
+//     batches. They expire by TTL only, and a table full of them refuses
+//     new sessions retryably (errSessionTableFull).
 //
 // Every drop of a durable mark is WAL-logged (walOpSessionDrop) BEFORE
 // the mark leaves the table, so crash recovery and WAL-shipped replicas
@@ -54,7 +59,8 @@ type gcCandidate struct {
 
 // gcCandidates collects this sweep's drop candidates under the table
 // lock: TTL-expired unpinned marks, plus - when the table still exceeds
-// lruHigh - the least-recently-touched unpinned marks down to lruLow.
+// lruHigh - the least-recently-touched unpinned Idempotency-Key marks,
+// down to lruLow or until none is left.
 func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, lruLow int) []gcCandidate {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -63,7 +69,7 @@ func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, l
 		key  sessionKey
 		last int64
 	}
-	var live []aged
+	var keyed []aged
 	for key, marks := range t.byKey {
 		for session, e := range marks {
 			k := sessionKey{session, key}
@@ -75,12 +81,14 @@ func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, l
 				out = append(out, gcCandidate{key: k, minIdle: ttl})
 				continue
 			}
-			live = append(live, aged{k, last})
+			if strings.HasPrefix(session, idemSessionPrefix) {
+				keyed = append(keyed, aged{k, last})
+			}
 		}
 	}
 	if remain := t.n - len(out); remain > lruHigh && lruHigh > 0 {
-		sort.Slice(live, func(i, j int) bool { return live[i].last < live[j].last })
-		for _, a := range live {
+		sort.Slice(keyed, func(i, j int) bool { return keyed[i].last < keyed[j].last })
+		for _, a := range keyed {
 			if remain <= lruLow {
 				break
 			}
@@ -150,7 +158,8 @@ func (s *Server) gcSessions(now time.Time, ttl time.Duration, lruHigh, lruLow in
 }
 
 // StartSessionGC starts the background sweep expiring idle session
-// marks after ttl (and LRU-evicting under table pressure). Replicas
+// marks after ttl (and LRU-evicting Idempotency-Key marks under table
+// pressure). Replicas
 // skip sweeping while read-only - their mark drops arrive through the
 // leader's WAL - and pick it up after promotion. Close stops the loop.
 func (s *Server) StartSessionGC(ttl time.Duration) {

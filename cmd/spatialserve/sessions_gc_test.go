@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -140,9 +142,9 @@ func TestSessionGCSkipsPinnedAndFresh(t *testing.T) {
 	}
 }
 
-// TestSessionGCLRUPressure evicts the least-recently-touched marks when
-// the table exceeds the high-water mark, draining to the low-water mark
-// oldest-first.
+// TestSessionGCLRUPressure evicts the least-recently-touched
+// Idempotency-Key marks when the table exceeds the high-water mark,
+// draining to the low-water mark oldest-first.
 func TestSessionGCLRUPressure(t *testing.T) {
 	s := NewServer()
 	ht := httptest.NewServer(s)
@@ -150,7 +152,10 @@ func TestSessionGCLRUPressure(t *testing.T) {
 	createStreamJoin(t, ht.URL)
 	rng := rand.New(rand.NewSource(43))
 	var history []spatial.UpdateRecord
-	sessions := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"}
+	var sessions []string
+	for i := 0; i < 10; i++ {
+		sessions = append(sessions, fmt.Sprintf("%ss%d", idemSessionPrefix, i))
+	}
 	for i, sess := range sessions {
 		ingestOnce(t, s, sess, 1, streamBatch(rng, 2, &history))
 		backdate(t, s, sess, time.Duration(len(sessions)-i)*time.Minute)
@@ -168,6 +173,51 @@ func TestSessionGCLRUPressure(t *testing.T) {
 		if i >= 5 && got != 1 {
 			t.Errorf("recent mark %s evicted (seq %d)", sess, got)
 		}
+	}
+}
+
+// TestSessionGCPressureSparesStreamMarks runs pressure eviction at the
+// real water marks over a table of fresh Idempotency-Key marks and one
+// idle stream mark: the stream mark must survive, because its client
+// resumes from the HelloAck watermark and would re-apply an acked batch
+// the server forgot. A full table still refuses a new session
+// retryably instead of evicting one.
+func TestSessionGCPressureSparesStreamMarks(t *testing.T) {
+	s := NewServer()
+	ht := httptest.NewServer(s)
+	defer ht.Close()
+	createStreamJoin(t, ht.URL)
+	rng := rand.New(rand.NewSource(45))
+	var history []spatial.UpdateRecord
+	batch := streamBatch(rng, 4, &history)
+	ingestOnce(t, s, "writer", 1, batch)
+	backdate(t, s, "writer", 2*time.Second)
+	addKeyMarks := func(from, to int) {
+		for i := from; i < to; i++ {
+			s.sessions.entry(fmt.Sprintf("%sk%d", idemSessionPrefix, i), "j", false).seq.Store(1)
+		}
+	}
+	addKeyMarks(0, sessionGCHighWater+8)
+
+	// The key marks are too fresh to evict, and the stream mark must not
+	// be taken in their place.
+	if dropped := s.gcSessions(time.Now(), 24*time.Hour, sessionGCHighWater, sessionGCLowWater); dropped != 0 {
+		t.Fatalf("pressure eviction dropped %d marks, want 0", dropped)
+	}
+	resend := func(session string) (int, bool, error) {
+		count, enc := encodeRecords(batch)
+		return s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: 1, Count: count, Records: enc}, false)
+	}
+	if applied, deduped, err := resend("writer"); err != nil || applied != 0 || !deduped {
+		t.Fatalf("resent batch 1 after pressure eviction: applied %d, deduped %v, err %v; want a dedup", applied, deduped, err)
+	}
+
+	addKeyMarks(sessionGCHighWater+8, maxSessionEntries)
+	if _, _, err := resend("writer-2"); !errors.Is(err, errSessionTableFull) {
+		t.Fatalf("new session into a full table: %v, want %v", err, errSessionTableFull)
+	}
+	if _, deduped, err := resend("writer"); err != nil || !deduped {
+		t.Fatalf("resend into a full table: deduped %v, err %v; want a dedup", deduped, err)
 	}
 }
 

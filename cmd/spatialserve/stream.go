@@ -70,6 +70,13 @@ const streamIdleTimeout = 5 * time.Minute
 // before the stream is shed with a retryable overload error.
 const streamStallLimit = 30 * time.Second
 
+// idemSessionPrefix starts the session of every Idempotency-Key update's
+// mark ("idem:<key>", seq 1). It is reserved: a stream naming such a
+// session is refused at Hello, since its batches would close the key's
+// dedup window and a later keyed update would be acked but never
+// applied. The session GC tells the two kinds of marks apart by it.
+const idemSessionPrefix = "idem:"
+
 // errSessionTableFull reports session-table exhaustion (retryable).
 var errSessionTableFull = errors.New("ingest session table is full; retry later")
 
@@ -496,6 +503,10 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 	hello, err := ingest.DecodeHello(body)
 	if err != nil {
 		sc.fail(ingest.CodeBadRequest, "%v", err)
+		return
+	}
+	if strings.HasPrefix(hello.Session, idemSessionPrefix) {
+		sc.fail(ingest.CodeBadRequest, "session prefix %q is reserved for Idempotency-Key updates", idemSessionPrefix)
 		return
 	}
 	key := hello.Estimator

@@ -578,6 +578,47 @@ func TestIdempotencyKeyUpdate(t *testing.T) {
 	}
 }
 
+// TestStreamRefusesIdemSession: a stream may not name a session in the
+// Idempotency-Key namespace. Were it accepted, its batch 1 would close
+// the dedup window of key "abc", and a later update carrying that key
+// would be acked as a duplicate without ever being applied.
+func TestStreamRefusesIdemSession(t *testing.T) {
+	n := startStreamNode(t)
+	createStreamJoin(t, n.ht.URL)
+	ref := refJoin(t)
+	rng := rand.New(rand.NewSource(33))
+	var history []spatial.UpdateRecord
+
+	c, err := ingestclient.Dial(ingestclient.Options{
+		BaseURL: n.ht.URL, Estimator: "j", Session: idemSessionPrefix + "abc",
+		MinBackoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err = c.Send(streamBatch(rng, 4, &history)); err == nil {
+		err = c.Flush()
+	}
+	var se *ingest.StreamError
+	if !errors.As(err, &se) || se.Code != ingest.CodeBadRequest {
+		t.Fatalf("stream with session %q: %v, want a terminal bad-request stream error", idemSessionPrefix+"abc", err)
+	}
+	mustMatchRef(t, n.ht.URL, ref, "after the refused stream")
+
+	wr := randRect(rng, streamDom)
+	body := mustJSON(t, updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
+	hdr := map[string]string{"Idempotency-Key": "abc", "Content-Type": "application/json"}
+	resp, data := httpDo(t, "POST", n.ht.URL+"/v1/estimators/j/update", body, hdr)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"applied":1`) {
+		t.Fatalf("keyed update after the refused stream: status %d, body %s (want applied 1)", resp.StatusCode, data)
+	}
+	if err := ref.InsertLeft(geo.Rect(wr[0][0], wr[0][1], wr[1][0], wr[1][1])); err != nil {
+		t.Fatal(err)
+	}
+	mustMatchRef(t, n.ht.URL, ref, "after the keyed update")
+}
+
 // TestStreamIngestUnknownEstimator pins the terminal-error path: a
 // stream into a missing estimator fails the client permanently instead
 // of reconnect-looping.

@@ -478,70 +478,22 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTenantEstimatorList lists one tenant's estimators, names
-// un-prefixed.
+// un-prefixed, from the same entries GET /v1/estimators serves.
 func (s *Server) handleTenantEstimatorList(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	if err := validTenantName(tenant); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rec := newListRecorder()
-	s.handleList(rec, r)
-	rec.filterAndServe(w, tenant)
-}
-
-// listRecorder captures a list response so tenant routes can filter it.
-type listRecorder struct {
-	header http.Header
-	status int
-	body   strings.Builder
-}
-
-func newListRecorder() *listRecorder {
-	return &listRecorder{header: make(http.Header), status: http.StatusOK}
-}
-
-// Header implements http.ResponseWriter.
-func (lr *listRecorder) Header() http.Header { return lr.header }
-
-// WriteHeader implements http.ResponseWriter.
-func (lr *listRecorder) WriteHeader(status int) { lr.status = status }
-
-// Write implements http.ResponseWriter.
-func (lr *listRecorder) Write(p []byte) (int, error) { return lr.body.Write(p) }
-
-// filterAndServe re-serves the captured listing with only the tenant's
-// estimators, tenant prefixes stripped.
-func (lr *listRecorder) filterAndServe(w http.ResponseWriter, tenant string) {
-	if lr.status != http.StatusOK {
-		for k, vs := range lr.header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(lr.status)
-		w.Write([]byte(lr.body.String()))
+	list, err := s.listEstimators(r)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "cluster list incomplete: %v", err)
 		return
 	}
-	var parsed struct {
-		Estimators []struct {
-			Name string `json:"name"`
-			Kind string `json:"kind"`
-		} `json:"estimators"`
-	}
-	if err := json.Unmarshal([]byte(lr.body.String()), &parsed); err != nil {
-		writeError(w, http.StatusInternalServerError, "filtering tenant list: %v", err)
-		return
-	}
-	type entry struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
-	}
-	out := make([]entry, 0)
-	for _, e := range parsed.Estimators {
-		t, local := splitTenant(e.Name)
-		if t == tenant {
-			out = append(out, entry{Name: local, Kind: e.Kind})
+	out := make([]listEntry, 0)
+	for _, e := range list {
+		if t, local := splitTenant(e.Name); t == tenant {
+			out = append(out, listEntry{Name: local, Kind: e.Kind})
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tenant": tenant, "estimators": out})

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -256,5 +258,54 @@ func TestClusterTenantBroadcastAndDelete(t *testing.T) {
 	resp, _ := httpDo(t, "DELETE", urls[0]+"/v1/tenants/acme", nil, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double delete: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterTenantEstimatorList: GET /v1/tenants/acme/estimators through
+// every node of a 3-node cluster lists each of acme's estimators once,
+// by its base name without the tenant prefix, and none of another
+// tenant's; with a node unreachable the listing is refused (502), never
+// silently short.
+func TestClusterTenantEstimatorList(t *testing.T) {
+	srvs, urls := startCluster(t, 3, false)
+	putTenantURL(t, urls[0], "acme", TenantConfig{})
+	const dom = 1 << 10
+	for i, c := range []createRequest{
+		{Name: "j", Kind: "join", Config: configRequest{Dims: 2, DomainSize: dom, Seed: 1, Instances: 64, Groups: 4}},
+		{Name: "r", Kind: "range", Config: configRequest{Dims: 1, DomainSize: dom, Seed: 2, Instances: 64, Groups: 4}},
+	} {
+		mustDo(t, "POST", urls[i]+"/v1/tenants/acme/estimators", mustJSON(t, c), http.StatusCreated)
+	}
+	mustDo(t, "POST", urls[2]+"/v1/estimators", mustJSON(t, createRequest{Name: "x", Kind: "range",
+		Config: configRequest{Dims: 1, DomainSize: dom, Seed: 3, Instances: 64, Groups: 4}}), http.StatusCreated)
+
+	type listing struct {
+		Tenant     string      `json:"tenant"`
+		Estimators []listEntry `json:"estimators"`
+	}
+	want := listing{Tenant: "acme", Estimators: []listEntry{{Name: "j", Kind: "join"}, {Name: "r", Kind: "range"}}}
+	for i, u := range urls {
+		var got listing
+		if err := json.Unmarshal(mustDo(t, "GET", u+"/v1/tenants/acme/estimators", nil, http.StatusOK), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("listing via node %d = %+v, want %+v", i, got, want)
+		}
+	}
+
+	// Point the router's map at a closed port for n2: the node is down.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	m := srvs[0].cluster.map_().Clone()
+	for i := range m.Nodes {
+		if m.Nodes[i].ID == "n2" {
+			m.Nodes[i].URL = dead.URL
+		}
+	}
+	srvs[0].cluster.pmap.Store(m)
+	resp, data := httpDo(t, "GET", urls[0]+"/v1/tenants/acme/estimators", nil, nil)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(data), "cluster list incomplete") {
+		t.Fatalf("listing with a node down: status %d: %s (want 502, cluster list incomplete)", resp.StatusCode, data)
 	}
 }
