@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // Admission control: the server's overload armor. Two independent gates
@@ -116,18 +118,19 @@ func (s *Server) EnableAdmission(opts AdmitOptions) {
 }
 
 // admitExempt reports whether the request bypasses admission control:
-// internal fan-out sub-requests, health probes, admin operations,
-// profiling (when enabled via -pprof: an overloaded node is exactly the
-// one worth profiling), and the streaming ingest upgrade - streams run
-// their own per-batch blocking admission (acquireStreamBatch) so
-// overload slows them down instead of 429-storming every connected
-// writer into reconnect loops.
+// internal fan-out sub-requests and peer connections (whose reads are
+// internal fan-out too), health probes, admin operations, profiling
+// (when enabled via -pprof: an overloaded node is exactly the one worth
+// profiling), and the streaming ingest upgrade - streams run their own
+// per-batch blocking admission (acquireStreamBatch) so overload slows
+// them down instead of 429-storming every connected writer into
+// reconnect loops.
 func admitExempt(r *http.Request) bool {
 	if isInternal(r) {
 		return true
 	}
 	p := r.URL.Path
-	return p == "/healthz" || p == "/readyz" || p == "/metrics" || p == "/v1/ingest" ||
+	return p == "/healthz" || p == "/readyz" || p == "/metrics" || p == "/v1/ingest" || p == cluster.PeerPath ||
 		strings.HasPrefix(p, "/admin/") || strings.HasPrefix(p, "/debug/pprof/")
 }
 

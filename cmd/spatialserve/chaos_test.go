@@ -39,6 +39,8 @@ import (
 //     not applied.
 //   - Latency and truncation rules are restricted to GETs; a mutation is
 //     never delayed past its deadline mid-flight or torn on the wire.
+//     Grouped reads ride pooled peer connections and meet the same rules
+//     there (faultinject.PeerFaults), matched as GETs.
 //   - WAL poisoning uses KindWALWrite (fail before any byte lands), so a
 //     never-acked record cannot be resurrected by crash replay.
 //   - Node kills isolate the victim at the injector first, then drain,
@@ -124,8 +126,9 @@ func startChaos(t *testing.T, seed int64) *chaosHarness {
 }
 
 // boot opens (or re-opens) the node's persistent Server on its data dir,
-// with its WAL and outbound fan-out (on the production fan-out transport)
-// both routed through the injector.
+// with its WAL and outbound fan-out (HTTP on the production fan-out
+// transport, and the calls on its peer connections) routed through the
+// injector.
 func (h *chaosHarness) boot(n *chaosNode) {
 	h.t.Helper()
 	srv, err := NewPersistentServer(PersistOptions{DataDir: n.dir, WALHooks: h.in.WALHooks(n.id)})
@@ -136,8 +139,12 @@ func (h *chaosHarness) boot(n *chaosNode) {
 		SelfID:     n.id,
 		Map:        h.m.Clone(),
 		Partitions: testPartitions,
-		Client:     &cluster.Client{HTTP: &http.Client{Transport: h.in.Transport(n.id, cluster.NewTransport())}, Timeout: 2 * time.Second},
-		Health:     cluster.NewHealth(cluster.HealthOptions{FailureThreshold: 3, OpenFor: 250 * time.Millisecond}),
+		Client: &cluster.Client{
+			HTTP:    &http.Client{Transport: h.in.Transport(n.id, cluster.NewTransport())},
+			Faults:  h.in.PeerFaults(n.id),
+			Timeout: 2 * time.Second,
+		},
+		Health: cluster.NewHealth(cluster.HealthOptions{FailureThreshold: 3, OpenFor: 250 * time.Millisecond}),
 	}); err != nil {
 		h.t.Fatalf("boot %s: %v", n.id, err)
 	}
@@ -148,12 +155,14 @@ func (h *chaosHarness) boot(n *chaosNode) {
 }
 
 // kill crashes the node: isolate it at the injector, drain in-flight
-// requests, then abruptly close its WAL (no final checkpoint).
+// requests, close its peer connections as a crash closes its sockets,
+// then abruptly close its WAL (no final checkpoint).
 func (h *chaosHarness) kill(n *chaosNode) {
 	h.t.Helper()
 	n.downRule = h.in.Partition("*", n.id)
 	time.Sleep(300 * time.Millisecond)
 	if s := n.cur.Swap(nil); s != nil {
+		s.closePeers()
 		if err := s.persist.close(true); err != nil {
 			h.t.Logf("abrupt close %s: %v (expected when its WAL was poisoned)", n.id, err)
 		}

@@ -73,7 +73,8 @@ type ClusterOptions struct {
 	// Partitions is the number of partitions per estimator; it must agree
 	// across the cluster. 0 means DefaultPartitions.
 	Partitions int
-	// Client overrides the fan-out client (tests); nil builds a default.
+	// Client overrides the fan-out client (tests: timeouts, fault hooks);
+	// nil builds a default.
 	Client *cluster.Client
 	// Health overrides the per-node health registry (tests tune breaker
 	// thresholds and clocks); nil builds a default.
@@ -144,7 +145,7 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	}
 	client := opts.Client
 	if client == nil {
-		client = cluster.NewClient(10*time.Second, 150*time.Millisecond)
+		client = cluster.NewClient(10 * time.Second)
 	}
 	health := opts.Health
 	if health == nil {
@@ -276,17 +277,6 @@ func (c *clusterNode) callNode(ctx context.Context, node cluster.Node, method, u
 	}
 	start := time.Now()
 	resp, err := c.client.Do(ctx, method, url, body, withTraceHeader(ctx, hdr))
-	c.health.Record(node.ID, err == nil && resp.Status < 500, time.Since(start))
-	return resp, err
-}
-
-// callNodeGet is callNode for hedged idempotent reads (Client.Get).
-func (c *clusterNode) callNodeGet(ctx context.Context, node cluster.Node, url string, hdr http.Header) (*cluster.Response, error) {
-	if !c.health.Allow(node.ID) {
-		return nil, fmt.Errorf("%w: node %s", errBreakerOpen, node.ID)
-	}
-	start := time.Now()
-	resp, err := c.client.Get(ctx, url, withTraceHeader(ctx, hdr))
 	c.health.Record(node.ID, err == nil && resp.Status < 500, time.Since(start))
 	return resp, err
 }
@@ -599,10 +589,16 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 		return 0, false, &shardClientError{err.Error()}
 	}
 	// The routing hash ignores the operation, so a delete always lands on
-	// the partition holding its insert.
+	// the partition holding its insert. Only partitions with records are
+	// forwarded: a single-record update makes one forward on the calling
+	// goroutine.
 	parts := make([]ingest.Batch, c.parts)
+	var live []int
 	for _, rec := range recs {
 		p := cluster.PartitionOf(rec.RoutingHash(), c.parts)
+		if parts[p].Count == 0 {
+			live = append(live, p)
+		}
 		parts[p].Records = rec.AppendBinary(parts[p].Records)
 		parts[p].Count++
 	}
@@ -612,10 +608,8 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 	// disconnect. Trace values (and the request ID) still flow, so
 	// sub-requests stitch into the caller's trace.
 	ctx = context.WithoutCancel(ctx)
-	applied, errs := cluster.Scatter(c.parts, func(p int) (int, error) {
-		if parts[p].Count == 0 {
-			return 0, nil
-		}
+	applied, errs := cluster.Scatter(len(live), func(i int) (int, error) {
+		p := live[i]
 		parts[p].Seq = batch.Seq
 		return c.forwardShardIngest(ctx, cluster.ShardName(name, p), session, parts[p])
 	})
@@ -625,7 +619,7 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 	}
 	if err := cluster.FirstError(errs); err != nil {
 		if ent == nil {
-			return total, false, plainFanoutError(name, total, parts, errs)
+			return total, false, plainFanoutError(name, total, errs)
 		}
 		// Some owners may have applied their sub-batches; the batch is NOT
 		// acked, the client resends it whole, and the owners that applied
@@ -638,18 +632,16 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 	return total, false, nil
 }
 
-// plainFanoutError classifies a failed fan-out of a plain update: every
-// partition with records missing means the estimator does not exist
-// (404, as on one node); a shard holder's rejection is the client's
-// mistake (400); anything else is a cluster-side failure that keeps what
-// the other partitions applied (502 with the applied count).
-func plainFanoutError(name string, applied int, parts []ingest.Batch, errs []error) error {
+// plainFanoutError classifies a failed fan-out of a plain update, errs
+// holding one error per partition with records: every partition missing
+// means the estimator does not exist (404, as on one node); a shard
+// holder's rejection is the client's mistake (400); anything else is a
+// cluster-side failure that keeps what the other partitions applied
+// (502 with the applied count).
+func plainFanoutError(name string, applied int, errs []error) error {
 	allMissing := true
 	var clientErr *shardClientError
-	for p, err := range errs {
-		if parts[p].Count == 0 {
-			continue
-		}
+	for _, err := range errs {
 		if err != nil {
 			errors.As(err, &clientErr)
 		}
@@ -845,7 +837,7 @@ func (c *clusterNode) listCluster(ctx context.Context) ([]listEntry, error) {
 		if n.ID == c.selfID {
 			return c.srv.localList(), nil
 		}
-		resp, err := c.callNodeGet(ctx, n, n.URL+"/v1/estimators", internalHeader())
+		resp, err := c.callNode(ctx, n, http.MethodGet, n.URL+"/v1/estimators", nil, internalHeader())
 		if err != nil {
 			return nil, err
 		}
@@ -933,7 +925,7 @@ func (c *clusterNode) clusterTenantUsage(ctx context.Context, tenant string) (in
 			c.srv.mu.RUnlock()
 			return entries, nil
 		}
-		resp, err := c.callNodeGet(ctx, n, n.URL+"/v1/tenants/"+url.PathEscape(tenant), internalHeader())
+		resp, err := c.callNode(ctx, n, http.MethodGet, n.URL+"/v1/tenants/"+url.PathEscape(tenant), nil, internalHeader())
 		if err != nil {
 			return nil, err
 		}

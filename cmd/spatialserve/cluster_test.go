@@ -64,7 +64,7 @@ func startClusterParts(t *testing.T, n int, persistent bool, parts int) ([]*Serv
 			SelfID:     fmt.Sprintf("n%d", i),
 			Map:        m.Clone(),
 			Partitions: parts,
-			Client:     cluster.NewClient(10*time.Second, 0),
+			Client:     cluster.NewClient(10 * time.Second),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func TestClusterMapPersistsAcrossRestart(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			if err := srvs[i].EnableCluster(ClusterOptions{
 				SelfID: ids[i], Map: m.Clone(), Partitions: testPartitions,
-				Client: cluster.NewClient(10*time.Second, 0),
+				Client: cluster.NewClient(10 * time.Second),
 			}); err != nil {
 				t.Fatal(err)
 			}

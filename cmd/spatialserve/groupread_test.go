@@ -419,7 +419,7 @@ func TestClusterReplicaReadTraced(t *testing.T) {
 			if !ok {
 				t.Errorf("replica span %q is missing from the router's tree", sp.Name)
 			}
-			servedByReplica = servedByReplica || (sp.Name == "http snapshot_get" && parent == "fanout.snapshot")
+			servedByReplica = servedByReplica || (sp.Name == "peer snapshot_get" && parent == "fanout.snapshot")
 		}
 	}
 	if !servedByReplica {
@@ -637,5 +637,123 @@ func TestClusterGroupedReadConcurrent(t *testing.T) {
 	}
 	for via := range f.urls {
 		f.wantSnapshot(t, via, "after concurrent reads")
+	}
+}
+
+// TestClusterReadAfterAck: once a keyed single-record update routed by
+// one router is acknowledged, every warm router's estimate and
+// cluster-wide snapshot include it - an owner answering "unchanged" to a
+// validator its write made stale would fail the very next read.
+func TestClusterReadAfterAck(t *testing.T) {
+	f := newGroupFixture(t, false)
+	for via := range f.urls {
+		f.estimate(t, via, "") // warms the read cache and peer connections
+		f.wantSnapshot(t, via, "warm-up")
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 40; i++ {
+		side, wr := []string{"left", "right"}[i%2], randRect(rng, 1<<12)
+		body := mustJSON(t, updateRequest{Side: side, Rects: [][][2]uint64{wr}})
+		hdr := map[string]string{"Idempotency-Key": fmt.Sprintf("read-after-ack-%d", i), "Content-Type": "application/json"}
+		if resp, data := httpDo(t, "POST", f.urls[i%3]+"/v1/estimators/j/update", body, hdr); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: keyed update via n%d: status %d: %s", i, i%3, resp.StatusCode, data)
+		}
+		f.mirror(t, side, wr)
+		for via := range f.urls {
+			if got := f.estimate(t, via, ""); got.Value != f.refValue(t) {
+				t.Fatalf("round %d: estimate via n%d right after the ack of an update routed by n%d is %v, reference %v", i, via, i%3, got.Value, f.refValue(t))
+			}
+			f.wantSnapshot(t, via, fmt.Sprintf("round %d, update routed by n%d", i, i%3))
+		}
+	}
+}
+
+// TestClusterPeerConnections: a router's peer connections are reused
+// across reads, a connection its owner closed costs a redial rather than
+// a failure, concurrent readers leave a bounded idle pool behind, and
+// closing the servers ends every connection (the fixture's goroutine
+// leak check).
+func TestClusterPeerConnections(t *testing.T) {
+	f := newGroupFixture(t, false)
+	router := f.srvs[0].cluster
+	var owners []int
+	for i := 1; i < len(f.srvs); i++ {
+		if len(f.owned()[fmt.Sprintf("n%d", i)]) > 0 {
+			owners = append(owners, i)
+		}
+	}
+	if len(owners) == 0 {
+		t.Fatal("no remote node owns a partition of j")
+	}
+	warm := func(what string) {
+		t.Helper()
+		if got := f.estimate(t, 0, ""); got.Value != f.refValue(t) {
+			t.Fatalf("%s: estimate %v, reference %v", what, got.Value, f.refValue(t))
+		}
+	}
+	dials := func() map[int]int {
+		out := map[int]int{}
+		for _, i := range owners {
+			out[i], _ = router.client.PeerStats(f.urls[i])
+		}
+		return out
+	}
+	warm("cold")
+	warm("warm")
+
+	// Every owner closes its end of every connection it serves: the next
+	// read redials each owner once and records no failure.
+	stale := dials()
+	for _, i := range owners {
+		f.srvs[i].peers.Drop()
+	}
+	warm("after the owners closed their connections")
+	for _, i := range owners {
+		if d, _ := router.client.PeerStats(f.urls[i]); d != stale[i]+1 {
+			t.Fatalf("n%d: %d dials after its connections were closed, want %d", i, d, stale[i]+1)
+		}
+	}
+	for _, h := range router.health.Snapshot() {
+		if h.ConsecutiveFailures != 0 || h.State != "closed" {
+			t.Fatalf("after stale connections, the router's health for %s is %+v", h.Node, h)
+		}
+	}
+
+	before := dials()
+	for i := 0; i < 20; i++ {
+		warm(fmt.Sprintf("sequential read %d", i))
+	}
+	if after := dials(); !maps.Equal(after, before) {
+		t.Fatalf("20 sequential warm reads dialed: %v -> %v", before, after)
+	}
+
+	const readers = 16
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		go func() {
+			var err error
+			for i := 0; i < 10 && err == nil; i++ {
+				resp, gerr := http.Get(f.urls[0] + "/v1/estimators/j/estimate")
+				if gerr != nil {
+					err = gerr
+					break
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("concurrent estimate: status %d", resp.StatusCode)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range owners {
+		if d, idle := router.client.PeerStats(f.urls[i]); idle < 1 || idle > readers || d-before[i] > readers {
+			t.Fatalf("after %d concurrent readers, n%d: %d new dials, %d idle; want at most %d of each", readers, i, d-before[i], idle, readers)
+		}
 	}
 }

@@ -286,6 +286,10 @@ func classifyEndpoint(r *http.Request) string {
 		return "admin"
 	case p == "/v1/ingest":
 		return "ingest"
+	case p == cluster.PeerPath:
+		// One request per peer connection, counted when it closes; the
+		// reads on it count as snapshot_get (answerPeer).
+		return "peer"
 	}
 	// Tenant-scoped estimator routes re-dispatch through the flat routes;
 	// classify both by their operation suffix.

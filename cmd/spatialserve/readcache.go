@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -10,18 +11,22 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ingest"
+	"repro/internal/trace"
 )
 
 // Cluster read path and read cache: routing an estimate, an info request
 // or the cluster-wide snapshot gathers every partition's snapshot and
 // merges them. A router remembers the last gather per base name - each
 // partition's validator and bytes plus the merged servable - and reads
-// the partitions of a name with one call per owner node (see
-// validators.go), sending the cached validators along. Steady state on a
-// quiet estimator is one 304 per remote owner and an in-process validator
-// check per local partition, and the cached merged servable is reused
+// the partitions of a name with one call per owner node on a pooled peer
+// connection (see validators.go), sending the cached validators along.
+// Steady state on a quiet estimator is one "unchanged" answer per remote
+// owner and an in-process validator check per local partition, and the
+// cached merged servable is reused
 // as-is (a "hit" in /metrics). Any partition that changed comes back with
 // its bytes, and the merge is rebuilt from the cached bytes of the
 // still-fresh partitions plus the new ones (a "miss") - correctness never
@@ -193,7 +198,10 @@ type groupAnswer struct {
 }
 
 // readParts reads every partition of name with one call per owner node,
-// passing inms[p] as partition p's cached validator. A partition gets at
+// passing inms[p] as partition p's cached validator. Every remote
+// owner's request goes on the wire before the router reads its own
+// partitions in process and then each answer in turn, so the owners
+// work in parallel without a goroutine per call. A partition gets at
 // most three attempts, with bounded backoff between them, and only the
 // partitions that need one are asked again, grouped by the owner the map
 // then names: those neither their owner nor its replica answered, and
@@ -230,9 +238,23 @@ func (c *clusterNode) readParts(ctx context.Context, name string, inms []string)
 			}
 			groups[owner.ID] = append(groups[owner.ID], p)
 		}
-		answers, bad := cluster.Scatter(len(owners), func(i int) (groupAnswer, error) {
-			return c.readGroup(ctx, m, owners[i], name, groups[owners[i].ID], inms)
-		})
+		reads := make([]*groupRead, len(owners))
+		for i, owner := range owners {
+			if owner.ID != c.selfID {
+				reads[i] = c.sendGroup(ctx, owner, name, groups[owner.ID], inms)
+			}
+		}
+		answers, bad := make([]groupAnswer, len(owners)), make([]error, len(owners))
+		for i, owner := range owners {
+			if reads[i] == nil {
+				answers[i], bad[i] = c.readLocal(name, groups[owner.ID], inms)
+			}
+		}
+		for i, r := range reads {
+			if r != nil {
+				answers[i], bad[i] = c.receiveGroup(m, r, inms)
+			}
+		}
 		todo = nil
 		for i, owner := range owners {
 			g, moved := answers[i], false
@@ -265,73 +287,127 @@ func (c *clusterNode) readParts(ctx context.Context, name string, inms []string)
 	return recs, errs
 }
 
-// readGroup makes one attempt at the listed partitions of name on one
-// node: in process when the node is this one, otherwise one hedged,
-// breaker-gated internal GET under a fanout.snapshot span. When the owner
-// cannot be reached (breaker open or transport failure), its attached
-// read replica, if the map names one, serves the group through the same
-// traced call; a replica that fails too leaves the group unanswered. The
-// error reports a bad answer.
-func (c *clusterNode) readGroup(ctx context.Context, m *cluster.Map, owner cluster.Node, name string, parts []int, inms []string) (g groupAnswer, err error) {
-	if owner.ID == c.selfID {
-		g.recs = make([]partRecord, len(parts))
-		for i, p := range parts {
-			if g.recs[i], err = c.srv.readPart(cluster.ShardName(name, p), inms[p]); err != nil {
-				return groupAnswer{}, err
-			}
-		}
-		return g, nil
-	}
-	list, vals, some := make([]string, len(parts)), make([]string, len(parts)), false
+// readLocal reads the listed partitions of name from this node's own
+// registry.
+func (c *clusterNode) readLocal(name string, parts []int, inms []string) (g groupAnswer, err error) {
+	g.recs = make([]partRecord, len(parts))
 	for i, p := range parts {
-		list[i], vals[i] = strconv.Itoa(p), inms[p]
-		some = some || vals[i] != ""
+		if g.recs[i], err = c.srv.readPart(cluster.ShardName(name, p), inms[p]); err != nil {
+			return groupAnswer{}, err
+		}
 	}
-	partList := strings.Join(list, ",")
+	return g, nil
+}
+
+// groupRead is one remote owner's grouped read in flight, under a
+// fanout.snapshot span that ends when its answer is read.
+type groupRead struct {
+	ctx   context.Context
+	sp    *trace.Span
+	owner cluster.Node
+	name  string
+	parts []int
+	frame []byte // the request, kept for a fallback to the replica
+	call  *nodeCall
+}
+
+// sendGroup puts one grouped read of the listed partitions of name on
+// the wire to a remote owner.
+func (c *clusterNode) sendGroup(ctx context.Context, owner cluster.Node, name string, parts []int, inms []string) *groupRead {
+	q := readRequest{base: name, parts: parts, inms: make([]string, len(parts))}
+	list := make([]string, len(parts))
+	for i, p := range parts {
+		list[i], q.inms[i] = strconv.Itoa(p), inms[p]
+	}
 	ctx, sp := c.srv.tracer.Start(ctx, "fanout.snapshot")
 	sp.SetAttr("node", owner.ID)
-	sp.SetAttr("parts", partList)
+	sp.SetAttr("parts", strings.Join(list, ","))
+	q.traceparent, q.requestID = trace.TraceparentFromContext(ctx), requestIDFrom(ctx)
+	r := &groupRead{ctx: ctx, sp: sp, owner: owner, name: name, parts: parts}
+	r.frame = ingest.AppendFrame(nil, frameRead, appendReadRequest(nil, &q))
+	r.call = c.sendNode(ctx, owner, r.frame)
+	return r
+}
+
+// nodeCall is one framed call to a peer node in flight (see
+// clusterNode.sendNode).
+type nodeCall struct {
+	c     *clusterNode
+	node  cluster.Node
+	start time.Time
+	call  *cluster.Call
+	err   error // the breaker refused the call
+}
+
+// sendNode starts one framed call to a peer node on a pooled
+// connection, gated by the node's breaker like callNode: an open breaker
+// refuses it without touching the network.
+func (c *clusterNode) sendNode(ctx context.Context, node cluster.Node, frame []byte) *nodeCall {
+	if !c.health.Allow(node.ID) {
+		return &nodeCall{err: fmt.Errorf("%w: node %s", errBreakerOpen, node.ID)}
+	}
+	return &nodeCall{c: c, node: node, start: time.Now(), call: c.client.Send(ctx, node.URL, http.MethodGet, frame)}
+}
+
+// receive reads the call's answer of at most limit bytes and records the
+// outcome into the node's health: no answer, or an error answer, is a
+// failure.
+func (nc *nodeCall) receive(limit uint64) (ingest.FrameType, []byte, error) {
+	if nc.err != nil {
+		return 0, nil, nc.err
+	}
+	ft, body, err := nc.call.Receive(limit)
+	nc.c.health.Record(nc.node.ID, err == nil && ft != ingest.FrameError, time.Since(nc.start))
+	return ft, body, err
+}
+
+// receiveGroup reads the owner's answer to r. When the owner cannot be
+// reached (breaker open, connection failure), its attached read
+// replica, if the map names one, serves the group through the same
+// frame; a replica that fails too leaves the group unanswered. The error
+// reports a bad answer.
+func (c *clusterNode) receiveGroup(m *cluster.Map, r *groupRead, inms []string) (g groupAnswer, err error) {
 	defer func() {
 		switch {
 		case err != nil:
-			sp.Fail(err.Error())
+			r.sp.Fail(err.Error())
 		case g.recs == nil:
-			sp.Fail(g.ownerErr.Error())
+			r.sp.Fail(g.ownerErr.Error())
 		}
-		sp.End()
+		r.sp.End()
 	}()
-	hdr := internalHeader()
-	if some {
-		hdr.Set(headerValidators, strings.Join(vals, ","))
-	}
-	path := shardPath(name, "/snapshot") + "?parts=" + partList
-	resp, oerr := c.callNodeGet(ctx, owner, owner.URL+path, hdr)
+	limit := uint64(len(r.parts))*maxPartRecord + binary.MaxVarintLen64
+	ft, body, oerr := r.call.receive(limit)
 	if oerr != nil {
 		g.ownerErr = oerr
-		rurl, ok := m.ReplicaURL(owner.ID)
+		rurl, ok := m.ReplicaURL(r.owner.ID)
 		if !ok {
 			return g, nil
 		}
 		var rerr error
-		resp, rerr = c.callNodeGet(ctx, cluster.Node{ID: "replica:" + owner.ID, URL: rurl}, rurl+path, hdr)
-		if rerr != nil || resp.Status != http.StatusOK && resp.Status != http.StatusNotModified {
+		ft, body, rerr = c.sendNode(r.ctx, cluster.Node{ID: "replica:" + r.owner.ID, URL: rurl}, r.frame).receive(limit)
+		if rerr != nil || ft == ingest.FrameError {
 			return g, nil
 		}
 	}
-	switch resp.Status {
-	case http.StatusNotModified: // every listed partition unchanged
-		g.recs = make([]partRecord, len(parts))
-	case http.StatusOK:
-		if g.recs, err = decodeParts(resp.Body, len(parts)); err != nil {
+	switch ft {
+	case frameParts:
+		if g.recs, err = decodeParts(body, len(r.parts)); err != nil {
 			return groupAnswer{}, err
 		}
+	case ingest.FrameError:
+		msg := string(body)
+		if se, derr := ingest.DecodeError(body); derr == nil {
+			msg = se.Msg
+		}
+		return groupAnswer{}, fmt.Errorf("snapshot of %q partitions %v from %s: %s", r.name, r.parts, r.owner.ID, msg)
 	default:
-		return groupAnswer{}, fmt.Errorf("snapshot of %q partitions %v from %s: status %d: %s", name, parts, owner.ID, resp.Status, resp.Body)
+		return groupAnswer{}, fmt.Errorf("snapshot of %q partitions %v from %s: frame type %d", r.name, r.parts, r.owner.ID, ft)
 	}
-	for i, p := range parts {
+	for i, p := range r.parts {
 		if g.recs[i].state == partUnchanged {
 			if inms[p] == "" {
-				return groupAnswer{}, fmt.Errorf("%s reported partition %d of %q unchanged against no validator", owner.ID, p, name)
+				return groupAnswer{}, fmt.Errorf("%s reported partition %d of %q unchanged against no validator", r.owner.ID, p, r.name)
 			}
 			g.recs[i].tag = inms[p]
 		}

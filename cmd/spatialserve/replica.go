@@ -100,7 +100,7 @@ func (s *Server) StartReplica(leaderURL string, poll time.Duration) error {
 	}
 	rs := &replicaState{
 		leader: strings.TrimRight(leaderURL, "/"),
-		client: cluster.NewClient(time.Minute, 0),
+		client: cluster.NewClient(time.Minute),
 		poll:   poll,
 		active: true,
 		stop:   make(chan struct{}),

@@ -91,6 +91,10 @@ type Server struct {
 	// EnableSlowOpLog; see trace.go). Never nil.
 	slowLog *trace.SlowOpLogger
 
+	// peers serves the peer connections routers read partitions on (see
+	// answerPeer); Close closes them.
+	peers cluster.PeerConns
+
 	// gcStop/gcDone/gcOnce control the background session-mark GC loop
 	// (see sessions_gc.go); gcStop is nil when GC is not running.
 	gcStop chan struct{}
@@ -162,6 +166,7 @@ func NewServer() *Server {
 	s.mux.HandleFunc("PUT /v1/estimators/{name}/snapshot", s.handleSnapshotPut)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/merge", s.handleMerge)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngestStream)
+	s.mux.HandleFunc("GET "+cluster.PeerPath, s.handlePeer)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest", s.handleShardIngest)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest-marks", s.handleIngestMarks)
 	s.mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
@@ -193,16 +198,35 @@ func NewPersistentServer(opts PersistOptions) (*Server, error) {
 	return s, nil
 }
 
-// Close stops replication tailing, takes a final checkpoint (when
-// persistence is enabled), flushes and closes the WAL. The in-memory
-// registry remains queryable; Close is for graceful shutdown.
+// Close stops replication tailing, closes the peer connections it serves
+// and its own idle ones, takes a final checkpoint (when persistence is
+// enabled), flushes and closes the WAL. The in-memory registry remains
+// queryable; Close is for graceful shutdown.
 func (s *Server) Close() error {
 	s.stopSessionGC()
 	s.stopReplica()
+	s.closePeers()
 	if s.persist == nil {
 		return nil
 	}
 	return s.persist.close(false)
+}
+
+// closePeers closes the peer connections this node serves and the idle
+// ones it keeps to its peers - every socket a crash would close.
+func (s *Server) closePeers() {
+	s.peers.Close()
+	if s.cluster != nil {
+		s.cluster.client.Close()
+	}
+}
+
+// handlePeer upgrades a peer connection and answers its grouped reads
+// until it closes (internal: routers dial it, see cluster.Client.Send).
+// Replicas serve it too, so a failed owner's reads reach its replica the
+// same way.
+func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
+	s.peers.Serve(w, r, s.answerPeer)
 }
 
 // ServeHTTP attaches the request/trace IDs, opens the request's root
@@ -214,7 +238,8 @@ func (s *Server) Close() error {
 // request crossed the slow threshold.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	endpoint := classifyEndpoint(r)
-	ctx, sp := s.tracer.Start(traceRequest(w, r), "http "+endpoint)
+	op := "http " + endpoint
+	ctx, sp := s.tracer.Start(traceRequest(w, r), op)
 	if sp != nil {
 		sp.SetAttr("endpoint", endpoint)
 		if rid := requestIDFrom(ctx); rid != "" {
@@ -225,12 +250,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	s.serveAdmitted(sw, r)
-	d := time.Since(start)
-	tenant := s.metricsTenant(r)
-	status := strconv.Itoa(sw.status)
+	s.finishRequest(sp, op, endpoint, s.metricsTenant(r), sw.status, time.Since(start), requestIDFrom(ctx))
+}
+
+// finishRequest ends a served request's span (named op) and records the
+// request metrics - with the trace ID attached as an exemplar when the
+// trace was retained - plus a structured slow-op line when the request
+// crossed the slow threshold.
+func (s *Server) finishRequest(sp *trace.Span, op, endpoint, tenant string, code int, d time.Duration, rid string) {
+	status := strconv.Itoa(code)
 	sp.SetAttr("tenant", tenant)
 	sp.SetAttr("status", status)
-	if sw.status >= http.StatusInternalServerError {
+	if code >= http.StatusInternalServerError {
 		sp.Fail("status " + status)
 	}
 	traceID := sp.TraceID()
@@ -243,11 +274,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reqTotal.With(endpoint, tenant, status).Inc()
 	if s.slowLog.Enabled(d) {
 		op := trace.SlowOp{
-			Op:        "http " + endpoint,
-			RequestID: requestIDFrom(r.Context()),
+			Op:        op,
+			RequestID: rid,
 			Tenant:    tenant,
 			Endpoint:  endpoint,
-			Status:    sw.status,
+			Status:    code,
 			Duration:  d,
 		}
 		if !traceID.IsZero() {
@@ -868,10 +899,6 @@ func serveEstimate(w http.ResponseWriter, est servable, req *estimateRequest, re
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if isInternal(r) && r.URL.Query().Has("parts") {
-		s.serveParts(w, r, name)
-		return
-	}
 	if s.cluster != nil && !isInternal(r) && !cluster.IsShardName(name) {
 		// The cluster-wide snapshot: gather every partition and serve the
 		// merged envelope - bit-identical to a single-node build of the

@@ -517,7 +517,7 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 			return
 		}
 	}
-	tenant := s.streamTenant(key)
+	tenant := s.keyTenant(key)
 	s.metrics.streamStarted(tenant)
 	defer s.metrics.streamEnded(tenant)
 	// Pin the mark for the stream's lifetime: an attached session is
@@ -611,7 +611,7 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 // ingestOneBatch applies one stream batch locally or through cluster
 // routing, recording the batch metrics.
 func (s *Server) ingestOneBatch(ctx context.Context, key, session string, clustered bool, batch ingest.Batch) error {
-	tenant := s.streamTenant(key)
+	tenant := s.keyTenant(key)
 	var applied int
 	var deduped bool
 	var err error
@@ -649,9 +649,9 @@ func streamErrorFor(err error) (ingest.ErrorCode, string) {
 	return ingest.CodeBadRequest, err.Error()
 }
 
-// streamTenant returns the bounded tenant metric label for a registry
+// keyTenant returns the bounded tenant metric label for a registry
 // key.
-func (s *Server) streamTenant(key string) string {
+func (s *Server) keyTenant(key string) string {
 	t, _ := splitTenant(key)
 	if t == "" || t == DefaultTenant {
 		return DefaultTenant

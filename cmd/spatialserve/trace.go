@@ -217,7 +217,7 @@ func (c *clusterNode) fetchPeerTraceSegments(ctx context.Context, id trace.Trace
 		wg.Add(1)
 		go func(i int, n cluster.Node) {
 			defer wg.Done()
-			resp, err := c.callNodeGet(ctx, n, n.URL+"/admin/trace/"+id.String()+"?local=1", internalHeader())
+			resp, err := c.callNode(ctx, n, http.MethodGet, n.URL+"/admin/trace/"+id.String()+"?local=1", nil, internalHeader())
 			if err != nil || resp.Status != http.StatusOK {
 				return
 			}

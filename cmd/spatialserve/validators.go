@@ -1,17 +1,21 @@
 package main
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ingest"
+	"repro/internal/trace"
 )
 
 // Snapshot validators and grouped partition reads.
@@ -29,23 +33,31 @@ import (
 // snapshot is tagged with a hash of its partitions' validators instead
 // (mergedServable), the same on every router.
 //
-// A cluster router reads the partitions of one estimator with one
-// internal request per owner node:
+// A cluster router reads the partitions of one estimator with one call
+// per owner node, on a pooled peer connection (cluster.Client.Send; the
+// owner answers in answerPeer). The request is a frameRead frame on
+// internal/ingest's frame layer:
 //
-//	GET /v1/estimators/{base}/snapshot?parts=0,3,5
-//	X-Spatial-Validators: "tag0",,"tag5"
+//	uvarint len | base name
+//	uvarint n   | n x (uvarint partition | uvarint len | validator)
+//	uvarint len | traceparent
+//	uvarint len | request ID
 //
-// The header lists the router's cached validator of each listed
-// partition, comma-separated in ?parts= order, empty where it holds none.
-// The owner answers 304 with no body when every listed partition still
-// carries its validator. Otherwise it answers 200 with a uvarint record
-// count followed by one record per listed partition, in request order:
-// a state byte, and for partSnapshot a uvarint-length-prefixed tag (empty
-// when a write raced the marshal) and a uvarint-length-prefixed SPE1
-// snapshot.
+// listing the router's cached validator of each partition, empty where
+// it holds none, and the trace identity of the hop. The owner answers
+// with a frameParts frame: a uvarint record count followed by one record
+// per listed partition, in request order: a state byte, and for
+// partSnapshot a uvarint-length-prefixed tag (empty when a write raced
+// the marshal) and a uvarint-length-prefixed SPE1 snapshot. A request it
+// cannot serve gets an ingest.FrameError frame.
 
-// headerValidators carries a grouped read's cached validators.
-const headerValidators = "X-Spatial-Validators"
+// The frame types of a grouped read on a peer connection.
+const (
+	// frameRead is a router's grouped read request.
+	frameRead ingest.FrameType = 16
+	// frameParts is an owner's answer to a frameRead.
+	frameParts ingest.FrameType = 17
+)
 
 // The states of a grouped read's response records.
 const (
@@ -63,8 +75,12 @@ const (
 const (
 	// maxGroupParts caps the partitions one grouped read may list.
 	maxGroupParts = 1 << 12
-	// maxTagLen caps one validator; ours are under 50 bytes.
+	// maxTagLen caps one validator (ours are under 50 bytes) and each of
+	// a request's traceparent (55) and request ID (at most 64).
 	maxTagLen = 128
+	// maxPartRecord caps one partition's answer record: its state byte,
+	// tag and snapshot, the snapshot bounded like a snapshot PUT.
+	maxPartRecord = 1 + 2*binary.MaxVarintLen64 + maxTagLen + maxBodyBytes
 )
 
 // processNonce makes validators unique across restarts: incarnation
@@ -127,7 +143,8 @@ type partRecord struct {
 }
 
 // readPart answers one partition of a gather from the local registry -
-// the owner side of a grouped read, and a router's own partitions.
+// the owner side of a grouped read (answerPeer), and a router's own
+// partitions.
 func (s *Server) readPart(shard, inm string) (partRecord, error) {
 	est, ok := s.lookup(shard)
 	if !ok || (s.cluster != nil && !s.cluster.owns(shard)) {
@@ -143,56 +160,131 @@ func (s *Server) readPart(shard, inm string) (partRecord, error) {
 	return partRecord{state: partSnapshot, tag: tag, data: data}, nil
 }
 
-// serveParts answers a grouped partition read of base (internal only).
-func (s *Server) serveParts(w http.ResponseWriter, r *http.Request, base string) {
-	parts, inms, err := parsePartsRequest(r)
+// answerPeer answers one frame of a peer connection: a grouped read of
+// the partitions it lists. The read is counted and timed like the HTTP
+// request it replaced (endpoint "snapshot_get": 304 when every listed
+// partition is unchanged, 200 otherwise) and traced as one span, "peer
+// snapshot_get", under the caller's span.
+func (s *Server) answerPeer(ft ingest.FrameType, body []byte) []byte {
+	start := time.Now()
+	q, err := decodeReadRequest(body)
+	if err == nil && ft != frameRead {
+		err = fmt.Errorf("unexpected frame type %d on a peer connection", ft)
+	}
+	ctx := context.Background()
+	if id, parent, ok := trace.ParseTraceparent(q.traceparent); ok {
+		ctx = trace.ContextWithRemote(ctx, id, parent)
+	}
+	const op = "peer snapshot_get"
+	_, sp := s.tracer.Start(ctx, op)
+	sp.SetAttr("endpoint", "snapshot_get")
+	rid := ""
+	if validRequestID(q.requestID) {
+		rid = q.requestID
+		sp.SetAttr("request_id", rid)
+	}
+	var answer []byte
+	code := http.StatusBadRequest
+	if err == nil {
+		recs := make([]partRecord, len(q.parts))
+		code = http.StatusNotModified
+		for i, p := range q.parts {
+			if recs[i], err = s.readPart(cluster.ShardName(q.base, p), q.inms[i]); err != nil {
+				code = http.StatusInternalServerError
+				break
+			}
+			if recs[i].state != partUnchanged {
+				code = http.StatusOK
+			}
+		}
+		if err == nil {
+			answer = ingest.AppendFrame(nil, frameParts, appendParts(nil, recs))
+		}
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	recs := make([]partRecord, len(parts))
-	changed := false
-	for i, p := range parts {
-		if recs[i], err = s.readPart(cluster.ShardName(base, p), inms[i]); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+		errCode := ingest.CodeBadRequest
+		if code == http.StatusInternalServerError {
+			errCode = ingest.CodeInternal
 		}
-		changed = changed || recs[i].state != partUnchanged
+		answer = ingest.AppendError(nil, errCode, err.Error())
 	}
-	if !changed {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(appendParts(nil, recs))
+	s.finishRequest(sp, op, "snapshot_get", s.keyTenant(q.base), code, time.Since(start), rid)
+	return answer
 }
 
-// parsePartsRequest reads a grouped read's partition list and validators.
-func parsePartsRequest(r *http.Request) (parts []int, inms []string, err error) {
-	list := strings.Split(r.URL.Query().Get("parts"), ",")
-	if len(list) > maxGroupParts {
-		return nil, nil, fmt.Errorf("%d partitions in one read, at most %d", len(list), maxGroupParts)
-	}
-	parts = make([]int, len(list))
-	for i, f := range list {
-		if parts[i], err = strconv.Atoi(f); err != nil || parts[i] < 0 {
-			return nil, nil, fmt.Errorf("bad partition %q in ?parts=", f)
-		}
-	}
-	inms = make([]string, len(parts))
-	if h := r.Header.Get(headerValidators); h != "" {
-		vals := strings.Split(h, ",")
-		if len(vals) != len(parts) {
-			return nil, nil, fmt.Errorf("%d validators for %d partitions", len(vals), len(parts))
-		}
-		for i, v := range vals {
-			inms[i] = strings.TrimSpace(v)
-		}
-	}
-	return parts, inms, nil
+// readRequest is one grouped read: the partitions of base to read, the
+// router's cached validator of each ("" for none), and the hop's trace
+// identity.
+type readRequest struct {
+	base        string
+	parts       []int
+	inms        []string
+	traceparent string
+	requestID   string
 }
 
-// appendParts appends the 200 body of a grouped read to dst.
+// appendReadRequest appends the body of q's frameRead frame to dst.
+func appendReadRequest(dst []byte, q *readRequest) []byte {
+	dst = appendField(dst, q.base)
+	dst = binary.AppendUvarint(dst, uint64(len(q.parts)))
+	for i, p := range q.parts {
+		dst = binary.AppendUvarint(dst, uint64(p))
+		dst = appendField(dst, q.inms[i])
+	}
+	dst = appendField(dst, q.traceparent)
+	return appendField(dst, q.requestID)
+}
+
+// appendField appends a uvarint-length-prefixed string.
+func appendField(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// errBadRead reports a malformed grouped read request.
+var errBadRead = errors.New("malformed grouped read request")
+
+// decodeReadRequest parses a frameRead body. The partition count is
+// bounded by maxGroupParts and by what the body can hold before the
+// lists are allocated, every string by its own bound, and every uvarint
+// must be minimally encoded, so an accepted request re-encodes to its
+// own bytes.
+func decodeReadRequest(body []byte) (q readRequest, err error) {
+	base, rest, err := uvarintBytes(body, len(body))
+	if err != nil || len(base) == 0 {
+		return q, fmt.Errorf("%w: base name", errBadRead)
+	}
+	n, k := binary.Uvarint(rest)
+	// Every partition takes at least two bytes: its index and the length
+	// of its validator.
+	if !minimalUvarint(rest, k) || n == 0 || n > maxGroupParts || n > uint64(len(rest)-k)/2 {
+		return q, fmt.Errorf("%w: partition count", errBadRead)
+	}
+	rest = rest[k:]
+	q.parts, q.inms = make([]int, n), make([]string, n)
+	for i := range q.parts {
+		p, k := binary.Uvarint(rest)
+		if !minimalUvarint(rest, k) || p > math.MaxInt32 {
+			return q, fmt.Errorf("%w: partition %d", errBadRead, i)
+		}
+		inm, r, err := uvarintBytes(rest[k:], maxTagLen)
+		if err != nil || !validTag(inm) {
+			return q, fmt.Errorf("%w: validator %d", errBadRead, i)
+		}
+		q.parts[i], q.inms[i], rest = int(p), string(inm), r
+	}
+	tp, rest, err := uvarintBytes(rest, maxTagLen)
+	if err != nil {
+		return q, fmt.Errorf("%w: traceparent", errBadRead)
+	}
+	rid, rest, err := uvarintBytes(rest, maxTagLen)
+	if err != nil || len(rest) != 0 {
+		return q, fmt.Errorf("%w: request ID", errBadRead)
+	}
+	q.base, q.traceparent, q.requestID = string(base), string(tp), string(rid)
+	return q, nil
+}
+
+// appendParts appends the records of a grouped read's answer to dst.
 func appendParts(dst []byte, recs []partRecord) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, rec := range recs {
@@ -210,11 +302,11 @@ func appendParts(dst []byte, recs []partRecord) []byte {
 // errBadParts reports a malformed grouped read response.
 var errBadParts = errors.New("malformed grouped snapshot response")
 
-// decodeParts parses the 200 body of a grouped read that listed n
-// partitions. Every length is checked against the bytes left before
-// anything is sliced or allocated, and each snapshot is copied out of
-// body, so a cached partition never pins a whole multi-partition
-// response.
+// decodeParts parses the frameParts body answering a grouped read that
+// listed n partitions. Every length is checked against the bytes left
+// (and a snapshot against maxBodyBytes) before anything is sliced or
+// allocated, and each snapshot is copied out of body, so a cached
+// partition never pins a whole multi-partition answer.
 func decodeParts(body []byte, n int) ([]partRecord, error) {
 	count, k := binary.Uvarint(body)
 	// Every record takes at least its state byte, so a count the body
@@ -240,7 +332,7 @@ func decodeParts(body []byte, n int) ([]partRecord, error) {
 		if err != nil || !validTag(tag) {
 			return nil, fmt.Errorf("%w: record %d tag", errBadParts, i)
 		}
-		data, r, err := uvarintBytes(r, len(r))
+		data, r, err := uvarintBytes(r, maxBodyBytes)
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d snapshot", errBadParts, i)
 		}
@@ -256,14 +348,21 @@ func decodeParts(body []byte, n int) ([]partRecord, error) {
 // bytes off the front of b.
 func uvarintBytes(b []byte, limit int) (field, rest []byte, err error) {
 	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(limit) || n > uint64(len(b)-k) {
+	if !minimalUvarint(b, k) || n > uint64(limit) || n > uint64(len(b)-k) {
 		return nil, nil, errBadParts
 	}
 	return b[k : k+int(n)], b[k+int(n):], nil
 }
 
-// validTag reports whether a received validator can ride back in the
-// comma-separated validator header: printable ASCII, no comma.
+// minimalUvarint reports whether binary.Uvarint read k > 0 bytes of b as
+// the shortest encoding of its value (no trailing zero group).
+func minimalUvarint(b []byte, k int) bool {
+	return k == 1 || k > 1 && b[k-1] != 0
+}
+
+// validTag reports whether a received validator is printable ASCII with
+// no comma, as mergedTag's comma-joined hash of partition validators
+// needs.
 func validTag(tag []byte) bool {
 	for _, c := range tag {
 		if c <= ' ' || c > '~' || c == ',' {

@@ -309,3 +309,64 @@ func FuzzGroupedSnapshotResponse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGroupedReadRequest feeds hostile bytes to the grouped read's
+// request decoder: it must never panic, must size nothing past its
+// bounds, and every request it accepts must re-encode to its own bytes.
+func FuzzGroupedReadRequest(f *testing.F) {
+	f.Add(appendReadRequest(nil, &readRequest{base: "acme/j", parts: []int{0, 3, 5}, inms: []string{`"t.1.2"`, "", `"t.1.9"`},
+		traceparent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01", requestID: "rid-1"}))
+	f.Add(appendReadRequest(nil, &readRequest{base: "j", parts: []int{1 << 20}, inms: []string{""}}))
+	f.Add([]byte{1, 'j', 0x80, 0x00, 0, 0, 0, 0})
+	f.Add([]byte{1, 'j', 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		q, err := decodeReadRequest(body)
+		if err != nil {
+			return
+		}
+		if len(q.parts) == 0 || len(q.parts) > maxGroupParts || len(q.inms) != len(q.parts) {
+			t.Fatalf("accepted %d partitions and %d validators", len(q.parts), len(q.inms))
+		}
+		for i, inm := range q.inms {
+			if len(inm) > maxTagLen || !validTag([]byte(inm)) || q.parts[i] < 0 {
+				t.Fatalf("accepted partition %d, validator %q", q.parts[i], inm)
+			}
+		}
+		if len(q.traceparent) > maxTagLen || len(q.requestID) > maxTagLen {
+			t.Fatalf("accepted a %d-byte traceparent and a %d-byte request ID", len(q.traceparent), len(q.requestID))
+		}
+		if again := appendReadRequest(nil, &q); !bytes.Equal(again, body) {
+			t.Fatalf("accepted request re-encodes to %x, not %x", again, body)
+		}
+	})
+}
+
+// TestGroupedReadRequestRejectsDamage: every truncation of a request,
+// an empty partition list, a non-minimal length and a validator that
+// could not join a cluster-wide tag are refused.
+func TestGroupedReadRequestRejectsDamage(t *testing.T) {
+	q := readRequest{base: "acme/j", parts: []int{2, 0}, inms: []string{`"t.1.2"`, ""}, traceparent: "tp", requestID: "rid"}
+	enc := appendReadRequest(nil, &q)
+	got, err := decodeReadRequest(enc)
+	if err != nil || !reflect.DeepEqual(got, q) {
+		t.Fatalf("round trip: %v, %+v", err, got)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := decodeReadRequest(enc[:cut]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes accepted", cut, len(enc))
+		}
+	}
+	bad := []readRequest{
+		{base: "j"},
+		{base: "", parts: []int{0}, inms: []string{""}},
+		{base: "j", parts: []int{0}, inms: []string{`"a,b"`}},
+	}
+	for _, b := range bad {
+		if _, err := decodeReadRequest(appendReadRequest(nil, &b)); err == nil {
+			t.Fatalf("request %+v accepted", b)
+		}
+	}
+	if _, err := decodeReadRequest([]byte{0x81, 0x00, 'j', 1, 0, 0, 0, 0}); err == nil {
+		t.Fatal("a non-minimal length accepted")
+	}
+}

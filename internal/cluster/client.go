@@ -10,36 +10,38 @@ import (
 	"time"
 )
 
-// Client is the fan-out HTTP client of the cluster layer. Every attempt
-// carries a per-node timeout; idempotent reads can additionally be hedged:
-// if the first attempt has not answered within HedgeDelay, a second
-// attempt is launched against the same URL and the first response wins.
-// Mutations are never hedged - a duplicated update would be applied twice,
-// and sketch counters, unlike idempotent KV puts, would keep both.
+// Client is the cluster layer's client to its peers: pooled peer
+// connections for the data-plane reads (Send, see peer.go) and HTTP for
+// everything else (Do). Every attempt carries a per-node timeout. No
+// call is hedged: a read costs one exchange per peer, and a duplicated
+// update would be applied twice - sketch counters, unlike idempotent KV
+// puts, would keep both.
 type Client struct {
-	// HTTP is the underlying client. Peers answer node-to-node snapshot
-	// reads identity-encoded, whatever Accept-Encoding the transport
-	// sends, so partition transfers pay no compression.
+	// HTTP is the underlying HTTP client. Peers answer node-to-node
+	// snapshot reads identity-encoded, whatever Accept-Encoding the
+	// transport sends, so partition transfers pay no compression.
 	HTTP *http.Client
 	// Timeout bounds one attempt against one node.
 	Timeout time.Duration
-	// HedgeDelay is how long Get waits before launching a hedged second
-	// attempt. Zero disables hedging.
-	HedgeDelay time.Duration
+	// Faults, when set, decides the fault injected into each peer call
+	// from the peer's host:port and the call's method (tests).
+	Faults func(peer, method string) Fault
+
+	peers peerPool
 }
 
 // DefaultTimeout is the per-attempt timeout used when a Client does not
 // set one.
 const DefaultTimeout = 10 * time.Second
 
-// idleConnsPerPeer is the idle-connection pool NewTransport keeps per
-// peer. A router has up to its partition count of GETs in flight to one
-// owner per client request, times the concurrent client requests; past
-// the pool, a finished connection is closed and the next request dials
-// again (http.DefaultTransport keeps 2).
+// idleConnsPerPeer is the idle-connection pool kept per peer, both by
+// NewTransport and for peer connections. A router has one call in
+// flight to one owner per client request, times the concurrent client
+// requests; past the pool, a finished connection is closed and the next
+// call dials again (http.DefaultTransport keeps 2).
 const idleConnsPerPeer = 64
 
-// NewTransport returns the fan-out transport: a clone of
+// NewTransport returns the HTTP transport of NewClient: a clone of
 // http.DefaultTransport that keeps idleConnsPerPeer idle connections per
 // peer, with no cap across peers. Fault injection wraps it like any
 // http.RoundTripper.
@@ -51,12 +53,12 @@ func NewTransport() *http.Transport {
 }
 
 // NewClient returns a Client on a NewTransport with the given per-attempt
-// timeout (0 means DefaultTimeout) and hedge delay (0 disables hedging).
-func NewClient(timeout, hedgeDelay time.Duration) *Client {
+// timeout (0 means DefaultTimeout).
+func NewClient(timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	return &Client{HTTP: &http.Client{Transport: NewTransport()}, Timeout: timeout, HedgeDelay: hedgeDelay}
+	return &Client{HTTP: &http.Client{Transport: NewTransport()}, Timeout: timeout}
 }
 
 // Response is the buffered result of one cluster request.
@@ -101,50 +103,6 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte, hdr ht
 	return &Response{Status: resp.StatusCode, Header: resp.Header, Body: data}, nil
 }
 
-// Get fetches url with hedging: if the first attempt has not answered
-// within HedgeDelay, a second identical attempt starts and the first
-// response (success or HTTP error) wins. Only safe for idempotent
-// requests; the loser's context is cancelled.
-func (c *Client) Get(ctx context.Context, url string, hdr http.Header) (*Response, error) {
-	if c.HedgeDelay <= 0 {
-		return c.Do(ctx, http.MethodGet, url, nil, hdr)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels whichever attempt loses
-	type result struct {
-		resp *Response
-		err  error
-	}
-	ch := make(chan result, 2)
-	attempt := func() {
-		resp, err := c.Do(ctx, http.MethodGet, url, nil, hdr)
-		ch <- result{resp, err}
-	}
-	go attempt()
-	timer := time.NewTimer(c.HedgeDelay)
-	defer timer.Stop()
-	launched := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			launched--
-			if launched == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			go attempt()
-			launched++
-		}
-	}
-}
-
 // timeout resolves the per-attempt timeout.
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
@@ -162,18 +120,22 @@ func (c *Client) http() *http.Client {
 }
 
 // Scatter runs fn(i) for i in [0, n) concurrently and returns the
-// per-index results and errors - the gather half of scatter-gather. It
+// per-index results and errors - the gather half of scatter-gather.
+// Index 0 runs on the calling goroutine, so one call starts none. It
 // always waits for every call; callers cancel via ctx inside fn.
 func Scatter[T any](n int, fn func(i int) (T, error)) ([]T, []error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			out[i], errs[i] = fn(i)
 		}(i)
+	}
+	if n > 0 {
+		out[0], errs[0] = fn(0)
 	}
 	wg.Wait()
 	return out, errs

@@ -23,7 +23,7 @@ func TestClientDoBuffersResponse(t *testing.T) {
 		fmt.Fprint(w, "body")
 	}))
 	defer srv.Close()
-	c := NewClient(2*time.Second, 0)
+	c := NewClient(2 * time.Second)
 	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil,
 		http.Header{"X-Test": []string{"yes"}})
 	if err != nil {
@@ -34,7 +34,7 @@ func TestClientDoBuffersResponse(t *testing.T) {
 	}
 }
 
-// TestClientReusesConnections: a round of concurrent Gets larger than
+// TestClientReusesConnections: a round of concurrent GETs larger than
 // http.DefaultTransport's idle pool opens its connections once; later
 // rounds reuse them and dial nothing.
 func TestClientReusesConnections(t *testing.T) {
@@ -65,7 +65,7 @@ func TestClientReusesConnections(t *testing.T) {
 	}
 	srv.Start()
 	defer srv.Close()
-	c := NewClient(5*time.Second, 0)
+	c := NewClient(5 * time.Second)
 	defer c.HTTP.CloseIdleConnections()
 	for r := 0; r < rounds; r++ {
 		before := opened.Load()
@@ -74,7 +74,7 @@ func TestClientReusesConnections(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if resp, err := c.Get(context.Background(), srv.URL, nil); err != nil || resp.Status != http.StatusOK {
+				if resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil); err != nil || resp.Status != http.StatusOK {
 					t.Errorf("round %d: get: %v", r, err)
 				}
 			}()
@@ -96,69 +96,42 @@ func TestClientTimeout(t *testing.T) {
 	// LIFO: unblock the handler BEFORE srv.Close waits for it.
 	defer srv.Close()
 	defer close(block)
-	c := NewClient(50*time.Millisecond, 0)
+	c := NewClient(50 * time.Millisecond)
 	if _, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil); err == nil {
 		t.Fatal("expected a timeout error")
 	}
 }
 
-func TestClientHedgedGet(t *testing.T) {
-	// First attempt stalls; the hedge fires and answers.
-	var calls atomic.Int32
-	release := make(chan struct{})
-	defer close(release)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		fmt.Fprint(w, "hedged")
-	}))
-	defer srv.Close()
-	c := NewClient(5*time.Second, 20*time.Millisecond)
-	start := time.Now()
-	resp, err := c.Get(context.Background(), srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp.Body) != "hedged" {
-		t.Fatalf("got %q from the wrong attempt", resp.Body)
-	}
-	if calls.Load() < 2 {
-		t.Fatal("hedge attempt never launched")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("hedged get took as long as the stalled attempt")
-	}
-}
-
-func TestClientHedgedGetAllFail(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	srv.Close() // refuse every connection
-	c := NewClient(time.Second, 5*time.Millisecond)
-	if _, err := c.Get(context.Background(), srv.URL, nil); err == nil {
-		t.Fatal("expected an error when every attempt fails")
-	}
-}
-
+// TestScatterAndFirstError: every index runs exactly once, whatever n
+// (index 0 on the caller), and results and errors land in place.
 func TestScatterAndFirstError(t *testing.T) {
 	boom := errors.New("boom")
-	vals, errs := Scatter(5, func(i int) (int, error) {
-		if i == 3 {
-			return 0, boom
+	for _, n := range []int{0, 1, 3, 5} {
+		var runs [5]atomic.Int32
+		vals, errs := Scatter(n, func(i int) (int, error) {
+			runs[i].Add(1)
+			if i == n-1 {
+				return 0, fmt.Errorf("index %d: %w", i, boom)
+			}
+			return i * i, nil
+		})
+		if len(vals) != n || len(errs) != n {
+			t.Fatalf("n=%d: %d values and %d errors", n, len(vals), len(errs))
 		}
-		return i * i, nil
-	})
-	for i, v := range vals {
-		if i != 3 && v != i*i {
-			t.Fatalf("vals[%d] = %d", i, v)
+		for i := 0; i < n; i++ {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+			}
+			if i < n-1 && (vals[i] != i*i || errs[i] != nil) {
+				t.Fatalf("n=%d: index %d = (%d, %v)", n, i, vals[i], errs[i])
+			}
 		}
-	}
-	if !errors.Is(FirstError(errs), boom) {
-		t.Fatalf("FirstError = %v", FirstError(errs))
+		if n > 0 && (!errors.Is(errs[n-1], boom) || !errors.Is(FirstError(errs), boom)) {
+			t.Fatalf("n=%d: errs[%d] = %v, FirstError = %v", n, n-1, errs[n-1], FirstError(errs))
+		}
+		if n == 0 && FirstError(errs) != nil {
+			t.Fatalf("n=0: FirstError = %v", FirstError(errs))
+		}
 	}
 	if FirstError(make([]error, 4)) != nil {
 		t.Fatal("FirstError of all-nil should be nil")

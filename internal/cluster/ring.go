@@ -1,8 +1,8 @@
 // Package cluster is the horizontal scale-out substrate of spatialserve:
 // a consistent-hash ring with virtual nodes over estimator shard keys, a
 // versioned partition map with per-shard overrides (how a completed
-// rebalance is expressed), and an HTTP fan-out client with per-node
-// timeouts and hedged retries for idempotent reads.
+// rebalance is expressed), and a fan-out client with per-node timeouts:
+// framed reads on pooled peer connections, HTTP for the rest.
 //
 // The design leans entirely on sketch linearity: every estimator is split
 // into a fixed number of partitions, each update record lands on exactly

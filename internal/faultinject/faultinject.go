@@ -6,11 +6,13 @@
 // fsync errors) - all from one seeded random stream, with every injected
 // fault recorded in an event log the CI job can upload on failure.
 //
-// Two injection surfaces:
+// Three injection surfaces:
 //
 //   - Transport wraps an http.RoundTripper. Faults are matched per request
 //     by (from, to, method) against the rule table; see Kind for the exact
 //     delivery semantics of each fault.
+//   - PeerFaults is the same rule table for the calls on pooled peer
+//     connections (cluster.Client.Faults); a grouped read matches "GET".
 //   - WALHooks satisfies internal/wal's FileHooks, injecting write/sync
 //     failures into a node's segment files.
 //

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // Transport returns an http.RoundTripper that applies the injector's
@@ -106,6 +108,42 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	}
 	return t.base.RoundTrip(req)
+}
+
+// PeerFaults returns the fault hook for the peer calls made by the named
+// node (cluster.Client.Faults): the same rule table as Transport,
+// matched by (from, to, method) with the destination resolved through
+// NameHost, and each kind keeping its meaning on the connection -
+// refuse fails the call before anything is sent, status answers it with
+// an error instead of sending it, latency holds the send back (a call
+// whose deadline passes first fails unsent), and truncate tears the
+// answer after the peer served it.
+func (in *Injector) PeerFaults(from string) func(peer, method string) cluster.Fault {
+	return func(peer, method string) cluster.Fault {
+		r, ok := in.match(from, in.nodeName(peer), method, false, method+" "+cluster.PeerPath+" call")
+		if !ok {
+			return cluster.Fault{}
+		}
+		switch r.Kind {
+		case KindLatency:
+			d := r.Latency
+			if d <= 0 {
+				d = 50 * time.Millisecond
+			}
+			return cluster.Fault{Delay: d}
+		case KindRefuse:
+			return cluster.Fault{Err: &refusedError{host: peer}}
+		case KindStatus:
+			status := r.Status
+			if status == 0 {
+				status = http.StatusServiceUnavailable
+			}
+			return cluster.Fault{Status: status}
+		case KindTruncate:
+			return cluster.Fault{Tear: true}
+		}
+		return cluster.Fault{}
+	}
 }
 
 // truncateAt picks how many bytes of an n-byte body survive truncation:

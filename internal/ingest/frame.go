@@ -140,6 +140,13 @@ func AppendFrame(dst []byte, t FrameType, body []byte) []byte {
 // MaxFrameBytes before allocating. io.EOF surfaces unchanged when the
 // connection closes cleanly between frames.
 func ReadFrame(br *bufio.Reader) (FrameType, []byte, error) {
+	return ReadFrameLimit(br, MaxFrameBytes)
+}
+
+// ReadFrameLimit is ReadFrame with the body bounded by limit instead of
+// MaxFrameBytes, for protocols on this frame layer whose bodies have
+// other bounds.
+func ReadFrameLimit(br *bufio.Reader, limit uint64) (FrameType, []byte, error) {
 	t, err := br.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -148,8 +155,8 @@ func ReadFrame(br *bufio.Reader) (FrameType, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("ingest: reading frame length: %w", err)
 	}
-	if n > MaxFrameBytes {
-		return 0, nil, fmt.Errorf("ingest: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	if n > limit {
+		return 0, nil, fmt.Errorf("ingest: frame of %d bytes exceeds limit %d", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
