@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,8 +320,9 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if testing.Short() {
-		if spec.Rounds > 3 {
-			spec.Rounds = 3
+		// Four rounds: every scenario runs once.
+		if spec.Rounds > 4 {
+			spec.Rounds = 4
 		}
 		if spec.Writers > 3 {
 			spec.Writers = 3
@@ -456,6 +458,9 @@ func TestChaosSoak(t *testing.T) {
 			roundRules = append(roundRules,
 				h.in.Add(faultinject.Rule{To: victim.id, Methods: "GET", Kind: faultinject.KindTruncate, P: 0.5}))
 		}
+		if scenario == 1 || scenario == 3 {
+			h.peerReads(round, 30, roundRules)
+		}
 
 		h.burst(spec.Seed+int64(round*1000), spec.Writers, perWriter)
 		h.streamRound(spec.Seed+int64(round*1000+500), streams, rng)
@@ -490,6 +495,34 @@ func TestChaosSoak(t *testing.T) {
 	}
 	close(stopQ)
 	qwg.Wait()
+}
+
+// peerReads drives n ?partial=ok estimates through the nodes in turn
+// while a round's read rules are active, and fails unless each rule
+// fired on at least one peer call: every node owns a partition of "j",
+// so each read asks every other node for its partitions.
+func (h *chaosHarness) peerReads(round, n int, rules []string) {
+	h.t.Helper()
+	for i := 0; i < n; i++ {
+		resp, err := h.client.Get(h.nodes[i%len(h.nodes)].ht.URL + "/v1/estimators/j/estimate?partial=ok")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	fired, kinds := map[string]int{}, map[string]int{}
+	for _, e := range h.in.Events() {
+		if strings.HasSuffix(e.Detail, cluster.PeerPath+" call") {
+			fired[e.Rule]++
+			kinds[e.Kind]++
+		}
+	}
+	for _, id := range rules {
+		if fired[id] == 0 {
+			h.t.Errorf("round %d: rule %s fired on no peer call in %d reads", round, id, n)
+		}
+	}
+	h.t.Logf("round %d: peer-call faults so far, by kind: %v", round, kinds)
 }
 
 // chaosStream is one persistent streaming-ingest writer riding the

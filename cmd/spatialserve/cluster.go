@@ -42,11 +42,11 @@ import (
 //     bit-identical to a single-node build of the same update stream;
 //   - create/delete fan out per partition; list/info aggregate.
 //
-// Rebalancing moves one shard to a new owner without losing an update:
-// snapshot at an exact WAL cut (the PR4 checkpoint gate), stream the
-// snapshot, catch up by shipping the WAL suffix of that shard, then seal
-// under the exclusive gate - final suffix, ownership flip, map broadcast -
-// and drop the local copy. See docs/CLUSTER.md.
+// Rebalancing moves one shard to a new owner without losing an update, as
+// a one-shard follow: the shard's image at an exact WAL cut, then its WAL
+// frames verbatim, applied at the target through the replica interpreter;
+// the seal ships the last frames and flips ownership under the exclusive
+// gate, and the source drops its copy. See docs/CLUSTER.md.
 
 // Internal request/response headers of the cluster protocol.
 const (
@@ -365,7 +365,7 @@ func (c *clusterNode) broadcastMap(ctx context.Context) {
 		if n.ID == c.selfID {
 			continue
 		}
-		if _, err := c.client.Do(ctx, http.MethodPost, n.URL+"/admin/ring", body, internalHeader()); err != nil {
+		if _, err := c.client.Do(ctx, http.MethodPost, n.URL+"/admin/ring", body, withTraceHeader(ctx, internalHeader())); err != nil {
 			logfServer("spatialserve: map broadcast to %s failed: %v", n.ID, err)
 		}
 	}
@@ -608,14 +608,17 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 	// disconnect. Trace values (and the request ID) still flow, so
 	// sub-requests stitch into the caller's trace.
 	ctx = context.WithoutCancel(ctx)
-	applied, errs := cluster.Scatter(len(live), func(i int) (int, error) {
+	acks, errs := cluster.Scatter(len(live), func(i int) (ingestShardResponse, error) {
 		p := live[i]
 		parts[p].Seq = batch.Seq
 		return c.forwardShardIngest(ctx, cluster.ShardName(name, p), session, parts[p])
 	})
-	total := 0
-	for _, a := range applied {
-		total += a
+	// Every owner dropping its sub-batch as a duplicate makes the batch a
+	// duplicate, whichever router it came through.
+	total, deduped := 0, len(acks) > 0
+	for _, a := range acks {
+		total += a.Applied
+		deduped = deduped && a.Deduped
 	}
 	if err := cluster.FirstError(errs); err != nil {
 		if ent == nil {
@@ -629,7 +632,7 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 	if ent != nil {
 		ent.seq.Store(batch.Seq)
 	}
-	return total, false, nil
+	return total, deduped, nil
 }
 
 // plainFanoutError classifies a failed fan-out of a plain update, errs
@@ -658,8 +661,9 @@ func plainFanoutError(name string, applied int, errs []error) error {
 	return &partialUpdateError{applied: applied, err: cluster.FirstError(errs)}
 }
 
-// forwardShardIngest delivers one partition's sub-batch to its owner,
-// healing through a map refresh when the shard just moved. Definite
+// forwardShardIngest delivers one partition's sub-batch to its owner and
+// returns the owner's ack, healing through a map refresh when the shard
+// just moved. Definite
 // refusals - breaker open, 404, 409, 429 - are retried for every batch:
 // the owner applied nothing. A transport error or 5xx after the body was
 // sent is ambiguous, and only a batch with a session is resent after
@@ -669,7 +673,7 @@ func plainFanoutError(name string, applied int, errs []error) error {
 // a sketch counts every application. A shard still missing after a map
 // refresh reports errShardMissing; the owner's 4xx reports
 // shardClientError.
-func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session string, batch ingest.Batch) (applied int, err error) {
+func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session string, batch ingest.Batch) (ack ingestShardResponse, err error) {
 	ctx, sp := c.srv.tracer.Start(ctx, "fanout.ingest")
 	sp.SetAttr("shard", shard)
 	sp.SetAttr("seq", strconv.FormatUint(batch.Seq, 10))
@@ -689,20 +693,17 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 		}
 		owner, ok := c.map_().Owner(shard)
 		if !ok {
-			return 0, fmt.Errorf("no owner for %q", shard)
+			return ack, fmt.Errorf("no owner for %q", shard)
 		}
 		if owner.ID == c.selfID {
-			applied, deduped, err := c.srv.applyIngestBatch(ctx, shard, session, batch, false)
+			applied, deduped, err := c.srv.applyIngestBatch(ctx, shard, session, batch)
 			switch {
 			case err == nil:
-				if deduped {
-					return 0, nil
-				}
-				return applied, nil
+				return ingestShardResponse{Applied: applied, Deduped: deduped}, nil
 			case errors.Is(err, errNotFoundLocal):
 				missing++
 				if missing >= 2 {
-					return 0, fmt.Errorf("%w: %q", errShardMissing, shard)
+					return ack, fmt.Errorf("%w: %q", errShardMissing, shard)
 				}
 				lastErr = err
 			case errors.Is(err, errNotOwner) || err == errStaleBinding || errors.Is(err, errSessionTableFull):
@@ -710,16 +711,16 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 			default:
 				var lf *logFailure
 				if errors.As(err, &lf) {
-					return 0, err
+					return ack, err
 				}
-				return 0, &shardClientError{err.Error()}
+				return ack, &shardClientError{err.Error()}
 			}
 			c.refreshAny(ctx)
 		} else {
 			resp, err := c.callNode(ctx, owner, http.MethodPost, owner.URL+shardPath(shard, "/ingest"), body, internalHeader())
 			if err != nil {
 				if !resendable && !errors.Is(err, errBreakerOpen) {
-					return 0, fmt.Errorf("ingesting into %q on %s: %w", shard, owner.ID, err)
+					return ack, fmt.Errorf("ingesting into %q on %s: %w", shard, owner.ID, err)
 				}
 				lastErr = err
 				c.refreshAny(ctx)
@@ -727,18 +728,12 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 			}
 			switch resp.Status {
 			case http.StatusOK:
-				var ir ingestShardResponse
-				if err := json.Unmarshal(resp.Body, &ir); err != nil {
-					return 0, err
-				}
-				if ir.Deduped {
-					return 0, nil
-				}
-				return ir.Applied, nil
+				err := json.Unmarshal(resp.Body, &ack)
+				return ack, err
 			case http.StatusNotFound:
 				missing++
 				if missing >= 2 {
-					return 0, fmt.Errorf("%w: %q on %s", errShardMissing, shard, owner.ID)
+					return ack, fmt.Errorf("%w: %q on %s", errShardMissing, shard, owner.ID)
 				}
 				lastErr = fmt.Errorf("ingesting into %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
 				c.refreshFrom(ctx, owner.URL)
@@ -750,16 +745,16 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 			case http.StatusBadRequest:
 				var er errorResponse
 				if json.Unmarshal(resp.Body, &er) == nil && er.Error != "" {
-					return 0, &shardClientError{er.Error}
+					return ack, &shardClientError{er.Error}
 				}
-				return 0, &shardClientError{string(resp.Body)}
+				return ack, &shardClientError{string(resp.Body)}
 			default:
 				// 5xx at the owner (WAL outage, mid-crash): resent only
 				// with a session, for the same dedup reason as transport
 				// errors.
 				lastErr = fmt.Errorf("ingesting into %q on %s: status %d: %s", shard, owner.ID, resp.Status, resp.Body)
 				if !resendable {
-					return 0, lastErr
+					return ack, lastErr
 				}
 				c.refreshFrom(ctx, owner.URL)
 			}
@@ -768,7 +763,7 @@ func (c *clusterNode) forwardShardIngest(ctx context.Context, shard, session str
 	if lastErr == nil {
 		lastErr = errors.New("retries exhausted")
 	}
-	return 0, fmt.Errorf("%w: %v", errForwardFailed, lastErr)
+	return ack, fmt.Errorf("%w: %v", errForwardFailed, lastErr)
 }
 
 // refreshAny refreshes the map from any reachable peer.
@@ -1127,7 +1122,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		body, _ := json.Marshal(req)
-		resp, err := c.client.Do(r.Context(), http.MethodPost, owner.URL+"/admin/rebalance", body, internalHeader())
+		resp, err := c.client.Do(r.Context(), http.MethodPost, owner.URL+"/admin/rebalance", body, withTraceHeader(r.Context(), internalHeader()))
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "forwarding rebalance to %s: %v", owner.ID, err)
 			return
@@ -1149,22 +1144,24 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handoff moves one local shard to target without losing an update:
+// handoff moves one local shard to target without losing an update, as a
+// one-shard follow: the target applies what it is sent through the WAL
+// interpreter and appends it verbatim to its own log, as a replica does
+// (handleMove).
 //
 //  1. Cut: under a brief exclusive gate (no logged mutation in flight),
-//     record the WAL position and marshal the shard - in-memory work
-//     only, the same cost as a checkpoint cut.
-//  2. Stream: PUT the snapshot to the target, then ship the shard's WAL
-//     suffix (the updates that kept landing here since the cut) in
-//     catch-up passes, all off the gate.
-//  3. Seal: retake the gate exclusively, ship the final (tiny) suffix,
-//     flip ownership in the partition map, release. From that instant
-//     every router either sends to the new owner or gets a stale-map
+//     record the WAL position and take the shard's image (moveImage) -
+//     in-memory work only, the same cost as a checkpoint cut.
+//  2. Catch up: off the gate, ship the image, then this node's own WAL
+//     frames naming the shard since the cut, in catch-up passes.
+//  3. Seal: retake the gate exclusively, ship the last frames, flip
+//     ownership in the partition map, release. From that instant every
+//     router either sends to the new owner or gets a stale-map
 //     rejection here and heals.
 //
-// Without a WAL (in-memory cluster) the whole move runs under the
-// exclusive gate instead - a freeze-move, acceptable because there is no
-// durability to preserve and snapshots are small.
+// Without a WAL (in-memory cluster) the image ships inside the seal
+// instead - a freeze-move, acceptable because there is no durability to
+// preserve and snapshots are small.
 func (c *clusterNode) handoff(ctx context.Context, shard string, target cluster.Node) (err error) {
 	ctx, sp := c.srv.tracer.Start(ctx, "rebalance.handoff")
 	sp.SetAttr("shard", shard)
@@ -1180,66 +1177,25 @@ func (c *clusterNode) handoff(ctx context.Context, shard string, target cluster.
 	if !ok {
 		return fmt.Errorf("shard %q is not on this node", shard)
 	}
-	gate := s.mutGate()
+	var pos wal.Pos
 	if s.persist != nil {
+		gate := s.mutGate()
 		gate.Lock()
-		cut := s.persist.w.Pos()
-		snap, err := est.snapshot()
+		pos = s.persist.w.Pos()
+		img, err := s.moveImage(shard, est, pos)
 		gate.Unlock()
+		if err == nil {
+			err = c.shipChunk(ctx, target, shard, img)
+		}
+		for pass, shipped := 0, true; pass < 8 && shipped && err == nil; pass++ {
+			pos, shipped, err = c.shipFrames(ctx, target, shard, pos)
+		}
 		if err != nil {
 			return err
 		}
-		if err := c.shipSnapshot(ctx, target, shard, snap); err != nil {
-			return err
-		}
-		pos := cut
-		for pass := 0; pass < 8; pass++ {
-			recs, count, next, err := s.persist.updateSuffix(pos, shard)
-			if err != nil {
-				return err
-			}
-			if count == 0 {
-				break
-			}
-			if err := c.shipRecords(ctx, target, shard, recs, count); err != nil {
-				return err
-			}
-			pos = next
-		}
-		gate.Lock()
-		recs, count, _, err := s.persist.updateSuffix(pos, shard)
-		if err == nil && count > 0 {
-			err = c.shipRecords(ctx, target, shard, recs, count)
-		}
-		if err == nil {
-			// Under the exclusive gate no batch can advance a mark, so the
-			// shipped set is exact: the target starts with the same dedup
-			// window the source closes with.
-			err = c.shipMarks(ctx, target, shard, s.sessions.marksFor(shard))
-		}
-		if err == nil {
-			err = c.flipOwnership(ctx, shard, target)
-		}
-		gate.Unlock()
-		if err != nil {
-			return err
-		}
-	} else {
-		gate.Lock()
-		snap, err := est.snapshot()
-		if err == nil {
-			err = c.shipSnapshot(ctx, target, shard, snap)
-		}
-		if err == nil {
-			err = c.shipMarks(ctx, target, shard, s.sessions.marksFor(shard))
-		}
-		if err == nil {
-			err = c.flipOwnership(ctx, shard, target)
-		}
-		gate.Unlock()
-		if err != nil {
-			return err
-		}
+	}
+	if err := c.seal(ctx, target, shard, est, pos); err != nil {
+		return err
 	}
 	c.broadcastMap(ctx)
 	// Ownership has moved and the target acknowledged its map; no new
@@ -1247,6 +1203,102 @@ func (c *clusterNode) handoff(ctx context.Context, shard string, target cluster.
 	// leaks memory until the next restart.
 	if _, derr := s.deleteLocal(ctx, shard); derr != nil {
 		logfServer("spatialserve: dropping handed-off shard %q: %v", shard, derr)
+	}
+	return nil
+}
+
+// seal is the write stall a move puts on every estimator of this node:
+// under the exclusive gate it ships what the target still lacks - the
+// frames logged since pos, or, without a WAL, the whole image - and flips
+// ownership.
+func (c *clusterNode) seal(ctx context.Context, target cluster.Node, shard string, est servable, pos wal.Pos) (err error) {
+	ctx, sp := c.srv.tracer.Start(ctx, "rebalance.seal")
+	defer func() {
+		if err != nil {
+			sp.Fail(err.Error())
+		}
+		sp.End()
+	}()
+	gate := c.srv.mutGate()
+	gate.Lock()
+	defer gate.Unlock()
+	if c.srv.persist != nil {
+		_, _, err = c.shipFrames(ctx, target, shard, pos)
+	} else {
+		var img []byte
+		if img, err = c.srv.moveImage(shard, est, pos); err == nil {
+			err = c.shipChunk(ctx, target, shard, img)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return c.flipOwnership(ctx, shard, target)
+}
+
+// moveImage is shard's state as WAL records the interpreter knows - a
+// put of its snapshot, then one count-0 ingest record per session mark -
+// framed at pos. The caller holds the exclusive mutation gate, so no mark
+// is mid-advance and both are exact at pos.
+func (s *Server) moveImage(shard string, est servable, pos wal.Pos) ([]byte, error) {
+	snap, err := est.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	body := appendWalFrame(nil, pos, append(appendName([]byte{walOpPut}, shard), snap...))
+	for _, m := range s.sessions.marksFor(shard) {
+		rec := appendIngestRest(appendName([]byte{walOpIngest}, shard), m.Session, ingest.Batch{Seq: m.Seq})
+		body = appendWalFrame(body, pos, rec)
+	}
+	return body, nil
+}
+
+// shipFrames ships this node's WAL frames naming shard from pos up to the
+// log's current end, verbatim, one chunk per maxShipBytes of log read,
+// and returns the position after the last record read and whether any
+// frame shipped. Updates, ingest batches and session drops ship; a
+// registry operation on the shard (create, delete, merge or put) does not
+// commute with the move and fails it.
+func (c *clusterNode) shipFrames(ctx context.Context, target cluster.Node, shard string, pos wal.Pos) (wal.Pos, bool, error) {
+	w := c.srv.persist.w
+	end := w.Pos()
+	shipped := false
+	for pos.Less(end) {
+		var body []byte
+		next, err := w.ReadFrom(pos, maxShipBytes, func(at wal.Pos, payload []byte) error {
+			op, name, _, err := parseWalPayload(payload)
+			switch {
+			case err != nil:
+				return fmt.Errorf("wal record at %v: %w", at, err)
+			case name != shard:
+			case op == walOpUpdate || op == walOpIngest || op == walOpSessionDrop:
+				body = appendWalFrame(body, at, payload)
+			default:
+				return fmt.Errorf("registry operation (op %d) on %q at %v during the move; retry the rebalance", op, shard, at)
+			}
+			return nil
+		})
+		if err == nil && len(body) > 0 {
+			shipped = true
+			err = c.shipChunk(ctx, target, shard, body)
+		}
+		if err != nil {
+			return pos, shipped, err
+		}
+		pos = next
+	}
+	return pos, shipped, nil
+}
+
+// shipChunk sends one chunk of a move - WAL shipping frames naming shard -
+// to the target's handleMove, inside the move's trace.
+func (c *clusterNode) shipChunk(ctx context.Context, target cluster.Node, shard string, body []byte) error {
+	resp, err := c.client.Do(ctx, http.MethodPost, target.URL+"/admin/move?shard="+url.QueryEscape(shard), body, withTraceHeader(ctx, internalHeader()))
+	if err == nil && resp.Status != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", resp.Status, resp.Body)
+	}
+	if err != nil {
+		return fmt.Errorf("moving %d bytes of %q to %s: %w", len(body), shard, target.ID, err)
 	}
 	return nil
 }
@@ -1266,7 +1318,7 @@ func (c *clusterNode) flipOwnership(ctx context.Context, shard string, target cl
 		if err != nil {
 			return err
 		}
-		resp, err := c.client.Do(ctx, http.MethodPost, target.URL+"/admin/ring", body, internalHeader())
+		resp, err := c.client.Do(ctx, http.MethodPost, target.URL+"/admin/ring", body, withTraceHeader(ctx, internalHeader()))
 		if err != nil {
 			lastErr = err
 			continue
@@ -1325,92 +1377,4 @@ func (c *clusterNode) overriddenMapFrom(base *cluster.Map, shard, targetID strin
 	m.Overrides[shard] = targetID
 	m.Version++
 	return m
-}
-
-// shipSnapshot PUTs a shard snapshot at the target node.
-func (c *clusterNode) shipSnapshot(ctx context.Context, target cluster.Node, shard string, snap []byte) error {
-	resp, err := c.client.Do(ctx, http.MethodPut, target.URL+shardPath(shard, "/snapshot"), snap, internalHeader())
-	if err != nil {
-		return fmt.Errorf("shipping snapshot of %q: %w", shard, err)
-	}
-	if resp.Status != http.StatusOK {
-		return fmt.Errorf("shipping snapshot of %q: status %d: %s", shard, resp.Status, resp.Body)
-	}
-	return nil
-}
-
-// shipRecords POSTs a batch of raw update records to the target's ingest
-// endpoint as a sessionless handoff batch: the target logs and applies it
-// like a plain update, without the ownership check it cannot pass yet.
-func (c *clusterNode) shipRecords(ctx context.Context, target cluster.Node, shard string, recs []byte, count uint64) error {
-	body := appendIngestRest(nil, "", ingest.Batch{Count: count, Records: recs})
-	resp, err := c.client.Do(ctx, http.MethodPost, target.URL+shardPath(shard, "/ingest")+"?handoff=1", body, internalHeader())
-	if err != nil {
-		return fmt.Errorf("shipping %d records of %q: %w", count, shard, err)
-	}
-	if resp.Status != http.StatusOK {
-		return fmt.Errorf("shipping %d records of %q: status %d: %s", count, shard, resp.Status, resp.Body)
-	}
-	return nil
-}
-
-// shipMarks POSTs a shard's ingest session watermarks to the target,
-// which adopts (and logs) any that advance its own. Empty mark sets are
-// skipped.
-func (c *clusterNode) shipMarks(ctx context.Context, target cluster.Node, shard string, marks []sessionMark) error {
-	if len(marks) == 0 {
-		return nil
-	}
-	body, err := json.Marshal(marks)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(ctx, http.MethodPost, target.URL+shardPath(shard, "/ingest-marks"), body, internalHeader())
-	if err != nil {
-		return fmt.Errorf("shipping %d session marks of %q: %w", len(marks), shard, err)
-	}
-	if resp.Status != http.StatusOK {
-		return fmt.Errorf("shipping %d session marks of %q: status %d: %s", len(marks), shard, resp.Status, resp.Body)
-	}
-	return nil
-}
-
-// updateSuffix collects the raw update records logged for name after
-// `from`, returning their concatenated binary encoding, the record count
-// and the position one past the last WAL record examined. Plain
-// (walOpUpdate) and exactly-once (walOpIngest) records both contribute
-// their records: the watermark advances ship separately via shipMarks at
-// seal, so the target applies the suffix as one sessionless handoff
-// batch. A registry operation (create/delete/put/merge) or a session
-// drop on the name inside the suffix aborts the caller's handoff - those
-// do not commute with the move.
-func (p *persister) updateSuffix(from wal.Pos, name string) (recs []byte, count uint64, next wal.Pos, err error) {
-	next, err = p.w.ReadFrom(from, 0, func(pos wal.Pos, payload []byte) error {
-		op, rname, rest, perr := parseWalPayload(payload)
-		if perr != nil {
-			return fmt.Errorf("wal record at %v: %w", pos, perr)
-		}
-		if rname != name {
-			return nil
-		}
-		var batch ingest.Batch
-		switch op {
-		case walOpIngest:
-			_, batch, perr = parseIngestRest(rest)
-		case walOpUpdate:
-			batch, perr = parseUpdateRest(rest)
-		default:
-			return fmt.Errorf("registry operation (op %d) on %q at %v during handoff; retry the rebalance", op, name, pos)
-		}
-		if perr != nil {
-			return fmt.Errorf("wal record for %q at %v: %w", name, pos, perr)
-		}
-		count += batch.Count
-		recs = append(recs, batch.Records...)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, wal.Pos{}, err
-	}
-	return recs, count, next, nil
 }

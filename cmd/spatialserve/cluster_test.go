@@ -15,6 +15,7 @@ import (
 
 	spatial "repro"
 	"repro/geo"
+	"repro/ingestclient"
 	"repro/internal/cluster"
 )
 
@@ -272,36 +273,52 @@ func TestClusterExactScatterGather(t *testing.T) {
 }
 
 // TestClusterRebalanceMidIngest moves every partition of an estimator to
-// a different node WHILE concurrent writers stream updates through all
-// three nodes, then proves the merged snapshot still matches a loss-free
-// single-node replay - the handoff protocol (snapshot at a WAL cut +
-// suffix shipping + sealed flip) must not lose or double-apply a record.
+// a different node WHILE concurrent writers - plain updates through all
+// three nodes, a keyed writer and a stream - keep ingesting, then proves
+// the merged snapshot still matches a loss-free single-node replay: a move
+// (image at a WAL cut, the shard's frames verbatim, sealed flip) must not
+// lose or double-apply a record. The dedup marks move with the shards, so
+// afterwards every acked keyed update resent through another router
+// answers deduped. It logs each move's handoff and seal spans: the seal is
+// the write stall a move puts on its source node.
 func TestClusterRebalanceMidIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node handoff under concurrent load")
 	}
 	const dom = 1 << 12
 	srvs, urls := startCluster(t, 3, true)
-	_ = srvs
+	for _, s := range srvs {
+		s.Tracer().SetSampleRate(1)
+	}
 	body, _ := json.Marshal(createRequest{Name: "j", Kind: "join",
 		Config: configRequest{Dims: 2, DomainSize: dom, Seed: 9, Instances: 64, Groups: 4}})
 	mustDo(t, "POST", urls[0]+"/v1/estimators", body, http.StatusCreated)
 
+	type keyedUpdate struct {
+		key  string
+		body []byte
+		rect geo.HyperRect
+	}
 	var mu sync.Mutex
 	var sent []geo.HyperRect
+	var keyed []keyedUpdate
+	var streamed []spatial.UpdateRecord
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped() {
 				wr := randRect(rng, dom)
 				req, _ := json.Marshal(updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
 				resp, data := httpDo(t, "POST", urls[g]+"/v1/estimators/j/update", req, nil)
@@ -315,25 +332,88 @@ func TestClusterRebalanceMidIngest(t *testing.T) {
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(200))
+		for i := 0; !stopped(); i++ {
+			wr := randRect(rng, dom)
+			k := keyedUpdate{key: fmt.Sprintf("mid-%d", i), body: updateBody(t, "right", [][][2]uint64{wr}),
+				rect: geo.Rect(wr[0][0], wr[0][1], wr[1][0], wr[1][1])}
+			// A keyed update is resent until acked; its owners dedup.
+			for attempt := 0; ; attempt++ {
+				resp, data := httpDo(t, "POST", urls[i%3]+"/v1/estimators/j/update", k.body, map[string]string{"Idempotency-Key": k.key})
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+				if attempt == 4 {
+					t.Errorf("keyed update %s failed mid-rebalance: %d: %s", k.key, resp.StatusCode, data)
+					return
+				}
+			}
+			mu.Lock()
+			keyed = append(keyed, k)
+			mu.Unlock()
+		}
+	}()
+	stream, err := ingestclient.Dial(ingestclient.Options{BaseURL: urls[1], Estimator: "j", Session: "mid-move", DupEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(300))
+		var history []spatial.UpdateRecord
+		for !stopped() {
+			recs := streamBatch(rng, 4, &history)
+			if err := stream.Send(recs); err != nil {
+				t.Errorf("stream send mid-rebalance: %v", err)
+				return
+			}
+			mu.Lock()
+			streamed = append(streamed, recs...)
+			mu.Unlock()
+		}
+	}()
 
-	// Let the writers get going, then move every partition to the next
-	// node over, issuing each move through a different (often non-owner)
-	// node so forwarding is exercised too.
+	// Let the writers get going, then move every partition to the node
+	// after its owner, issuing each move through a different (often
+	// non-owner) node so forwarding is exercised too.
 	time.Sleep(200 * time.Millisecond)
 	for p := 0; p < testPartitions; p++ {
-		target := fmt.Sprintf("n%d", (p+1)%3)
-		rb, _ := json.Marshal(rebalanceRequest{Name: "j", Partition: p, Target: target})
-		resp, data := httpDo(t, "POST", urls[p%3]+"/admin/rebalance", rb, nil)
-		if resp.StatusCode != http.StatusOK {
+		owner, _ := srvs[0].cluster.map_().Owner(cluster.ShardName("j", p))
+		var idx int
+		fmt.Sscanf(owner.ID, "n%d", &idx)
+		rb, _ := json.Marshal(rebalanceRequest{Name: "j", Partition: p, Target: fmt.Sprintf("n%d", (idx+1)%3)})
+		tid := fmt.Sprintf("%032x", 0x6d6f7665+p)
+		var moved struct{ Moved bool }
+		resp, data := httpDo(t, "POST", urls[p%3]+"/admin/rebalance", rb, tpHeader(tid))
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &moved) != nil || !moved.Moved {
 			t.Fatalf("rebalance of partition %d: %d: %s", p, resp.StatusCode, data)
 		}
+		logMoveSpans(t, urls[p%3], tid, p)
 		time.Sleep(50 * time.Millisecond)
 	}
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	if err := stream.Flush(); err != nil {
+		t.Fatalf("stream flush after the moves: %v", err)
+	}
 	if t.Failed() {
 		return
+	}
+
+	// Every acked keyed update, resent through another router, finds its
+	// marks at the partitions' new owners.
+	for i, k := range keyed {
+		var ur updateResponse
+		resp, data := httpDo(t, "POST", urls[(i+1)%3]+"/v1/estimators/j/update", k.body, map[string]string{"Idempotency-Key": k.key})
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &ur) != nil || !ur.Deduped || ur.Applied != 0 {
+			t.Fatalf("resend of %s after the moves: status %d: %s", k.key, resp.StatusCode, data)
+		}
 	}
 
 	ref, err := spatial.NewJoinEstimator(spatial.JoinConfig{Dims: 2, DomainSize: dom, Seed: 9,
@@ -342,13 +422,18 @@ func TestClusterRebalanceMidIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	all := append([]geo.HyperRect(nil), sent...)
-	mu.Unlock()
-	for _, r := range all {
+	for _, r := range sent {
 		if err := ref.InsertLeft(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for _, k := range keyed {
+		if err := ref.InsertRight(k.rect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyRef(t, ref, streamed)
+	mu.Unlock()
 	want, err := ref.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -356,10 +441,12 @@ func TestClusterRebalanceMidIngest(t *testing.T) {
 	for via := 0; via < 3; via++ {
 		got := mustDo(t, "GET", urls[via]+"/v1/estimators/j/snapshot", nil, http.StatusOK)
 		if !bytes.Equal(got, want) {
-			t.Errorf("after rebalances: snapshot via node %d differs from the loss-free replay (%d updates)", via, len(all))
+			t.Errorf("after rebalances: snapshot via node %d differs from the loss-free replay (%d plain, %d keyed, %d streamed records)",
+				via, len(sent), len(keyed), len(streamed))
 		}
 	}
-	t.Logf("rebalanced all %d partitions under %d concurrent updates, exactness preserved", testPartitions, len(all))
+	t.Logf("rebalanced all %d partitions under %d plain and %d keyed updates and %d streamed records, exactness preserved",
+		testPartitions, len(sent), len(keyed), len(streamed))
 
 	// The map settled on a newer version with overrides on every node.
 	var rr ringResponse
@@ -369,6 +456,26 @@ func TestClusterRebalanceMidIngest(t *testing.T) {
 	if rr.Map == nil || rr.Map.Version < 2 {
 		t.Errorf("ring did not advance past rebalances: %+v", rr.Map)
 	}
+}
+
+// logMoveSpans logs the durations of a move's rebalance.handoff and
+// rebalance.seal spans, read from the move's trace (which the writers'
+// traces may already have pushed out of the ring).
+func logMoveSpans(t *testing.T, base, tid string, part int) {
+	t.Helper()
+	resp, data := httpDo(t, "GET", base+"/admin/trace/"+tid, nil, nil)
+	var tr traceGetResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &tr) != nil {
+		t.Logf("partition %d: move trace no longer retained (status %d)", part, resp.StatusCode)
+		return
+	}
+	d := map[string]time.Duration{}
+	for _, seg := range tr.Segments {
+		for _, sp := range seg.Spans {
+			d[sp.Name] = sp.Duration
+		}
+	}
+	t.Logf("partition %d: rebalance.handoff %v, rebalance.seal %v", part, d["rebalance.handoff"], d["rebalance.seal"])
 }
 
 // TestClusterRingAdoption checks map versioning: stale broadcasts are

@@ -319,7 +319,7 @@ func classifyEndpoint(r *http.Request) string {
 		return "snapshot_get"
 	case strings.HasSuffix(p, "/merge"):
 		return "merge"
-	case strings.HasSuffix(p, "/ingest"), strings.HasSuffix(p, "/ingest-marks"):
+	case strings.HasSuffix(p, "/ingest"):
 		return "ingest"
 	case p == "/v1/estimators" || p == "/v1/tenants":
 		if r.Method == http.MethodPost {

@@ -81,8 +81,7 @@ const (
 	// can never apply a batch without remembering it was applied (or
 	// vice versa). rest: uvarint session length | session | uvarint seq |
 	// uvarint record count | UpdateRecord*. A count of 0 is a pure
-	// watermark advance (used when rebalance hands session marks to a
-	// new partition owner).
+	// watermark advance (a move's image carries one per session mark).
 	walOpIngest byte = 8
 
 	// walOpSessionDrop removes one session watermark (TTL/LRU expiry by
@@ -471,7 +470,7 @@ func applyRecords(est servable, batch ingest.Batch) error {
 
 // parseWalPayload splits a WAL record payload into its op byte, the
 // estimator name and the op-specific rest - shared by the WAL
-// interpreter and rebalance suffix filtering.
+// interpreter and a move's frame filters.
 func parseWalPayload(payload []byte) (op byte, name string, rest []byte, err error) {
 	if len(payload) < 1 {
 		return 0, "", nil, fmt.Errorf("empty wal payload")

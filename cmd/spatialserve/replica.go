@@ -274,7 +274,7 @@ func (s *Server) fetchAndApply(rs *replicaState) (n int, err error) {
 		rs.mu.Unlock()
 	}
 	for i, fr := range frames {
-		if err := s.applyReplicated(fr.payload); err != nil {
+		if err := s.applyReplicated(context.Background(), fr.payload); err != nil {
 			setPos(fr.pos) // the failed frame; earlier ones are done
 			return i, fmt.Errorf("%w: record at %v: %v", errReplicaWedged, fr.pos, err)
 		}
@@ -297,13 +297,22 @@ type walFrame struct {
 	payload []byte
 }
 
-// parseWalFrames decodes a WAL shipping body: per frame, u64 segment,
-// u64 offset, u32 length, payload.
+// appendWalFrame appends one WAL shipping frame - u64 segment | u64
+// offset | u32 length | payload, little-endian - the layout of /admin/wal
+// bodies and of move chunks alike.
+func appendWalFrame(dst []byte, pos wal.Pos, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, pos.Seg)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(pos.Off))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
+// parseWalFrames decodes a body of appendWalFrame frames.
 func parseWalFrames(body []byte) ([]walFrame, error) {
 	var frames []walFrame
 	for len(body) > 0 {
 		if len(body) < 20 {
-			return nil, fmt.Errorf("wal fetch: truncated frame header")
+			return nil, fmt.Errorf("wal frames: truncated frame header")
 		}
 		pos := wal.Pos{
 			Seg: binary.LittleEndian.Uint64(body),
@@ -312,7 +321,7 @@ func parseWalFrames(body []byte) ([]walFrame, error) {
 		sz := binary.LittleEndian.Uint32(body[16:])
 		body = body[20:]
 		if uint64(sz) > uint64(len(body)) {
-			return nil, fmt.Errorf("wal fetch: frame of %d bytes exceeds body", sz)
+			return nil, fmt.Errorf("wal frames: frame of %d bytes exceeds body", sz)
 		}
 		frames = append(frames, walFrame{pos: pos, payload: body[:sz]})
 		body = body[sz:]
@@ -321,16 +330,18 @@ func parseWalFrames(body []byte) ([]walFrame, error) {
 }
 
 // applyReplicated applies one shipped WAL payload through the WAL
-// interpreter, then - on a persistent follower - appends the raw payload
-// to the local WAL, inside the same gate hold so a local checkpoint cut
-// never splits the pair. Apply-then-log (the reverse of the write path's
-// log-then-apply ordering) is deliberate: a frame that fails to apply
-// must never enter the local log, because the tail loop re-fetches
-// failed frames and a pre-logged retry would append duplicates that
-// diverge crash recovery. Any error here wedges replication (see
-// tailLeader); a restart re-bootstraps from a fresh leader image, so the
-// lost apply-vs-log atomicity cannot outlive the process.
-func (s *Server) applyReplicated(payload []byte) error {
+// interpreter, then - on a persistent node - appends the raw payload to
+// the local WAL, inside the same gate hold so a local checkpoint cut
+// never splits the pair. Replicas apply their leader's frames here, and a
+// move target the frames of the shard it is taking over (handleMove).
+// Apply-then-log (the reverse of the write path's log-then-apply
+// ordering) is deliberate: a frame that fails to apply must never enter
+// the local log, because the tail loop re-fetches failed frames and a
+// pre-logged retry would append duplicates that diverge crash recovery.
+// Any error here wedges replication (see tailLeader); a restart
+// re-bootstraps from a fresh leader image, so the lost apply-vs-log
+// atomicity cannot outlive the process.
+func (s *Server) applyReplicated(ctx context.Context, payload []byte) error {
 	op, _, _, err := parseWalPayload(payload)
 	if err != nil {
 		return err
@@ -349,11 +360,56 @@ func (s *Server) applyReplicated(payload []byte) error {
 		return err
 	}
 	if s.persist != nil {
-		if _, err := s.persist.w.Append(payload); err != nil {
-			return &logFailure{err}
-		}
+		return s.persist.appendRecord(ctx, payload)
 	}
 	return nil
+}
+
+// handleMove applies one chunk of a partition move at its target
+// (POST /admin/move?shard=, sent by handoff): /admin/wal frames that all
+// name the shard with op 3, 5, 8 or 9 - first the shard's image as a put
+// and count-0 ingest records, then the source's own frames verbatim -
+// each applied through applyReplicated, as on a replica. The chunk is
+// internal, refused on an active replica and for a shard this node owns,
+// and refused whole, before anything applies, when any frame is another.
+func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
+	shard := r.URL.Query().Get("shard")
+	switch {
+	case !isInternal(r):
+		writeError(w, http.StatusForbidden, "partition moves are internal")
+		return
+	case s.replicaReadOnly():
+		writeError(w, http.StatusConflict, readOnlyReplicaMsg)
+		return
+	case s.cluster == nil || !cluster.IsShardName(shard):
+		writeError(w, http.StatusBadRequest, "a move takes a shard of a cluster node, not %q", shard)
+		return
+	case s.cluster.owns(shard):
+		writeError(w, http.StatusConflict, "this node already owns %q", shard)
+		return
+	}
+	data, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	frames, err := parseWalFrames(data)
+	for i := 0; err == nil && i < len(frames); i++ {
+		op, name, _, perr := parseWalPayload(frames[i].payload)
+		if err = perr; err == nil && (name != shard || op != walOpUpdate && op != walOpPut && op != walOpIngest && op != walOpSessionDrop) {
+			err = fmt.Errorf("frame %d, op %d on %q, is no part of this move", i, op, name)
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "move of %q: %v", shard, err)
+		return
+	}
+	for i, fr := range frames {
+		if err := s.applyReplicated(r.Context(), fr.payload); err != nil {
+			writeError(w, http.StatusInternalServerError, "move of %q: frame %d: %v", shard, i, err)
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]int{"applied": len(frames)})
 }
 
 // handlePromote turns a follower into an ordinary read-write node:
@@ -462,12 +518,11 @@ func decodeImage(body []byte) (*image, error) {
 const maxShipBytesCeiling = 32 << 20
 
 // handleWalShip serves a chunk of committed WAL records from ?from=
-// (seg:off), at most ?max= framed bytes (capped server-side). Body, per
-// frame: u64 segment | u64 offset | u32 length | raw record payload, so
-// the follower can advance its position record by record; the position
-// after the last frame rides in X-Spatial-Wal-Next. A position older
-// than the oldest retained segment answers 410 Gone - the follower's cue
-// to re-bootstrap.
+// (seg:off), at most ?max= framed bytes (capped server-side), as
+// appendWalFrame frames: each carries its position, so the follower can
+// advance record by record, and the position after the last frame rides
+// in X-Spatial-Wal-Next. A position older than the oldest retained
+// segment answers 410 Gone - the follower's cue to re-bootstrap.
 func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 	if s.persist == nil {
 		writeError(w, http.StatusConflict, "WAL shipping requires -data-dir")
@@ -488,14 +543,9 @@ func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 	if max > maxShipBytesCeiling {
 		max = maxShipBytesCeiling
 	}
-	var buf bytes.Buffer
+	var body []byte
 	next, err := s.persist.w.ReadFrom(from, max, func(pos wal.Pos, payload []byte) error {
-		var hdr [20]byte
-		binary.LittleEndian.PutUint64(hdr[0:], pos.Seg)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(pos.Off))
-		binary.LittleEndian.PutUint32(hdr[16:], uint32(len(payload)))
-		buf.Write(hdr[:])
-		buf.Write(payload)
+		body = appendWalFrame(body, pos, payload)
 		return nil
 	})
 	if err != nil {
@@ -511,7 +561,7 @@ func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerWalNext, next.String())
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 // parseWalPos parses the seg:off wire form of a WAL position.

@@ -580,3 +580,43 @@ func FuzzBootstrapBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWalFrames: a move target decodes the frame body a peer pushes
+// (handleMove) with the decoder followers use for /admin/wal. No input may
+// panic it, and every body it accepts must re-encode to itself through
+// the shared encoder; a truncated header and an overlong length are
+// refused.
+func FuzzWalFrames(f *testing.F) {
+	s := openPersistent(f, f.TempDir())
+	defer s.Close()
+	createJoin(f, s, "j", 1<<10)
+	mustStatus(f, do(f, s, "POST", "/v1/estimators/j/update", updateBody(f, "left", [][][2]uint64{{{1, 9}, {2, 7}}})), http.StatusOK)
+	w := do(f, s, "GET", "/admin/wal?from=0:0", nil)
+	mustStatus(f, w, http.StatusOK)
+	real := w.Body.Bytes()
+	if frames, err := parseWalFrames(real); err != nil || len(frames) != 2 {
+		f.Fatalf("a real /admin/wal body decoded to %d frames (%v), want 2", len(frames), err)
+	}
+	overlong := binary.LittleEndian.AppendUint32(append([]byte(nil), real[:16]...), 1<<20)
+	for name, body := range map[string][]byte{"truncated header": real[:19], "overlong length": overlong} {
+		if _, err := parseWalFrames(body); err == nil {
+			f.Fatalf("a body with a %s was accepted", name)
+		}
+	}
+	f.Add(real)
+	f.Add(real[:19])
+	f.Add(overlong)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		frames, err := parseWalFrames(body)
+		if err != nil {
+			return
+		}
+		var out []byte
+		for _, fr := range frames {
+			out = appendWalFrame(out, fr.pos, fr.payload)
+		}
+		if !bytes.Equal(out, body) {
+			t.Fatal("an accepted body does not re-encode to itself")
+		}
+	})
+}

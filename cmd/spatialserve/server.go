@@ -168,11 +168,11 @@ func NewServer() *Server {
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngestStream)
 	s.mux.HandleFunc("GET "+cluster.PeerPath, s.handlePeer)
 	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest", s.handleShardIngest)
-	s.mux.HandleFunc("POST /v1/estimators/{name}/ingest-marks", s.handleIngestMarks)
 	s.mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /admin/ring", s.handleRingGet)
 	s.mux.HandleFunc("POST /admin/ring", s.handleRingAdopt)
 	s.mux.HandleFunc("POST /admin/rebalance", s.handleRebalance)
+	s.mux.HandleFunc("POST /admin/move", s.handleMove)
 	s.mux.HandleFunc("GET /admin/bootstrap", s.handleBootstrap)
 	s.mux.HandleFunc("GET /admin/wal", s.handleWalShip)
 	s.mux.HandleFunc("POST /admin/promote", s.handlePromote)
@@ -236,8 +236,18 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // the request metrics - with the trace ID attached as an exemplar when
 // the trace was retained - plus a structured slow-op line when the
 // request crossed the slow threshold.
+//
+// A connection upgraded to a frame protocol (a stream, a peer connection)
+// is no request: each frame on it is traced on its own, and the
+// connection is counted once when it closes, with nothing else recorded.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	endpoint := classifyEndpoint(r)
+	if p := r.URL.Path; p == "/v1/ingest" || p == cluster.PeerPath {
+		sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		s.serveAdmitted(sw, r)
+		s.metrics.reqTotal.With(endpoint, s.metricsTenant(r), strconv.Itoa(sw.status)).Inc()
+		return
+	}
 	op := "http " + endpoint
 	ctx, sp := s.tracer.Start(traceRequest(w, r), op)
 	if sp != nil {
@@ -836,7 +846,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if routed && !cluster.IsShardName(name) {
 		applied, deduped, err = s.cluster.routeIngest(r.Context(), name, session, batch)
 	} else {
-		applied, deduped, err = s.applyIngestBatch(r.Context(), name, session, batch, false)
+		applied, deduped, err = s.applyIngestBatch(r.Context(), name, session, batch)
 	}
 	if err != nil {
 		writeIngestError(w, err)

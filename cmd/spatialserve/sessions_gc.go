@@ -101,13 +101,16 @@ func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, l
 
 // dropSessionMark removes one live watermark. The drop is re-validated
 // under the entry lock (still unpinned, still idle past minIdle - a
-// racing batch revives the mark and aborts the drop) and WAL-logged
-// before removal when the key is durable here. Returns whether the mark
+// racing batch revives the mark and aborts the drop) and, when the key is
+// durable here, WAL-logged and removed in one gate hold, so a cut (a
+// checkpoint's or a move's) sees both or neither. The marks of a shard
+// this node does not own are not its to drop: they arrive from the
+// shard's owner, drops included (handleMove). Returns whether the mark
 // was dropped.
 func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now time.Time) (bool, error) {
 	t := &s.sessions
 	ent := t.lookup(session, key)
-	if ent == nil || t.isPinned(session, key) {
+	if ent == nil || t.isPinned(session, key) || s.notOwner(key) {
 		return false, nil
 	}
 	ent.mu.Lock()
@@ -118,22 +121,29 @@ func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now
 	if minIdle > 0 && now.Sub(time.Unix(0, ent.last.Load())) < minIdle {
 		return false, nil
 	}
-	if est, ok := s.lookup(key); ok && s.persist != nil {
-		err := s.withEstimator(key, est, func() error {
-			return s.persist.logSessionDrop(context.Background(), key, session)
-		})
-		if errors.Is(err, errStaleBinding) {
-			// The binding changed under us; the delete/replace path owns
-			// this key's marks now.
-			return false, nil
+	est, bound := s.lookup(key)
+	drop := func() error {
+		if bound && s.persist != nil {
+			if err := s.persist.logSessionDrop(context.Background(), key, session); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return false, err
-		}
+		ent.dropped.Store(true)
+		t.remove(session, key)
+		return nil
 	}
-	ent.dropped.Store(true)
-	t.remove(session, key)
-	return true, nil
+	var err error
+	if bound {
+		err = s.withEstimator(key, est, drop)
+	} else {
+		err = drop()
+	}
+	if errors.Is(err, errStaleBinding) {
+		// The binding changed under us; the delete/replace path owns this
+		// key's marks now.
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // gcSessions runs one sweep at time now and returns how many marks were

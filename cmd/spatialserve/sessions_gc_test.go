@@ -34,7 +34,7 @@ func encodeRecords(recs []spatial.UpdateRecord) (uint64, []byte) {
 func ingestOnce(t *testing.T, s *Server, session string, seq uint64, recs []spatial.UpdateRecord) {
 	t.Helper()
 	count, enc := encodeRecords(recs)
-	applied, deduped, err := s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: seq, Count: count, Records: enc}, false)
+	applied, deduped, err := s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: seq, Count: count, Records: enc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	// The active session's window stays closed: a retry is deduped, not
 	// re-applied.
 	count, enc := encodeRecords(liveRecs)
-	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}, false); err != nil || !deduped {
+	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}); err != nil || !deduped {
 		t.Fatalf("retry after gc: deduped=%v err=%v, want dedup", deduped, err)
 	}
 	mustMatchRef(t, n.ht.URL, ref, "after expiry")
@@ -102,7 +102,7 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	if got := s.sessions.peek("gc-live", "j"); got != 1 {
 		t.Fatalf("recovered active mark: seq %d, want 1", got)
 	}
-	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}, false); err != nil || !deduped {
+	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", "gc-live", ingest.Batch{Seq: 1, Count: count, Records: enc}); err != nil || !deduped {
 		t.Fatalf("retry after recovery: deduped=%v err=%v, want dedup", deduped, err)
 	}
 	mustMatchRef(t, n.ht.URL, ref, "after recovery")
@@ -206,7 +206,7 @@ func TestSessionGCPressureSparesStreamMarks(t *testing.T) {
 	}
 	resend := func(session string) (int, bool, error) {
 		count, enc := encodeRecords(batch)
-		return s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: 1, Count: count, Records: enc}, false)
+		return s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: 1, Count: count, Records: enc})
 	}
 	if applied, deduped, err := resend("writer"); err != nil || applied != 0 || !deduped {
 		t.Fatalf("resent batch 1 after pressure eviction: applied %d, deduped %v, err %v; want a dedup", applied, deduped, err)

@@ -95,8 +95,7 @@ type sessionEntry struct {
 	mu  sync.Mutex
 	seq atomic.Uint64
 	// last is the unix-nano time of the entry's latest activity (create,
-	// apply, dedup, mark adoption, resume peek) - the idle clock the
-	// session GC reads.
+	// apply, dedup, resume peek) - the idle clock the session GC reads.
 	last atomic.Int64
 	// dropped marks an entry removed from the table (GC, admin drop or
 	// estimator deletion) while a racing holder may still carry a stale
@@ -277,7 +276,7 @@ func (t *sessionTable) dropKey(key string) {
 }
 
 // marksFor returns the marks of one estimator key, sorted by session
-// (rebalance ships a shard's marks to the new owner at seal time).
+// (a move ships a shard's marks in its image, moveImage).
 func (t *sessionTable) marksFor(key string) []sessionMark {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -333,33 +332,11 @@ func (t *sessionTable) replace(marks []sessionMark) {
 	}
 }
 
-// adopt advances one mark without applying records: rebalance handing a
-// shard's marks to the new owner. Logged (count-0 walOpIngest) so the
-// mark survives the new owner's recovery.
-func (s *Server) adoptMark(ctx context.Context, name string, est servable, m sessionMark) error {
-	ent := s.sessions.lockEntry(m.Session, name, false)
-	defer ent.mu.Unlock()
-	ent.touch()
-	if m.Seq <= ent.seq.Load() {
-		return nil
-	}
-	return s.withEstimator(name, est, func() error {
-		if s.persist != nil {
-			if err := s.persist.logIngest(ctx, name, m.Session, ingest.Batch{Seq: m.Seq}); err != nil {
-				return err
-			}
-		}
-		ent.seq.Store(m.Seq)
-		return nil
-	})
-}
-
 // applyIngestBatch is the one write path: every update - a plain JSON
-// update, a keyed update, a stream batch, a forwarded partition
-// sub-batch or a rebalance suffix - is validated, logged and applied
-// here, and nowhere else. Every record is validated before the WAL
-// append, so a batch applies whole or not at all and a logged record
-// always replays.
+// update, a keyed update, a stream batch or a forwarded partition
+// sub-batch - is validated, logged and applied here, and nowhere else.
+// Every record is validated before the WAL append, so a batch applies
+// whole or not at all and a logged record always replays.
 //
 //   - With a session the batch is exactly-once: at or below the
 //     session's watermark it is dropped (deduped=true: already durable,
@@ -367,16 +344,22 @@ func (s *Server) adoptMark(ctx context.Context, name string, est servable, m ses
 //     advance are logged as one atomic walOpIngest record.
 //   - Without a session it is a plain update: not deduplicated, no mark
 //     left, logged as a walOpUpdate record; an empty one logs nothing.
-//   - A handoff batch (rebalance shipping a shard's WAL suffix) skips the
-//     shard-ownership check: the target does not own the shard until the
-//     move seals.
-func (s *Server) applyIngestBatch(ctx context.Context, name, session string, batch ingest.Batch, handoff bool) (applied int, deduped bool, err error) {
+//
+// On a cluster node a shard must be owned here. That is checked under the
+// gate, since a move flips ownership under the exclusive gate, and also
+// before a session entry is locked: a move target applies the shard's
+// marks gate first, entry second (handleMove), so no write may hold an
+// entry of a shard it does not own while it waits for the gate.
+func (s *Server) applyIngestBatch(ctx context.Context, name, session string, batch ingest.Batch) (applied int, deduped bool, err error) {
 	est, ok := s.lookup(name)
 	if !ok {
 		return 0, false, fmt.Errorf("%w: %q", errNotFoundLocal, name)
 	}
 	var ent *sessionEntry
 	if session != "" {
+		if s.notOwner(name) {
+			return 0, false, errNotOwner
+		}
 		if ent = s.sessions.lockEntry(session, name, true); ent == nil {
 			return 0, false, errSessionTableFull
 		}
@@ -393,7 +376,7 @@ func (s *Server) applyIngestBatch(ctx context.Context, name, session string, bat
 		return 0, false, err
 	}
 	err = s.withEstimator(name, est, func() error {
-		if !handoff && s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name) {
+		if s.notOwner(name) {
 			return errNotOwner
 		}
 		for _, rec := range recs {
@@ -430,6 +413,12 @@ func (s *Server) applyIngestBatch(ctx context.Context, name, session string, bat
 	return len(recs), false, nil
 }
 
+// notOwner reports whether name is a shard this cluster node does not
+// own under its current map.
+func (s *Server) notOwner(name string) bool {
+	return s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name)
+}
+
 // ---- the streaming endpoint ----
 
 // handleIngestStream upgrades POST /v1/ingest to the binary frame
@@ -457,8 +446,8 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	if err := rw.Flush(); err != nil {
 		return
 	}
-	// The handler (and so ServeHTTP's root span) lives for the whole
-	// stream; per-batch child spans hang off this context.
+	// The stream is no request of its own (ServeHTTP): its hello and each
+	// batch are traces of their own.
 	s.serveStream(r.Context(), conn, rw)
 }
 
@@ -618,7 +607,7 @@ func (s *Server) ingestOneBatch(ctx context.Context, key, session string, cluste
 	if clustered {
 		applied, deduped, err = s.cluster.routeIngest(ctx, key, session, batch)
 	} else {
-		applied, deduped, err = s.applyIngestBatch(ctx, key, session, batch, false)
+		applied, deduped, err = s.applyIngestBatch(ctx, key, session, batch)
 	}
 	if err != nil {
 		return err
@@ -668,9 +657,7 @@ func (s *Server) keyTenant(key string) string {
 // owner: POST body is the walOpIngest rest layout (session | seq |
 // count | records), with an empty session for a plain update. Internal
 // only - the (session, seq) contract is meaningless for external callers
-// hitting shard keys directly. ?handoff marks a rebalance's WAL suffix
-// (a sessionless batch), which the target applies before it owns the
-// shard.
+// hitting shard keys directly.
 func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	if !isInternal(r) {
 		writeError(w, http.StatusForbidden, "shard ingest is internal")
@@ -690,12 +677,7 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	handoff := r.URL.Query().Has("handoff")
-	if handoff && session != "" {
-		writeError(w, http.StatusBadRequest, "a handoff batch carries no session")
-		return
-	}
-	applied, deduped, err := s.applyIngestBatch(r.Context(), name, session, batch, handoff)
+	applied, deduped, err := s.applyIngestBatch(r.Context(), name, session, batch)
 	if err != nil {
 		writeIngestError(w, err)
 		return
@@ -728,42 +710,6 @@ func writeIngestError(w http.ResponseWriter, err error) {
 type ingestShardResponse struct {
 	Applied int  `json:"applied"`
 	Deduped bool `json:"deduped"`
-}
-
-// handleIngestMarks adopts session watermarks for one estimator -
-// rebalance ships a shard's marks to the new owner at seal time so the
-// move cannot reopen the dedup window. Body: JSON array of sessionMark.
-func (s *Server) handleIngestMarks(w http.ResponseWriter, r *http.Request) {
-	if !isInternal(r) {
-		writeError(w, http.StatusForbidden, "ingest marks are internal")
-		return
-	}
-	name := r.PathValue("name")
-	est, ok := s.lookup(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no estimator %q", name)
-		return
-	}
-	var marks []sessionMark
-	if !decodeJSON(w, r, &marks) {
-		return
-	}
-	for _, m := range marks {
-		if m.Session == "" || len(m.Session) > ingest.MaxSessionIDBytes {
-			writeError(w, http.StatusBadRequest, "bad session in mark")
-			return
-		}
-		if err := s.adoptMark(r.Context(), name, est, m); err != nil {
-			var lf *logFailure
-			if errors.As(err, &lf) {
-				writeError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"adopted": len(marks)})
 }
 
 // ---- JSON updates as record batches ----

@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	spatial "repro"
+	"repro/ingestclient"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -291,4 +298,103 @@ func TestClusterTraceStitched(t *testing.T) {
 	if len(cre.Tree) != 1 {
 		t.Fatalf("create trace has %d roots, want 1 stitched tree: %v", len(cre.Tree), names)
 	}
+}
+
+// TestUpgradedConnectionIsNotARequest: a connection upgraded to a frame
+// protocol is counted once in spatialserve_requests_total and recorded
+// nowhere else - no request_seconds observation, no root span - so each
+// frame on it is its own trace: an open stream's batches are listed while
+// it stays open, and a peer connection that outlived the slow threshold
+// leaves no "http peer" trace behind.
+func TestUpgradedConnectionIsNotARequest(t *testing.T) {
+	countOnce := func(t *testing.T, srv *Server, endpoint string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		label := `endpoint="` + endpoint + `"`
+		for {
+			body := string(scrape(t, srv))
+			for _, line := range strings.Split(body, "\n") {
+				if !strings.HasPrefix(line, "spatialserve_requests_total{") || !strings.Contains(line, label) {
+					continue
+				}
+				if !strings.HasSuffix(line, "} 1") {
+					t.Fatalf("an upgraded %s connection was counted more than once: %s", endpoint, line)
+				}
+				if containsSeriesWithLabels(body, "spatialserve_request_seconds", label) {
+					t.Fatalf("an upgraded %s connection was timed as a request:\n%s", endpoint, body)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("a closed %s connection was not counted once:\n%s", endpoint, body)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	roots := func(t *testing.T, base string) map[string]int {
+		t.Helper()
+		var list traceListResponse
+		if err := json.Unmarshal(mustDo(t, "GET", base+"/admin/trace?limit=256", nil, http.StatusOK), &list); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for _, tr := range list.Traces {
+			out[tr.Root]++
+		}
+		return out
+	}
+
+	t.Run("stream", func(t *testing.T) {
+		srv := NewServer()
+		srv.Tracer().SetSampleRate(1)
+		ht := httptest.NewServer(srv)
+		defer ht.Close()
+		createStreamJoin(t, ht.URL)
+		c, err := ingestclient.Dial(ingestclient.Options{BaseURL: ht.URL, Estimator: "j", Session: "traced"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const batches = 30
+		rng := rand.New(rand.NewSource(5))
+		var sent []spatial.UpdateRecord
+		for i := 0; i < batches; i++ {
+			if err := c.Send(streamBatch(rng, 4, &sent)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := roots(t, ht.URL); got["ingest.batch"] < batches || got["ingest.hello"] != 1 {
+			t.Fatalf("with the stream open the ring holds %v, want %d ingest.batch traces and one ingest.hello", got, batches)
+		}
+		c.Close()
+		countOnce(t, srv, "ingest")
+		if got := roots(t, ht.URL); got["http ingest"] != 0 {
+			t.Fatalf("the closed stream left a request trace: %v", got)
+		}
+	})
+
+	t.Run("peer", func(t *testing.T) {
+		srv := NewServer()
+		srv.Tracer().SetSlowThreshold(20 * time.Millisecond)
+		ht := httptest.NewServer(srv)
+		defer ht.Close()
+		defer srv.Close()
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ht.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", cluster.PeerPath, cluster.PeerProtocol)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("peer upgrade: %v %v", resp, err)
+		}
+		time.Sleep(60 * time.Millisecond) // past the slow threshold
+		conn.Close()
+		countOnce(t, srv, "peer")
+		if got := roots(t, ht.URL); got["http peer"] != 0 {
+			t.Fatalf("a peer connection open past the slow threshold left a trace: %v", got)
+		}
+	})
 }
