@@ -565,25 +565,13 @@ var errForwardFailed = errors.New("ingest forward failed after retries")
 // batch stamps every sub-batch with the SAME (session, seq). Each owner
 // dedups on its own durable (session, shard) watermark, so a partial
 // fan-out failure followed by the client's retry re-applies only at
-// owners that missed it. The routing node's own mark is a pure fast
-// path: advanced only after ALL owners acked durably, it lets a retried
-// batch (and a resumed session's HelloAck) short-circuit without a
-// fan-out; losing it (routing-node restart) merely causes re-forwarding
-// that the owners drop. A sessionless (plain) batch has no mark and is
-// never resent after an ambiguous failure, so a partial failure is
+// owners that missed it, and the batch is a duplicate when every owner
+// says so, whichever router it came through. The router takes no mark
+// here: an Idempotency-Key's marks live at its owners alone, and a
+// stream's resume mark is ingestOneBatch's. A sessionless (plain) batch
+// is never resent after an ambiguous failure, so a partial failure is
 // final: it reports the applied count (partialUpdateError).
 func (c *clusterNode) routeIngest(ctx context.Context, name, session string, batch ingest.Batch) (int, bool, error) {
-	var ent *sessionEntry
-	if session != "" {
-		if ent = c.srv.sessions.entry(session, name, true); ent == nil {
-			return 0, false, errSessionTableFull
-		}
-		ent.mu.Lock()
-		defer ent.mu.Unlock()
-		if batch.Seq <= ent.seq.Load() {
-			return 0, true, nil
-		}
-	}
 	recs, err := batch.DecodeRecords()
 	if err != nil {
 		return 0, false, &shardClientError{err.Error()}
@@ -613,24 +601,19 @@ func (c *clusterNode) routeIngest(ctx context.Context, name, session string, bat
 		parts[p].Seq = batch.Seq
 		return c.forwardShardIngest(ctx, cluster.ShardName(name, p), session, parts[p])
 	})
-	// Every owner dropping its sub-batch as a duplicate makes the batch a
-	// duplicate, whichever router it came through.
 	total, deduped := 0, len(acks) > 0
 	for _, a := range acks {
 		total += a.Applied
 		deduped = deduped && a.Deduped
 	}
 	if err := cluster.FirstError(errs); err != nil {
-		if ent == nil {
+		if session == "" {
 			return total, false, plainFanoutError(name, total, errs)
 		}
 		// Some owners may have applied their sub-batches; the batch is NOT
 		// acked, the client resends it whole, and the owners that applied
 		// drop the duplicate - no double-apply, no loss.
 		return total, false, err
-	}
-	if ent != nil {
-		ent.seq.Store(batch.Seq)
 	}
 	return total, deduped, nil
 }

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -598,5 +600,63 @@ func TestClusterMapPersistsAcrossRestart(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("post-restart snapshot via node %d differs from reference", via)
 		}
+	}
+}
+
+// TestClusterKeyedUpdateLeavesNoRouterMark: a keyed update routed through
+// a node that owns none of its partitions leaves no mark there - the
+// key's marks live at its owners alone - and a resend of the key through
+// another router is still a durable no-op that leaves the estimate as it
+// was.
+func TestClusterKeyedUpdateLeavesNoRouterMark(t *testing.T) {
+	srvs, urls := startCluster(t, 3, true)
+	createStreamJoin(t, urls[0])
+	ref := refJoin(t)
+	wr := randRect(rand.New(rand.NewSource(47)), streamDom)
+	rect := geo.Rect(wr[0][0], wr[0][1], wr[1][0], wr[1][1])
+	rec := spatial.UpdateRecord{Op: spatial.OpInsert, Side: spatial.SideLeft, Rect: rect}
+	shard := cluster.ShardName("j", cluster.PartitionOf(rec.RoutingHash(), testPartitions))
+	owner, _ := srvs[0].cluster.map_().Owner(shard)
+	var routers []string // the nodes owning none of the update
+	for i, u := range urls {
+		if fmt.Sprintf("n%d", i) != owner.ID {
+			routers = append(routers, u)
+		}
+	}
+	a, b := routers[0], routers[1]
+
+	body := mustJSON(t, updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
+	hdr := map[string]string{"Idempotency-Key": "no-router-mark", "Content-Type": "application/json"}
+	if resp, data := httpDo(t, "POST", a+"/v1/estimators/j/update", body, hdr); resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte(`"applied":1`)) {
+		t.Fatalf("keyed update via A: status %d, body %s", resp.StatusCode, data)
+	}
+	if err := ref.InsertLeft(rect); err != nil {
+		t.Fatal(err)
+	}
+	var list sessionListResponse
+	if err := json.Unmarshal(mustDo(t, "GET", a+"/admin/sessions", nil, http.StatusOK), &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range list.Sessions {
+		if strings.HasPrefix(row.Session, idemSessionPrefix) {
+			t.Fatalf("router A holds a key mark: %+v", row)
+		}
+	}
+	if err := json.Unmarshal(mustDo(t, "GET", owner.URL+"/admin/sessions?estimator="+url.QueryEscape(shard), nil, http.StatusOK), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Sessions) != 1 || list.Sessions[0].Session != idemSessionPrefix+"no-router-mark" {
+		t.Fatalf("owner %s marks for %s: %+v, want the key's one mark", owner.ID, shard, list.Sessions)
+	}
+
+	before := mustDo(t, "GET", b+"/v1/estimators/j/estimate", nil, http.StatusOK)
+	if resp, data := httpDo(t, "POST", b+"/v1/estimators/j/update", body, hdr); resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte(`"deduped":true`)) {
+		t.Fatalf("resend via B: status %d, body %s; want 200 with deduped", resp.StatusCode, data)
+	}
+	if after := mustDo(t, "GET", b+"/v1/estimators/j/estimate", nil, http.StatusOK); !bytes.Equal(before, after) {
+		t.Fatalf("the resend changed the estimate: %s -> %s", before, after)
+	}
+	for _, u := range urls {
+		mustMatchRef(t, u, ref, "after the resend")
 	}
 }

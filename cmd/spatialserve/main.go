@@ -139,7 +139,7 @@ func run(args []string, out *os.File) error {
 	maxWrites := fs.Int("max-inflight-writes", 0, "admission control: max concurrently served write-class requests (0 = unlimited)")
 	shedQPS := fs.Float64("shed-qps", 0, "admission control: token-bucket request rate above which requests are shed with 429 (0 = off)")
 	shedBurst := fs.Int("shed-burst", 0, "admission control: token-bucket burst capacity (0 = one second of -shed-qps)")
-	sessionTTL := fs.Duration("session-ttl", 24*time.Hour, "expire streaming-ingest session watermarks idle longer than this (0 disables; sessions with an attached stream never expire)")
+	sessionTTL := fs.Duration("session-ttl", 24*time.Hour, "expire streaming-ingest session marks idle longer than this (0 keeps them; a mark with an attached stream never expires; Idempotency-Key marks always expire one minute after their last touch)")
 	slowOp := fs.Duration("slow-op-threshold", 0, "log a structured JSON line (stderr) for requests and ingest batches at or above this duration, and always retain their traces (0 disables)")
 	traceSample := fs.Float64("trace-sample", 0, "probability of retaining a fast, error-free trace in /admin/trace (0 = default 0.05; negative disables sampling, slow and errored traces are still kept)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (admission-exempt)")

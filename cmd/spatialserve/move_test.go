@@ -333,6 +333,14 @@ func TestClusterMoveAbortsOnRegistryOp(t *testing.T) {
 	f := newMoveFixture(t)
 	f.update(f.src, "k1")
 	f.update(f.src, "")
+	usedWords := func() int64 {
+		var info tenantInfoResponse
+		if err := json.Unmarshal(mustDo(t, "GET", f.src.ht.URL+"/v1/tenants/default", nil, http.StatusOK), &info); err != nil {
+			t.Fatal(err)
+		}
+		return info.UsedWords
+	}
+	used := usedWords()
 
 	extra, err := spatial.NewJoinEstimator(spatial.JoinConfig{Dims: 2, DomainSize: moveDom, Seed: 1,
 		Sizing: spatial.Sizing{Instances: 64, Groups: 4}})
@@ -371,6 +379,10 @@ func TestClusterMoveAbortsOnRegistryOp(t *testing.T) {
 		}
 	}
 	f.requireExact("after the aborted move")
+	// The target's inert copy of the shard is not the tenant's usage.
+	if got := usedWords(); got != used {
+		t.Fatalf("tenant usage after the aborted move: %d words, want %d", got, used)
+	}
 
 	f.update(f.dst, "k2")
 	if status, body := f.move("6d6f76656d6f76656d6f76656d6f7602"); status != http.StatusOK {
@@ -380,6 +392,9 @@ func TestClusterMoveAbortsOnRegistryOp(t *testing.T) {
 		t.Fatalf("retried move did not move ownership")
 	}
 	f.requireExact("after the retried move")
+	if got := usedWords(); got != used {
+		t.Fatalf("tenant usage after the retried move: %d words, want %d", got, used)
+	}
 }
 
 // mustDoWith is mustDo with request headers.

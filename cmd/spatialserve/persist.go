@@ -84,8 +84,8 @@ const (
 	// watermark advance (a move's image carries one per session mark).
 	walOpIngest byte = 8
 
-	// walOpSessionDrop removes one session watermark (TTL/LRU expiry by
-	// the session GC, or an admin drop): logged so recovery and replicas
+	// walOpSessionDrop removes one session watermark (expiry by the
+	// session GC, or an admin drop): logged so recovery and replicas
 	// converge on the same mark state as the live server. rest: uvarint
 	// session length | session.
 	walOpSessionDrop byte = 9
@@ -717,11 +717,8 @@ func (p *persister) commit(img *image) (checkpointResult, error) {
 			return checkpointResult{}, err
 		}
 	}
-	// The manifest streams into the file rather than through one encoded
-	// []byte: it carries every session mark, so a whole-document buffer
-	// would be garbage proportional to the marks at every checkpoint.
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := p.writeFile(tmp, func(w io.Writer) error { return json.NewEncoder(w).Encode(m) }); err != nil {
+	if err := p.writeFile(tmp, func(w io.Writer) error { return writeManifest(w, m) }); err != nil {
 		return checkpointResult{}, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
@@ -741,6 +738,36 @@ func (p *persister) commit(img *image) (checkpointResult, error) {
 		p.logf("spatialserve: wal truncation after checkpoint %d failed: %v", m.Seq, err)
 	}
 	return p.last, nil
+}
+
+// writeManifest writes json.Encoder's bytes for m, but encodes the marks
+// one at a time: a whole-document buffer would be garbage proportional
+// to the marks at every checkpoint.
+func writeManifest(w io.Writer, m *manifest) error {
+	head := *m
+	head.Sessions = nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		return err
+	}
+	if len(m.Sessions) > 0 {
+		// "sessions" is the last field: reopen the object to append it.
+		b = append(b[:len(b)-1], `,"sessions":`...)
+		sep := byte('[')
+		for i := range m.Sessions {
+			mb, err := json.Marshal(&m.Sessions[i])
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(append(b, sep), mb...)); err != nil {
+				return err
+			}
+			b, sep = b[:0], ','
+		}
+		b = append(b, ']', '}')
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // writeFile creates path and fills it through write over a buffered

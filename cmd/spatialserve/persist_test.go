@@ -439,3 +439,31 @@ func benchServeMixed(b *testing.B, h http.Handler) {
 		}
 	})
 }
+
+// TestWriteManifestMatchesEncoder: the checkpoint writes a manifest's
+// session marks one at a time, and the bytes must be json.Encoder's, so
+// every reader of a MANIFEST (recovery, older builds) reads the same
+// file.
+func TestWriteManifestMatchesEncoder(t *testing.T) {
+	base := manifest{Version: manifestVersion, Seq: 7, WALSegment: 3, WALOffset: 4096,
+		Estimators: []manifestEntry{{Name: "j#1", File: "est-7-0.spe1"}, {Name: "acme/r", File: "est-7-1.spe1"}},
+		Tenants:    map[string]TenantConfig{"acme": {MemoryBudgetWords: 1 << 20}}}
+	for _, marks := range [][]sessionMark{
+		nil,
+		{{Session: "writer-1", Estimator: "j#1", Seq: 42}},
+		{{Session: "idem:a<b>&\"c\"", Estimator: "j#1", Seq: 1}, {Session: "w é", Estimator: "acme/r", Seq: 1 << 40}},
+	} {
+		m := base
+		m.Sessions = marks
+		var want, got bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeManifest(&got, &m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d marks:\n got %s\nwant %s", len(marks), got.Bytes(), want.Bytes())
+		}
+	}
+}

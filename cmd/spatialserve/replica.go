@@ -463,7 +463,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 // JSON, encoded as the MANIFEST file is, then every snapshot in manifest
 // order as uvarint length | SPE1 bytes.
 func (img *image) encode(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(&img.m); err != nil {
+	if err := writeManifest(w, &img.m); err != nil {
 		return err
 	}
 	for _, snap := range img.snaps {

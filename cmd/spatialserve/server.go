@@ -791,10 +791,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // the batch exactly-once: the key becomes a single-batch session
 // ("idem:<key>", seq 1) whose persisted watermark turns any retry of the
 // same key into a durable no-op that still answers 200 (with Deduped
-// set). Keys are single-use by construction; reusing one replays the
-// first request's acknowledgement, not its effect. Without a key the
-// batch is sessionless: not deduplicated, and never resent by a router
-// after an ambiguous failure.
+// set) for idemWindow after its last touch, at the owners of the update's
+// partitions (a router keeps none). Keys are single-use by construction;
+// reusing one replays the first request's acknowledgement, not its
+// effect. Without a key the batch is sessionless: not deduplicated, and
+// never resent by a router after an ambiguous failure.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.replicaReadOnly() {
 		writeError(w, http.StatusConflict, readOnlyReplicaMsg)
@@ -931,8 +932,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cluster != nil && cluster.IsShardName(name) && !s.cluster.owns(name) {
-		// A scatter reading this shard here would race the rebalance that
-		// just moved it; send the reader back to the map.
+		// A reader of this shard here would race the rebalance that just
+		// moved it; send it back to the map.
 		writeError(w, http.StatusConflict, "%v", errNotOwner)
 		return
 	}

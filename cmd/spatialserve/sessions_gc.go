@@ -9,92 +9,65 @@ import (
 	"time"
 )
 
-// Session-mark garbage collection.
+// Session-mark garbage collection. A periodic sweep drops every unpinned
+// mark idle past its window, counted from its last touch (create, apply,
+// dedup, resume peek):
 //
-// Streaming-ingest watermarks (stream.go) are tiny but immortal by
-// default, and the table caps at maxSessionEntries - a long-lived
-// deployment cycling through session IDs would eventually refuse new
-// sessions. The GC expires marks that are safe to forget:
+//   - an Idempotency-Key's mark ("idem:<key>", seq 1), held by the owners
+//     of the update's partitions only, lives idemWindow: the clients'
+//     retry horizon;
+//   - a stream mark lives -session-ttl (0: forever); its client
+//     resumes from the HelloAck watermark, so it must outlive any
+//     reconnect.
 //
-//   - TTL expiry: a mark idle longer than the configured TTL with no
-//     attached stream. The dedup window only matters for retries of
-//     already-acked batches, and a live client retries within its
-//     reconnect backoff (seconds); a mark untouched for a TTL measured
-//     in hours has no outstanding retry left to dedup.
-//   - LRU pressure eviction: when the table nears its cap, the
-//     least-recently-touched Idempotency-Key marks are evicted (still
-//     never a mark touched within the last sessionLRUMinIdle) so new
-//     keys keep working instead of hitting the cap wall. Stream marks
-//     are never evicted under pressure: a stream client resumes from the
-//     HelloAck watermark, so a forgotten mark would re-apply its acked
-//     batches. They expire by TTL only, and a table full of them refuses
-//     new sessions retryably (errSessionTableFull).
+// Nothing is evicted early: a full table refuses new keys and sessions
+// retryably (errSessionTableFull). With each key held for idemWindow
+// plus at most one sweep period, maxSessionEntries marks cover about
+// 1,700 new keys a second per node.
 //
-// Every drop of a durable mark is WAL-logged (walOpSessionDrop) BEFORE
-// the mark leaves the table, so crash recovery and WAL-shipped replicas
-// converge on exactly the live server's mark state - expiry can never
-// make a recovered node remember (or forget) more than the live one
-// did. Non-durable routing marks on cluster routing nodes are dropped
-// without logging; they never survive a restart anyway.
+// Every drop of a durable mark is WAL-logged (walOpSessionDrop) before
+// the mark leaves the table, so crash recovery and replicas converge on
+// exactly the live server's marks. A router's stream marks (on base
+// estimator names) are never logged, so neither are their drops.
 
 const (
-	// sessionGCHighWater is the table size that triggers LRU pressure
-	// eviction (7/8 of the cap).
-	sessionGCHighWater = maxSessionEntries - maxSessionEntries/8
-	// sessionGCLowWater is the size pressure eviction drains down to
-	// (3/4 of the cap).
-	sessionGCLowWater = maxSessionEntries - maxSessionEntries/4
-	// sessionLRUMinIdle is the floor under which pressure eviction never
-	// touches a mark: an entry active within the last second is plausibly
-	// mid-stream whatever the table pressure.
-	sessionLRUMinIdle = time.Second
+	// idemWindow is how long an Idempotency-Key's mark outlives its last
+	// touch.
+	idemWindow = time.Minute
+	// maxSweepPeriod bounds the sweep period.
+	maxSweepPeriod = 15 * time.Second
 )
 
-// gcCandidate is one mark the sweep wants to drop, with the idle bound
-// dropSessionMark re-verifies under the entry lock.
-type gcCandidate struct {
-	key     sessionKey
-	minIdle time.Duration
+// markWindow returns how long a mark of session outlives its last touch
+// under stream TTL ttl (0: forever).
+func markWindow(session string, ttl time.Duration) time.Duration {
+	if strings.HasPrefix(session, idemSessionPrefix) {
+		return idemWindow
+	}
+	return ttl
 }
 
-// gcCandidates collects this sweep's drop candidates under the table
-// lock: TTL-expired unpinned marks, plus - when the table still exceeds
-// lruHigh - the least-recently-touched unpinned Idempotency-Key marks,
-// down to lruLow or until none is left.
-func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration, lruHigh, lruLow int) []gcCandidate {
+// gcCandidates collects the unpinned marks idle past their window at
+// time now, under the table lock. It also copies each key's marks into a
+// map sized for them: a Go map keeps the capacity its churn grew it to,
+// and under a steady keyed load, where every sweep drops a window's
+// oldest keys, a key's map grows by half within minutes though it holds
+// no more marks.
+func (t *sessionTable) gcCandidates(now time.Time, ttl time.Duration) []sessionKey {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []gcCandidate
-	type aged struct {
-		key  sessionKey
-		last int64
-	}
-	var keyed []aged
+	var out []sessionKey
 	for key, marks := range t.byKey {
+		fresh := make(map[string]*sessionEntry, len(marks))
 		for session, e := range marks {
+			fresh[session] = e
 			k := sessionKey{session, key}
-			if t.pinned[k] > 0 {
-				continue
-			}
-			last := e.last.Load()
-			if ttl > 0 && now.Sub(time.Unix(0, last)) > ttl {
-				out = append(out, gcCandidate{key: k, minIdle: ttl})
-				continue
-			}
-			if strings.HasPrefix(session, idemSessionPrefix) {
-				keyed = append(keyed, aged{k, last})
+			window := markWindow(session, ttl)
+			if window > 0 && t.pinned[k] == 0 && now.Sub(time.Unix(0, e.last.Load())) > window {
+				out = append(out, k)
 			}
 		}
-	}
-	if remain := t.n - len(out); remain > lruHigh && lruHigh > 0 {
-		sort.Slice(keyed, func(i, j int) bool { return keyed[i].last < keyed[j].last })
-		for _, a := range keyed {
-			if remain <= lruLow {
-				break
-			}
-			out = append(out, gcCandidate{key: a.key, minIdle: sessionLRUMinIdle})
-			remain--
-		}
+		t.byKey[key] = fresh
 	}
 	return out
 }
@@ -129,7 +102,7 @@ func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now
 			}
 		}
 		ent.dropped.Store(true)
-		t.remove(session, key)
+		t.removeMark(session, key)
 		return nil
 	}
 	var err error
@@ -148,16 +121,16 @@ func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now
 
 // gcSessions runs one sweep at time now and returns how many marks were
 // dropped. Exposed with explicit parameters so tests drive deterministic
-// sweeps; the background loop passes the configured TTL and the real
-// water marks.
-func (s *Server) gcSessions(now time.Time, ttl time.Duration, lruHigh, lruLow int) int {
+// sweeps on a synthetic clock; the background loop passes the real time
+// and the configured stream TTL.
+func (s *Server) gcSessions(now time.Time, ttl time.Duration) int {
 	dropped := 0
-	for _, c := range s.sessions.gcCandidates(now, ttl, lruHigh, lruLow) {
-		ok, err := s.dropSessionMark(c.key.session, c.key.key, c.minIdle, now)
+	for _, k := range s.sessions.gcCandidates(now, ttl) {
+		ok, err := s.dropSessionMark(k.session, k.key, markWindow(k.session, ttl), now)
 		if err != nil {
 			// A WAL append failure keeps the mark: dedup state is never
 			// discarded without the drop being durable first.
-			logfServer("spatialserve: session gc: dropping (%q, %q): %v", c.key.session, c.key.key, err)
+			logfServer("spatialserve: session gc: dropping (%q, %q): %v", k.session, k.key, err)
 			continue
 		}
 		if ok {
@@ -167,21 +140,18 @@ func (s *Server) gcSessions(now time.Time, ttl time.Duration, lruHigh, lruLow in
 	return dropped
 }
 
-// StartSessionGC starts the background sweep expiring idle session
-// marks after ttl (and LRU-evicting Idempotency-Key marks under table
-// pressure). Replicas
-// skip sweeping while read-only - their mark drops arrive through the
+// StartSessionGC starts the background sweep that expires Idempotency-Key
+// marks after idemWindow and stream marks after ttl (0 keeps them); its
+// period is ttl/4, clamped to [1 s, maxSweepPeriod]. Replicas skip
+// sweeping while read-only - their mark drops arrive through the
 // leader's WAL - and pick it up after promotion. Close stops the loop.
 func (s *Server) StartSessionGC(ttl time.Duration) {
-	if ttl <= 0 || s.gcStop != nil {
+	if s.gcStop != nil {
 		return
 	}
-	period := ttl / 4
-	if period > time.Minute {
-		period = time.Minute
-	}
-	if period < time.Second {
-		period = time.Second
+	period := maxSweepPeriod
+	if ttl > 0 {
+		period = min(period, max(ttl/4, time.Second))
 	}
 	s.gcStop = make(chan struct{})
 	s.gcDone = make(chan struct{})
@@ -197,7 +167,7 @@ func (s *Server) StartSessionGC(ttl time.Duration) {
 				if s.replicaReadOnly() {
 					continue
 				}
-				s.gcSessions(time.Now(), ttl, sessionGCHighWater, sessionGCLowWater)
+				s.gcSessions(time.Now(), ttl)
 			}
 		}
 	}()

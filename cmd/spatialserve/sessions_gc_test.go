@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,11 +53,11 @@ func backdate(t *testing.T, s *Server, session string, age time.Duration) {
 	ent.last.Store(time.Now().Add(-age).UnixNano())
 }
 
-// TestSessionGCExpiresIdleDurably expires an idle session while an
-// active one rides along, then crashes and recovers: the drop must be
-// durable, the active session's dedup window must stay closed across
-// both expiry and recovery, and the estimator contents must be
-// untouched.
+// TestSessionGCExpiresIdleDurably expires an idle session and an
+// Idempotency-Key mark past its window while an active session rides
+// along, then crashes and recovers: the drops must be durable, the
+// active session's dedup window must stay closed across both expiry and
+// recovery, and the estimator contents must be untouched.
 func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	n := startStreamNode(t)
 	createStreamJoin(t, n.ht.URL)
@@ -65,22 +67,31 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 
 	idleRecs := streamBatch(rng, 8, &history)
 	liveRecs := streamBatch(rng, 8, &history)
+	keyRecs := streamBatch(rng, 1, &history)
 	ingestOnce(t, s, "gc-idle", 1, idleRecs)
 	ingestOnce(t, s, "gc-live", 1, liveRecs)
+	ingestOnce(t, s, idemSessionPrefix+"gc-key", 1, keyRecs)
 	ref := refJoin(t)
 	applyRef(t, ref, idleRecs)
 	applyRef(t, ref, liveRecs)
+	applyRef(t, ref, keyRecs)
 
-	// A checkpoint captures both marks; the expiry below lands in the WAL
+	// A checkpoint captures every mark; the expiry below lands in the WAL
 	// suffix, so recovery exercises restore-then-drop.
 	mustDo(t, "POST", n.ht.URL+"/admin/checkpoint", nil, http.StatusOK)
 
-	backdate(t, s, "gc-idle", 2*time.Hour)
-	if dropped := s.gcSessions(time.Now(), time.Hour, 0, 0); dropped != 1 {
-		t.Fatalf("gc dropped %d marks, want 1", dropped)
+	// Under a 24 h stream TTL the key expires by its window, while a
+	// stream mark idle just as long survives.
+	backdate(t, s, "gc-idle", 25*time.Hour)
+	backdate(t, s, "gc-live", 2*idemWindow)
+	backdate(t, s, idemSessionPrefix+"gc-key", 2*idemWindow)
+	if dropped := s.gcSessions(time.Now(), 24*time.Hour); dropped != 2 {
+		t.Fatalf("gc dropped %d marks, want 2", dropped)
 	}
-	if got := s.sessions.peek("gc-idle", "j"); got != 0 {
-		t.Fatalf("expired mark still present at seq %d", got)
+	for _, session := range []string{"gc-idle", idemSessionPrefix + "gc-key"} {
+		if got := s.sessions.peek(session, "j"); got != 0 {
+			t.Fatalf("expired mark %s still present at seq %d", session, got)
+		}
 	}
 	if got := s.sessions.peek("gc-live", "j"); got != 1 {
 		t.Fatalf("active mark lost: seq %d, want 1", got)
@@ -96,8 +107,10 @@ func TestSessionGCExpiresIdleDurably(t *testing.T) {
 	n.crash()
 	n.boot()
 	s = n.cur.Load()
-	if got := s.sessions.peek("gc-idle", "j"); got != 0 {
-		t.Fatalf("expired mark resurrected by recovery at seq %d", got)
+	for _, session := range []string{"gc-idle", idemSessionPrefix + "gc-key"} {
+		if got := s.sessions.peek(session, "j"); got != 0 {
+			t.Fatalf("expired mark %s resurrected by recovery at seq %d", session, got)
+		}
 	}
 	if got := s.sessions.peek("gc-live", "j"); got != 1 {
 		t.Fatalf("recovered active mark: seq %d, want 1", got)
@@ -123,7 +136,7 @@ func TestSessionGCSkipsPinnedAndFresh(t *testing.T) {
 
 	s.sessions.pin("gc-pin", "j")
 	backdate(t, s, "gc-pin", 48*time.Hour)
-	if dropped := s.gcSessions(time.Now(), time.Hour, 0, 0); dropped != 0 {
+	if dropped := s.gcSessions(time.Now(), time.Hour); dropped != 0 {
 		t.Fatalf("gc dropped %d marks; pinned and fresh marks must survive", dropped)
 	}
 	if got := s.sessions.peek("gc-pin", "j"); got != 1 {
@@ -134,7 +147,7 @@ func TestSessionGCSkipsPinnedAndFresh(t *testing.T) {
 	// The seq assertion above peeked the mark, which counts as activity;
 	// rewind the idle clock again before the second sweep.
 	backdate(t, s, "gc-pin", 48*time.Hour)
-	if dropped := s.gcSessions(time.Now(), time.Hour, 0, 0); dropped != 1 {
+	if dropped := s.gcSessions(time.Now(), time.Hour); dropped != 1 {
 		t.Fatalf("gc after unpin dropped %d marks, want 1", dropped)
 	}
 	if got := s.sessions.peek("gc-fresh", "j"); got != 1 {
@@ -142,46 +155,95 @@ func TestSessionGCSkipsPinnedAndFresh(t *testing.T) {
 	}
 }
 
-// TestSessionGCLRUPressure evicts the least-recently-touched
-// Idempotency-Key marks when the table exceeds the high-water mark,
-// draining to the low-water mark oldest-first.
-func TestSessionGCLRUPressure(t *testing.T) {
-	s := NewServer()
-	ht := httptest.NewServer(s)
-	defer ht.Close()
-	createStreamJoin(t, ht.URL)
+// markTouched returns the last touch of a mark on "j".
+func markTouched(t *testing.T, s *Server, session string) time.Time {
+	t.Helper()
+	ent := s.sessions.lookup(session, "j")
+	if ent == nil {
+		t.Fatalf("no mark for %s", session)
+	}
+	return time.Unix(0, ent.last.Load())
+}
+
+// TestSessionGCKeyWindow drives sweeps on a synthetic clock: an
+// Idempotency-Key's mark survives every sweep inside the minute after its
+// last touch, a retry restarts that minute, and the first sweep past it
+// drops the mark durably, so a crash-recovered node agrees. Stream marks
+// do not expire at TTL 0. At the cap a new key is refused with 429 and no
+// mark is dropped to make room.
+func TestSessionGCKeyWindow(t *testing.T) {
+	n := startStreamNode(t)
+	createStreamJoin(t, n.ht.URL)
+	s := n.cur.Load()
 	rng := rand.New(rand.NewSource(43))
 	var history []spatial.UpdateRecord
-	var sessions []string
-	for i := 0; i < 10; i++ {
-		sessions = append(sessions, fmt.Sprintf("%ss%d", idemSessionPrefix, i))
-	}
-	for i, sess := range sessions {
-		ingestOnce(t, s, sess, 1, streamBatch(rng, 2, &history))
-		backdate(t, s, sess, time.Duration(len(sessions)-i)*time.Minute)
-	}
-	// TTL disabled (0): only the pressure rule fires. 10 entries > high
-	// water 8, drain to 5, oldest first.
-	if dropped := s.gcSessions(time.Now(), 0, 8, 5); dropped != 5 {
-		t.Fatalf("pressure eviction dropped %d marks, want 5", dropped)
-	}
-	for i, sess := range sessions {
-		got := s.sessions.peek(sess, "j")
-		if i < 5 && got != 0 {
-			t.Errorf("old mark %s survived pressure eviction (seq %d)", sess, got)
+	const key = idemSessionPrefix + "w-1"
+	keyRecs := streamBatch(rng, 1, &history)
+	ingestOnce(t, s, key, 1, keyRecs)
+	ingestOnce(t, s, "writer", 1, streamBatch(rng, 4, &history))
+	backdate(t, s, "writer", 48*time.Hour)
+
+	touched := markTouched(t, s, key)
+	for _, at := range []time.Duration{0, time.Second, idemWindow / 2, idemWindow} {
+		if dropped := s.gcSessions(touched.Add(at), 0); dropped != 0 {
+			t.Fatalf("sweep %v after the last touch dropped %d marks, want 0", at, dropped)
 		}
-		if i >= 5 && got != 1 {
-			t.Errorf("recent mark %s evicted (seq %d)", sess, got)
-		}
+	}
+	// A retry is a touch: the key's minute restarts from it.
+	backdate(t, s, key, idemWindow-time.Second)
+	count, enc := encodeRecords(keyRecs)
+	if _, deduped, err := s.applyIngestBatch(context.Background(), "j", key, ingest.Batch{Seq: 1, Count: count, Records: enc}); err != nil || !deduped {
+		t.Fatalf("retry inside the window: deduped %v, err %v; want a dedup", deduped, err)
+	}
+	touched = markTouched(t, s, key)
+	if dropped := s.gcSessions(touched.Add(idemWindow), 0); dropped != 0 {
+		t.Fatalf("sweep a minute after the retry dropped %d marks, want 0", dropped)
+	}
+	if dropped := s.gcSessions(touched.Add(idemWindow+time.Nanosecond), 0); dropped != 1 {
+		t.Fatalf("sweep past the window dropped %d marks, want 1 (the key)", dropped)
+	}
+	if got := s.sessions.peek(key, "j"); got != 0 {
+		t.Fatalf("expired key mark still present at seq %d", got)
+	}
+	if got := s.sessions.peek("writer", "j"); got != 1 {
+		t.Fatalf("stream mark expired at TTL 0 (seq %d)", got)
+	}
+
+	n.crash()
+	n.boot()
+	s = n.cur.Load()
+	if got := s.sessions.peek(key, "j"); got != 0 {
+		t.Fatalf("expired key mark resurrected by recovery at seq %d", got)
+	}
+	if got := s.sessions.peek("writer", "j"); got != 1 {
+		t.Fatalf("recovered stream mark: seq %d, want 1", got)
+	}
+
+	// Fill the table with fresh keys: a new key is refused retryably, and
+	// a sweep inside their window makes no room.
+	for i := s.sessions.n; i < maxSessionEntries; i++ {
+		s.sessions.entry(fmt.Sprintf("%sfill-%d", idemSessionPrefix, i), "j", false).seq.Store(1)
+	}
+	wr := randRect(rng, streamDom)
+	body := mustJSON(t, updateRequest{Side: "left", Rects: [][][2]uint64{wr}})
+	hdr := map[string]string{"Idempotency-Key": "w-2", "Content-Type": "application/json"}
+	if resp, data := httpDo(t, "POST", n.ht.URL+"/v1/estimators/j/update", body, hdr); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("new key into a full table: status %d, body %s; want 429", resp.StatusCode, data)
+	}
+	if dropped := s.gcSessions(time.Now(), 0); dropped != 0 {
+		t.Fatalf("sweep of a full table dropped %d marks, want 0", dropped)
+	}
+	if _, got := s.sessions.listSessions(time.Now(), "", ""); got != maxSessionEntries {
+		t.Fatalf("full table holds %d marks, want %d", got, maxSessionEntries)
 	}
 }
 
-// TestSessionGCPressureSparesStreamMarks runs pressure eviction at the
-// real water marks over a table of fresh Idempotency-Key marks and one
-// idle stream mark: the stream mark must survive, because its client
-// resumes from the HelloAck watermark and would re-apply an acked batch
-// the server forgot. A full table still refuses a new session
-// retryably instead of evicting one.
+// TestSessionGCPressureSparesStreamMarks sweeps a table of fresh
+// Idempotency-Key marks and one stream mark idle longer than a key's
+// window: the stream mark must survive, because its client resumes from
+// the HelloAck watermark and would re-apply an acked batch the server
+// forgot. A full table refuses a new session retryably instead of
+// evicting one.
 func TestSessionGCPressureSparesStreamMarks(t *testing.T) {
 	s := NewServer()
 	ht := httptest.NewServer(s)
@@ -191,33 +253,73 @@ func TestSessionGCPressureSparesStreamMarks(t *testing.T) {
 	var history []spatial.UpdateRecord
 	batch := streamBatch(rng, 4, &history)
 	ingestOnce(t, s, "writer", 1, batch)
-	backdate(t, s, "writer", 2*time.Second)
+	backdate(t, s, "writer", 2*idemWindow)
 	addKeyMarks := func(from, to int) {
 		for i := from; i < to; i++ {
 			s.sessions.entry(fmt.Sprintf("%sk%d", idemSessionPrefix, i), "j", false).seq.Store(1)
 		}
 	}
-	addKeyMarks(0, sessionGCHighWater+8)
+	addKeyMarks(0, maxSessionEntries-maxSessionEntries/8)
 
-	// The key marks are too fresh to evict, and the stream mark must not
+	// The key marks are inside their window, and the stream mark must not
 	// be taken in their place.
-	if dropped := s.gcSessions(time.Now(), 24*time.Hour, sessionGCHighWater, sessionGCLowWater); dropped != 0 {
-		t.Fatalf("pressure eviction dropped %d marks, want 0", dropped)
+	if dropped := s.gcSessions(time.Now(), 24*time.Hour); dropped != 0 {
+		t.Fatalf("sweep dropped %d marks, want 0", dropped)
 	}
 	resend := func(session string) (int, bool, error) {
 		count, enc := encodeRecords(batch)
 		return s.applyIngestBatch(context.Background(), "j", session, ingest.Batch{Seq: 1, Count: count, Records: enc})
 	}
 	if applied, deduped, err := resend("writer"); err != nil || applied != 0 || !deduped {
-		t.Fatalf("resent batch 1 after pressure eviction: applied %d, deduped %v, err %v; want a dedup", applied, deduped, err)
+		t.Fatalf("resent batch 1 after the sweep: applied %d, deduped %v, err %v; want a dedup", applied, deduped, err)
 	}
 
-	addKeyMarks(sessionGCHighWater+8, maxSessionEntries)
+	addKeyMarks(maxSessionEntries-maxSessionEntries/8, maxSessionEntries-1)
 	if _, _, err := resend("writer-2"); !errors.Is(err, errSessionTableFull) {
 		t.Fatalf("new session into a full table: %v, want %v", err, errSessionTableFull)
 	}
 	if _, deduped, err := resend("writer"); err != nil || !deduped {
 		t.Fatalf("resend into a full table: deduped %v, err %v; want a dedup", deduped, err)
+	}
+}
+
+// TestIdempotencyKeysBeyondOldCap pushes more keyed updates through one
+// node inside one window than the table held before keys had a window
+// of their own (65,536): none is refused, and a retry of the first key
+// is still deduplicated.
+func TestIdempotencyKeysBeyondOldCap(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	do := func(method, target string, body []byte, key string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, target, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		if key != "" {
+			req.Header.Set("Idempotency-Key", key)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := do("POST", "/v1/estimators", mustJSON(t, createRequest{
+		Name: "k", Kind: "range", Config: configRequest{Dims: 1, DomainSize: 16, Seed: 1, Instances: 1, Groups: 1},
+	}), ""); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	const keys = 65536 + 4096
+	start := time.Now()
+	body := mustJSON(t, updateRequest{Rects: [][][2]uint64{{{3, 9}}}})
+	for i := 0; i < keys; i++ {
+		if rec := do("POST", "/v1/estimators/k/update", body, fmt.Sprintf("key-%d", i)); rec.Code != http.StatusOK {
+			t.Fatalf("keyed update %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	// A sweep at the end of the first key's window keeps every mark.
+	if dropped := s.gcSessions(start.Add(idemWindow), 0); dropped != 0 {
+		t.Fatalf("sweep inside the window dropped %d marks, want 0", dropped)
+	}
+	rec := do("POST", "/v1/estimators/k/update", body, "key-0")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"deduped":true`) {
+		t.Fatalf("retry of the first key: status %d, body %s; want 200 with deduped", rec.Code, rec.Body)
 	}
 }
 
@@ -274,17 +376,31 @@ func TestAdminSessionsEndpoints(t *testing.T) {
 	}
 }
 
-// TestSessionGCStartStop covers the background loop lifecycle: starting
-// with a TTL, double Close, and the disabled (ttl=0) case.
+// TestSessionGCStartStop covers the background loop lifecycle: a loop
+// starts even with stream expiry off (ttl=0), since keys still expire,
+// and its sweeps then drop only key marks; Close stops it, twice.
 func TestSessionGCStartStop(t *testing.T) {
 	s := NewServer()
+	ht := httptest.NewServer(s)
+	defer ht.Close()
+	createStreamJoin(t, ht.URL)
+	rng := rand.New(rand.NewSource(46))
+	var history []spatial.UpdateRecord
+	ingestOnce(t, s, "writer", 1, streamBatch(rng, 4, &history))
+	ingestOnce(t, s, idemSessionPrefix+"k", 1, streamBatch(rng, 1, &history))
+	backdate(t, s, "writer", 48*time.Hour)
+	backdate(t, s, idemSessionPrefix+"k", 2*idemWindow)
+
 	s.StartSessionGC(0)
-	if s.gcStop != nil {
-		t.Fatal("ttl=0 must not start a GC loop")
-	}
-	s.StartSessionGC(time.Hour)
 	if s.gcStop == nil {
-		t.Fatal("GC loop not started")
+		t.Fatal("ttl=0 must still start a GC loop: keys expire")
+	}
+	s.StartSessionGC(time.Hour) // already running: no second loop
+	if dropped := s.gcSessions(time.Now(), 0); dropped != 1 {
+		t.Fatalf("ttl=0 sweep dropped %d marks, want 1 (the key)", dropped)
+	}
+	if got := s.sessions.peek("writer", "j"); got != 1 {
+		t.Fatalf("stream mark expired at ttl=0 (seq %d)", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

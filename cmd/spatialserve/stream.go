@@ -39,19 +39,22 @@ import (
 // Cluster mode forwards each batch per partition with the SAME
 // (session, seq); each owner keeps its own (session, shard) mark, so a
 // partial fan-out failure followed by a client retry re-applies only at
-// owners that missed it. The routing node keeps a non-durable routing
-// mark it advances after ALL owners acked - a pure fast-path dedup and
-// resume hint; losing it merely causes re-forwarding that the owners'
-// durable marks drop.
+// owners that missed it. A stream's routing node also keeps an unlogged
+// mark it advances after ALL owners acked - the HelloAck resume hint and
+// a fast-path dedup; losing it merely causes re-forwarding that the
+// owners' durable marks drop. An Idempotency-Key leaves no mark on its
+// router.
 //
 // A plain JSON update (no Idempotency-Key) rides the same batch path with
 // no session: validated whole, logged, applied, but neither deduplicated
 // nor ever resent after an ambiguous failure (see applyIngestBatch).
 
-// maxSessionEntries bounds the session table: entries are tiny, but a
-// hostile client minting sessions must hit a wall before the heap does.
-// When full, new sessions are refused with a retryable overload error.
-const maxSessionEntries = 65536
+// maxSessionEntries bounds the session table: a hostile client minting
+// sessions must hit a wall before the heap does. When full, new sessions
+// and keys are refused with a retryable overload error. At ~100 B per
+// mark a full table is ~13 MB; the busiest node of a 150 s run at 1,735
+// keyed updates/s held at most ~48,700 marks.
+const maxSessionEntries = 1 << 17
 
 // streamWindowBatches is the credit window advertised in HelloAck: the
 // maximum unacked batches a client may keep in flight.
@@ -232,16 +235,8 @@ func (t *sessionTable) isPinned(session, key string) bool {
 	return t.pinned[sessionKey{session, key}] > 0
 }
 
-// remove deletes one entry from the table (the caller holds the entry's
-// mutex and has set its dropped flag).
-func (t *sessionTable) remove(session, key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.deleteLocked(session, key)
-}
-
-// removeMark drops one mark outright - the replay form of a logged
-// session drop (recovery and replica apply, where no batch can race).
+// removeMark drops one mark outright: a logged session drop, live
+// (dropSessionMark, under the entry's lock) or replayed.
 func (t *sessionTable) removeMark(session, key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -515,8 +510,8 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 	defer s.sessions.unpin(hello.Session, key)
 
 	// The watermark resumes the client: on a routing node this is the
-	// non-durable routing mark (0 after restart - the client resends and
-	// the owners' durable marks dedup).
+	// router's own unlogged mark (0 on another router, the checkpointed
+	// value after a restart); the owners' durable marks dedup the resend.
 	ack := ingest.AppendHelloAck(nil, ingest.HelloAck{
 		Watermark:     s.sessions.peek(hello.Session, key),
 		WindowBatches: streamWindowBatches,
@@ -598,21 +593,31 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 }
 
 // ingestOneBatch applies one stream batch locally or through cluster
-// routing, recording the batch metrics.
+// routing, recording the batch metrics. A routed batch also checks and,
+// once every owner acked, advances the router's own mark (HelloAck).
 func (s *Server) ingestOneBatch(ctx context.Context, key, session string, clustered bool, batch ingest.Batch) error {
-	tenant := s.keyTenant(key)
 	var applied int
 	var deduped bool
 	var err error
 	if clustered {
-		applied, deduped, err = s.cluster.routeIngest(ctx, key, session, batch)
+		ent := s.sessions.lockEntry(session, key, true)
+		if ent == nil {
+			return errSessionTableFull
+		}
+		defer ent.mu.Unlock()
+		ent.touch()
+		if deduped = batch.Seq <= ent.seq.Load(); !deduped {
+			if applied, deduped, err = s.cluster.routeIngest(ctx, key, session, batch); err == nil {
+				ent.seq.Store(batch.Seq)
+			}
+		}
 	} else {
 		applied, deduped, err = s.applyIngestBatch(ctx, key, session, batch)
 	}
 	if err != nil {
 		return err
 	}
-	s.metrics.observeIngestBatch(tenant, deduped, applied)
+	s.metrics.observeIngestBatch(s.keyTenant(key), deduped, applied)
 	return nil
 }
 

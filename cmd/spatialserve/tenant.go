@@ -231,13 +231,14 @@ func writeBudgetError(w http.ResponseWriter, be *budgetError) {
 }
 
 // tenantUsageLocked itemizes the tenant's local estimators and sums
-// their SpaceWords. Caller holds s.mu (read or write).
+// their SpaceWords, skipping shards this node holds but does not own (a
+// move's copy). Caller holds s.mu (read or write).
 func (s *Server) tenantUsageLocked(tenant string) (int64, []budgetEntry) {
 	var used int64
 	var entries []budgetEntry
 	for key, est := range s.ests {
 		t, _ := splitTenant(key)
-		if t != tenant {
+		if t != tenant || s.notOwner(key) {
 			continue
 		}
 		w := int64(est.spaceWords())
