@@ -109,12 +109,6 @@ type clusterNode struct {
 
 	pmap atomic.Pointer[cluster.Map]
 
-	// gate is the mutation gate of non-persistent nodes: shared around
-	// every local shard mutation, exclusive around a handoff's cut. On
-	// persistent nodes the persister's WAL cut gate plays this role (see
-	// Server.mutGate).
-	gate sync.RWMutex
-
 	// rebalanceMu serializes outbound handoffs from this node.
 	rebalanceMu sync.Mutex
 
@@ -238,19 +232,6 @@ func (c *clusterNode) saveMap() {
 	if err := os.Rename(tmp, c.mapPath); err != nil {
 		logfServer("spatialserve: saving cluster map: %v", err)
 	}
-}
-
-// mutGate returns the RWMutex bracketing logged/owned mutations: the
-// persister's WAL cut gate when durability is on, the cluster handoff
-// gate in in-memory cluster mode, nil otherwise.
-func (s *Server) mutGate() *sync.RWMutex {
-	if s.persist != nil {
-		return &s.persist.gate
-	}
-	if s.cluster != nil {
-		return &s.cluster.gate
-	}
-	return nil
 }
 
 // isInternal reports whether the request came from a peer node rather
@@ -1162,11 +1143,10 @@ func (c *clusterNode) handoff(ctx context.Context, shard string, target cluster.
 	}
 	var pos wal.Pos
 	if s.persist != nil {
-		gate := s.mutGate()
-		gate.Lock()
+		s.gate.Lock()
 		pos = s.persist.w.Pos()
 		img, err := s.moveImage(shard, est, pos)
-		gate.Unlock()
+		s.gate.Unlock()
 		if err == nil {
 			err = c.shipChunk(ctx, target, shard, img)
 		}
@@ -1202,9 +1182,8 @@ func (c *clusterNode) seal(ctx context.Context, target cluster.Node, shard strin
 		}
 		sp.End()
 	}()
-	gate := c.srv.mutGate()
-	gate.Lock()
-	defer gate.Unlock()
+	c.srv.gate.Lock()
+	defer c.srv.gate.Unlock()
 	if c.srv.persist != nil {
 		_, _, err = c.shipFrames(ctx, target, shard, pos)
 	} else {

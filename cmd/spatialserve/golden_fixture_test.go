@@ -56,7 +56,11 @@ func TestGoldenDataDirReplays(t *testing.T) {
 	}
 	ops := map[byte]int{}
 	updateCounts := map[uint64]bool{}
-	err = wal.Replay(filepath.Join(dir, walSubdir), wal.Pos{Seg: m.WALSegment, Off: m.WALOffset}, func(pos wal.Pos, payload []byte) error {
+	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, walSubdir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.ReadFrom(wal.Pos{Seg: m.WALSegment, Off: m.WALOffset}, 0, func(pos wal.Pos, payload []byte) error {
 		op, _, rest, err := parseWalPayload(payload)
 		if err != nil {
 			return err
@@ -67,6 +71,9 @@ func TestGoldenDataDirReplays(t *testing.T) {
 		}
 		return nil
 	})
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

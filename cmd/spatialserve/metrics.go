@@ -286,6 +286,8 @@ func classifyEndpoint(r *http.Request) string {
 		return "admin"
 	case p == "/v1/ingest":
 		return "ingest"
+	case p == "/v1/tenants":
+		return "tenant_config"
 	case p == cluster.PeerPath:
 		// One request per peer connection, counted when it closes; the
 		// reads on it count as snapshot_get (answerPeer).
@@ -321,7 +323,7 @@ func classifyEndpoint(r *http.Request) string {
 		return "merge"
 	case strings.HasSuffix(p, "/ingest"):
 		return "ingest"
-	case p == "/v1/estimators" || p == "/v1/tenants":
+	case p == "/v1/estimators":
 		if r.Method == http.MethodPost {
 			return "create"
 		}
@@ -333,11 +335,11 @@ func classifyEndpoint(r *http.Request) string {
 	}
 }
 
-// metricsTenant returns the bounded tenant label for a request: the
-// default tenant, a registered tenant's name, or "other" for anything
-// unregistered (so hostile paths cannot mint unbounded label values).
-func (s *Server) metricsTenant(r *http.Request) string {
-	t := requestTenant(r)
+// tenantLabel returns the bounded metric label for tenant t: "default"
+// for the default tenant or none, a registered tenant's name, or "other"
+// for anything unregistered (so hostile paths cannot mint unbounded label
+// values).
+func (s *Server) tenantLabel(t string) string {
 	if t == "" || t == DefaultTenant {
 		return DefaultTenant
 	}

@@ -135,3 +135,18 @@ func TestMetricsEndpointClassification(t *testing.T) {
 		t.Fatalf("raw client path leaked into a label:\n%s", body)
 	}
 }
+
+// TestMetricsTenantListLabel checks that GET /v1/tenants counts under
+// endpoint="tenant_config", like every other tenant-config route, not
+// under "other".
+func TestMetricsTenantListLabel(t *testing.T) {
+	srv := NewServer()
+	mustStatus(t, do(t, srv, "GET", "/v1/tenants", nil), http.StatusOK)
+	body := string(scrape(t, srv))
+	if !containsSeriesWithLabels(body, "spatialserve_requests_total", `endpoint="tenant_config"`, `code="200"`) {
+		t.Fatalf("GET /v1/tenants not counted as tenant_config:\n%s", body)
+	}
+	if containsSeriesWithLabels(body, "spatialserve_requests_total", `endpoint="other"`) {
+		t.Fatalf("GET /v1/tenants counted as other:\n%s", body)
+	}
+}

@@ -45,24 +45,20 @@ import (
 //
 // Consistency of the cut: a checkpoint must capture exactly the updates
 // logged before its WAL position - an update in both the snapshot and the
-// replayed suffix would be double-counted. The persister therefore runs
-// every logged mutation inside a shared "gate" (gate.RLock held across
-// append-to-WAL + apply-to-estimator) and takes the gate exclusively for
-// the instant it captures the cut: under the exclusive gate no mutation is
-// in flight, so the WAL position and the estimator states agree exactly.
-// The gate is held only while capturing that position and marshaling the
-// in-memory snapshots (microseconds to low milliseconds - the same
-// per-shard counter copy any reader imposes); file writes, fsyncs and WAL
-// truncation happen after it is released, so checkpoints never stall
-// ingest on I/O.
+// replayed suffix would be double-counted. Every logged mutation therefore
+// holds the server's mutation gate (Server.gate) shared across
+// append-to-WAL + apply-to-estimator, and the checkpoint takes the gate
+// exclusively for the instant it captures the cut: under the exclusive
+// gate no mutation is in flight, so the WAL position and the estimator
+// states agree exactly. The gate is held only while capturing that
+// position and marshaling the in-memory snapshots (microseconds to low
+// milliseconds - the same per-shard counter copy any reader imposes); file
+// writes, fsyncs and WAL truncation happen after it is released, so
+// checkpoints never stall ingest on I/O.
 //
-// The same gate makes registry swaps race-free against in-flight updates:
-// handlers that mutate one estimator re-verify the name binding under the
-// shared gate, and handlers that change a binding (create/delete/PUT) hold
-// the gate exclusively - an update racing a PUT-replace either lands (and
-// is logged) before the replacement, or observes the stale binding and is
-// rejected, so the log never applies an old object's update to the new
-// estimator on replay.
+// Every node runs the same gate, WAL or not, and a node without one runs
+// the same log calls, which do nothing (a nil *persister). See
+// Server.gate for what it orders.
 
 // WAL record payloads: op byte | uvarint name length | name | rest.
 const (
@@ -121,17 +117,13 @@ type PersistOptions struct {
 	WALHooks wal.FileHooks
 }
 
-// persister owns the WAL, the checkpoint files and the mutation gate of
-// one server.
+// persister owns the WAL and the checkpoint files of one server. A nil
+// *persister is a node without a WAL: its log calls do nothing and build
+// no payload.
 type persister struct {
 	srv  *Server
 	opts PersistOptions
 	w    *wal.WAL
-
-	// gate orders logged mutations against checkpoint cuts and registry
-	// swaps: shared for single-estimator mutations (update, merge),
-	// exclusive for binding changes (create, delete, PUT) and the cut.
-	gate sync.RWMutex
 
 	ckptMu    sync.Mutex       // serializes whole checkpoints
 	last      checkpointResult // the last durable checkpoint
@@ -217,9 +209,8 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 		p.last, from = m.result(), m.cut()
 	}
 
-	// Open (trimming any torn tail) before replaying, so replay sees the
-	// repaired files; appends start only after recovery anyway.
-	walDir := filepath.Join(opts.DataDir, walSubdir)
+	// Open trims any torn tail, so recovery reads the suffix through the
+	// log's one reader, ReadFrom; appends start only after recovery.
 	onCommit := func(st wal.CommitStats) {
 		if m := srv.metrics; m != nil {
 			m.observeWALCommit(st)
@@ -234,12 +225,12 @@ func newPersister(srv *Server, opts PersistOptions) (*persister, error) {
 			trace.Attr{K: "bytes", V: strconv.Itoa(st.Bytes)},
 			trace.Attr{K: "sync_ns", V: strconv.FormatInt(st.SyncDuration.Nanoseconds(), 10)})
 	}
-	p.w, err = wal.Open(wal.Options{Dir: walDir, Fsync: opts.Fsync, SegmentBytes: opts.SegmentBytes, Logf: p.logf, Hooks: opts.WALHooks, OnCommit: onCommit, OnCommitSpan: onCommitSpan})
+	p.w, err = wal.Open(wal.Options{Dir: filepath.Join(opts.DataDir, walSubdir), Fsync: opts.Fsync, SegmentBytes: opts.SegmentBytes, Logf: p.logf, Hooks: opts.WALHooks, OnCommit: onCommit, OnCommitSpan: onCommitSpan})
 	if err != nil {
 		return nil, err
 	}
 	replayed := 0
-	err = wal.Replay(walDir, from, func(pos wal.Pos, payload []byte) error {
+	_, err = p.w.ReadFrom(from, 0, func(pos wal.Pos, payload []byte) error {
 		replayed++
 		if err := srv.applyWALRecord(payload); err != nil {
 			return fmt.Errorf("wal record at %v: %w", pos, err)
@@ -320,8 +311,11 @@ func appendName(dst []byte, name string) []byte {
 // active span (a traced request paying for durability) the wait is also
 // recorded as a child "wal.append" span; untraced paths - background GC,
 // replica bootstrap - skip the span rather than mint a standalone trace
-// per record.
+// per record. Without a WAL it does nothing.
 func (p *persister) appendRecord(ctx context.Context, payload []byte) error {
+	if p == nil {
+		return nil
+	}
 	start := time.Now()
 	_, err := p.w.Append(payload)
 	d := time.Since(start)
@@ -341,6 +335,9 @@ func (p *persister) appendRecord(ctx context.Context, payload []byte) error {
 // logCreate writes the create record. Caller holds the exclusive gate and
 // the registry lock.
 func (p *persister) logCreate(ctx context.Context, req *createRequest) error {
+	if p == nil {
+		return nil
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -352,11 +349,17 @@ func (p *persister) logCreate(ctx context.Context, req *createRequest) error {
 // logDelete writes the delete record. Caller holds the exclusive gate and
 // the registry lock.
 func (p *persister) logDelete(ctx context.Context, name string) error {
+	if p == nil {
+		return nil
+	}
 	return p.appendRecord(ctx, appendName([]byte{walOpDelete}, name))
 }
 
 // logSnapshot writes a merge or put record carrying raw SPE1 bytes.
 func (p *persister) logSnapshot(ctx context.Context, op byte, name string, snapshot []byte) error {
+	if p == nil {
+		return nil
+	}
 	payload := appendName([]byte{op}, name)
 	return p.appendRecord(ctx, append(payload, snapshot...))
 }
@@ -364,6 +367,9 @@ func (p *persister) logSnapshot(ctx context.Context, op byte, name string, snaps
 // logTenant writes a tenant-config record (put carries the JSON config,
 // delete carries nothing). Caller holds the exclusive gate.
 func (p *persister) logTenant(ctx context.Context, op byte, tenant string, cfg TenantConfig) error {
+	if p == nil {
+		return nil
+	}
 	payload := appendName([]byte{op}, tenant)
 	if op == walOpTenantPut {
 		body, err := json.Marshal(cfg)
@@ -375,18 +381,19 @@ func (p *persister) logTenant(ctx context.Context, op byte, tenant string, cfg T
 	return p.appendRecord(ctx, payload)
 }
 
-// logUpdate writes one plain (sessionless) update batch record. Caller
-// holds the shared gate and validated every record.
-func (p *persister) logUpdate(ctx context.Context, name string, batch ingest.Batch) error {
-	payload := appendName([]byte{walOpUpdate}, name)
-	payload = binary.AppendUvarint(payload, batch.Count)
-	return p.appendRecord(ctx, append(payload, batch.Records...))
-}
-
-// logIngest writes one exactly-once ingest batch record: records plus
-// the session watermark advance, atomically. Caller holds the shared gate
-// and the session entry's lock, and validated every record.
-func (p *persister) logIngest(ctx context.Context, name, session string, batch ingest.Batch) error {
+// logBatch writes one update batch record: with a session, an
+// exactly-once walOpIngest record - the records and the session
+// watermark advance, atomically; without one, a plain walOpUpdate record.
+// Caller holds the shared gate (and the session entry's lock, with a
+// session) and validated every record.
+func (p *persister) logBatch(ctx context.Context, name, session string, batch ingest.Batch) error {
+	if p == nil {
+		return nil
+	}
+	if session == "" {
+		payload := binary.AppendUvarint(appendName([]byte{walOpUpdate}, name), batch.Count)
+		return p.appendRecord(ctx, append(payload, batch.Records...))
+	}
 	return p.appendRecord(ctx, appendIngestRest(appendName([]byte{walOpIngest}, name), session, batch))
 }
 
@@ -401,8 +408,11 @@ func appendIngestRest(dst []byte, session string, batch ingest.Batch) []byte {
 }
 
 // logSessionDrop writes one watermark-removal record. Caller holds the
-// shared gate and the session entry's lock, mirroring logIngest.
+// shared gate and the session entry's lock, mirroring logBatch.
 func (p *persister) logSessionDrop(ctx context.Context, name, session string) error {
+	if p == nil {
+		return nil
+	}
 	payload := appendName([]byte{walOpSessionDrop}, name)
 	return p.appendRecord(ctx, appendName(payload, session))
 }
@@ -608,8 +618,8 @@ func (m *manifest) result() checkpointResult {
 // exactly. Only in-memory work happens under the gate - the same
 // per-shard counter copy any reader imposes.
 func (p *persister) capture() (*image, error) {
-	p.gate.Lock()
-	defer p.gate.Unlock()
+	p.srv.gate.Lock()
+	defer p.srv.gate.Unlock()
 	// The cut usually lands mid-segment; replay handles that, and
 	// TruncateBefore still releases every older segment, so the log on
 	// disk is bounded by one segment plus the traffic since the cut.
@@ -848,17 +858,11 @@ func syncDir(dir string) error {
 // withEstimator runs fn - a logged mutation of one estimator - under the
 // shared mutation gate, re-verifying that name still binds to est
 // (binding changes hold the gate exclusively, so the binding cannot
-// change while fn runs). Without a gate (no persistence, no cluster) it
-// just runs fn.
+// change while fn runs).
 func (s *Server) withEstimator(name string, est servable, fn func() error) error {
-	gate := s.mutGate()
-	if gate == nil {
-		return fn()
-	}
-	gate.RLock()
-	defer gate.RUnlock()
-	cur, ok := s.lookup(name)
-	if !ok || cur != est {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if cur, ok := s.lookup(name); !ok || cur != est {
 		return errStaleBinding
 	}
 	return fn()

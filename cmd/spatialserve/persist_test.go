@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -376,6 +379,169 @@ func TestPersistGracefulShutdown(t *testing.T) {
 	for _, n := range names {
 		if got := snapshotOf(t, s2, n); !bytes.Equal(got, want[n]) {
 			t.Errorf("estimator %q differs after graceful restart", n)
+		}
+	}
+}
+
+// TestPersistRecoveryRefusesDamagedLog damages the WAL after a
+// checkpoint cut in ways recovery cannot repair - a corrupt record in a
+// non-final segment, a segment missing between the cut and the end, a
+// cut older than the oldest segment, a non-final segment shorter than its
+// header, and a cut past the end of its (non-final) segment - and
+// requires each data dir to fail to open
+// rather than recover a state that silently lacks records. The undamaged
+// dir recovers.
+func TestPersistRecoveryRefusesDamagedLog(t *testing.T) {
+	segFile := func(dir string, seq uint64) string {
+		return filepath.Join(dir, walSubdir, fmt.Sprintf("%016x.wal", seq))
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, cut uint64)
+	}{
+		{"intact", func(*testing.T, string, uint64) {}},
+		{"corrupt-non-final-segment", func(t *testing.T, dir string, cut uint64) {
+			path := segFile(dir, cut+1)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[16+8+2] ^= 0xff // a payload byte of the segment's first record
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"missing-segment", func(t *testing.T, dir string, cut uint64) {
+			if err := os.Remove(segFile(dir, cut+1)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"cut-before-oldest-segment", func(t *testing.T, dir string, cut uint64) {
+			if err := os.Remove(segFile(dir, cut)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"segment-below-its-header", func(t *testing.T, dir string, cut uint64) {
+			if err := os.Truncate(segFile(dir, cut+1), 5); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"cut-past-segment-end", func(t *testing.T, dir string, cut uint64) {
+			if err := os.Truncate(segFile(dir, cut), 16); err != nil { // keep only the header
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const dom = 1 << 12
+			s, err := NewPersistentServer(PersistOptions{DataDir: dir, SegmentBytes: 512, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			createJoin(t, s, "j", dom)
+			rng := rand.New(rand.NewSource(5))
+			update := func() {
+				mustStatus(t, do(t, s, "POST", "/v1/estimators/j/update",
+					updateBody(t, "left", [][][2]uint64{randRect(rng, dom)})), http.StatusOK)
+			}
+			for i := 0; i < 10; i++ {
+				update()
+			}
+			var res checkpointResult
+			if err := json.Unmarshal(do(t, s, "POST", "/admin/checkpoint", nil).Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				update()
+			}
+			if last := s.persist.w.Pos().Seg; last < res.WALSegment+2 {
+				t.Fatalf("the log ends in segment %d, want two or more after the cut's %d", last, res.WALSegment)
+			}
+			crash(t, s)
+			tc.damage(t, dir, res.WALSegment)
+			s2, err := NewPersistentServer(PersistOptions{DataDir: dir, Logf: t.Logf})
+			if tc.name == "intact" {
+				if err != nil {
+					t.Fatalf("the undamaged data dir failed to open: %v", err)
+				}
+				s2.Close()
+				return
+			}
+			if err == nil {
+				s2.Close()
+				t.Fatal("recovery opened a data dir with a damaged log")
+			}
+			t.Logf("refused: %v", err)
+		})
+	}
+}
+
+// TestInMemoryNodeChecksBinding checks that a node without a WAL
+// re-checks an estimator's binding under the mutation gate as a durable
+// one does: a mutation of an estimator replaced since its lookup is
+// refused, and never runs against the discarded object.
+func TestInMemoryNodeChecksBinding(t *testing.T) {
+	s := NewServer()
+	createJoin(t, s, "j", 1<<10)
+	old, ok := s.lookup("j")
+	if !ok {
+		t.Fatal("no estimator j")
+	}
+	mustStatus(t, do(t, s, "PUT", "/v1/estimators/j/snapshot", snapshotOf(t, s, "j")), http.StatusOK)
+	ran := false
+	err := s.withEstimator("j", old, func() error { ran = true; return nil })
+	if !errors.Is(err, errStaleBinding) || ran {
+		t.Fatalf("withEstimator on a replaced estimator: err %v, fn ran %v; want errStaleBinding without running fn", err, ran)
+	}
+}
+
+// TestInMemoryReplaceFreezesOldEstimator races updates against snapshot
+// PUTs that replace their estimator on a node without a WAL. Every
+// update answers 200 or the retryable 409, and once a PUT has answered,
+// no update lands on the object it replaced: that object's write version
+// never moves again. Meaningful under -race.
+func TestInMemoryReplaceFreezesOldEstimator(t *testing.T) {
+	s := NewServer()
+	const dom = 1 << 10
+	createJoin(t, s, "j", dom)
+	snap := snapshotOf(t, s, "j")
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for !stop.Load() {
+				w := do(nil, s, "POST", "/v1/estimators/j/update", updateBody(t, "left", [][][2]uint64{randRect(rng, dom)}))
+				if w.Code != http.StatusOK && w.Code != http.StatusConflict {
+					errs <- fmt.Sprintf("update: %d %s", w.Code, w.Body.String())
+					return
+				}
+			}
+		}(g)
+	}
+	type frozen struct {
+		est     servable
+		version uint64
+	}
+	var replaced []frozen
+	for i := 0; i < 200; i++ {
+		old, _ := s.lookup("j")
+		mustStatus(t, do(t, s, "PUT", "/v1/estimators/j/snapshot", snap), http.StatusOK)
+		replaced = append(replaced, frozen{old, old.version()})
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	for i, f := range replaced {
+		if v := f.est.version(); v != f.version {
+			t.Fatalf("replacement %d: the replaced estimator took writes after its PUT answered (version %d -> %d)", i, f.version, v)
 		}
 	}
 }

@@ -159,10 +159,8 @@ func (s *Server) bootstrapReplica(rs *replicaState) error {
 		p.ckptMu.Lock()
 		defer p.ckptMu.Unlock()
 	}
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if err := s.install(img); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
@@ -346,23 +344,18 @@ func (s *Server) applyReplicated(ctx context.Context, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if gate := s.mutGate(); gate != nil {
-		switch op {
-		case walOpCreate, walOpDelete, walOpPut, walOpTenantPut, walOpTenantDelete:
-			gate.Lock()
-			defer gate.Unlock()
-		default:
-			gate.RLock()
-			defer gate.RUnlock()
-		}
+	switch op {
+	case walOpCreate, walOpDelete, walOpPut, walOpTenantPut, walOpTenantDelete:
+		s.gate.Lock()
+		defer s.gate.Unlock()
+	default:
+		s.gate.RLock()
+		defer s.gate.RUnlock()
 	}
 	if err := s.applyWALRecord(payload); err != nil {
 		return err
 	}
-	if s.persist != nil {
-		return s.persist.appendRecord(ctx, payload)
-	}
-	return nil
+	return s.persist.appendRecord(ctx, payload)
 }
 
 // handleMove applies one chunk of a partition move at its target

@@ -236,7 +236,7 @@ func TestReplicaFollowAndPromote(t *testing.T) {
 		t.Fatalf("follower manifest: %v", err)
 	}
 	ops := map[byte]bool{}
-	if err := wal.Replay(filepath.Join(fdir, walSubdir), m.cut(), func(_ wal.Pos, payload []byte) error {
+	if _, err := follower.persist.w.ReadFrom(m.cut(), 0, func(_ wal.Pos, payload []byte) error {
 		ops[payload[0]] = true
 		return nil
 	}); err != nil {

@@ -54,8 +54,20 @@ type Server struct {
 	ests map[string]servable
 	mux  *http.ServeMux
 
+	// gate is the one mutation gate, on every node: shared around each
+	// logged mutation of one estimator (updates, merges, session drops,
+	// replicated ops 3, 4, 8 and 9), which re-checks the name binding
+	// under it (withEstimator); exclusive around binding changes (create,
+	// delete, snapshot PUT, tenant put and delete), the checkpoint and
+	// bootstrap cut (persister.capture) and a move's cut and seal. So a
+	// cut sees each mutation logged and applied or neither, and an update
+	// racing a replace or delete is refused (errStaleBinding), never
+	// applied to the discarded object.
+	gate sync.RWMutex
+
 	// persist, when non-nil, write-ahead-logs every mutation and owns
-	// checkpoints and recovery (see persist.go).
+	// checkpoints and recovery (see persist.go). Nil means no WAL: the
+	// log calls on it do nothing.
 	persist *persister
 
 	// cluster, when non-nil, routes requests across the partition map
@@ -241,11 +253,11 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // is no request: each frame on it is traced on its own, and the
 // connection is counted once when it closes, with nothing else recorded.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	endpoint := classifyEndpoint(r)
+	endpoint, tenant := classifyEndpoint(r), requestTenant(r)
 	if p := r.URL.Path; p == "/v1/ingest" || p == cluster.PeerPath {
 		sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		s.serveAdmitted(sw, r)
-		s.metrics.reqTotal.With(endpoint, s.metricsTenant(r), strconv.Itoa(sw.status)).Inc()
+		s.serveAdmitted(sw, r, tenant)
+		s.metrics.reqTotal.With(endpoint, s.tenantLabel(tenant), strconv.Itoa(sw.status)).Inc()
 		return
 	}
 	op := "http " + endpoint
@@ -259,8 +271,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r = r.WithContext(ctx)
 	start := time.Now()
 	sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	s.serveAdmitted(sw, r)
-	s.finishRequest(sp, op, endpoint, s.metricsTenant(r), sw.status, time.Since(start), requestIDFrom(ctx))
+	s.serveAdmitted(sw, r, tenant)
+	s.finishRequest(sp, op, endpoint, s.tenantLabel(tenant), sw.status, time.Since(start), requestIDFrom(ctx))
 }
 
 // finishRequest ends a served request's span (named op) and records the
@@ -298,9 +310,9 @@ func (s *Server) finishRequest(sp *trace.Span, op, endpoint, tenant string, code
 	}
 }
 
-// serveAdmitted runs the admission gates (global, then per-tenant) and
-// the mux.
-func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
+// serveAdmitted runs the admission gates (global, then per-tenant, for
+// the request's tenant) and the mux.
+func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, tenant string) {
 	if a := s.admit; a != nil {
 		release, ok := a.admit(w, r, s.metrics)
 		if !ok {
@@ -308,7 +320,7 @@ func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
-	release, ok := s.admitTenant(w, r)
+	release, ok := s.admitTenant(w, r, tenant)
 	if !ok {
 		return
 	}
@@ -593,10 +605,8 @@ func (s *Server) createLocal(ctx context.Context, req *createRequest, enforceBud
 	if err != nil {
 		return nil, err
 	}
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.ests[req.Name]; exists {
@@ -607,10 +617,8 @@ func (s *Server) createLocal(ctx context.Context, req *createRequest, enforceBud
 			return nil, err
 		}
 	}
-	if s.persist != nil {
-		if err := s.persist.logCreate(ctx, req); err != nil {
-			return nil, err
-		}
+	if err := s.persist.logCreate(ctx, req); err != nil {
+		return nil, err
 	}
 	s.ests[req.Name] = est
 	return est, nil
@@ -619,19 +627,15 @@ func (s *Server) createLocal(ctx context.Context, req *createRequest, enforceBud
 // deleteLocal removes an estimator binding (logged, exclusive gate),
 // reporting whether it existed.
 func (s *Server) deleteLocal(ctx context.Context, name string) (bool, error) {
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.ests[name]; !ok {
 		return false, nil
 	}
-	if s.persist != nil {
-		if err := s.persist.logDelete(ctx, name); err != nil {
-			return true, err
-		}
+	if err := s.persist.logDelete(ctx, name); err != nil {
+		return true, err
 	}
 	delete(s.ests, name)
 	// Ingest watermarks die with the binding: a recreated estimator must
@@ -978,10 +982,8 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	// registry lock: the exclusive gate already serializes this against
 	// every other logged mutation, and holding s.mu across a group commit
 	// would stall read traffic for the whole write.
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if external {
 		// The budget delta of a replace is new minus old words; a shrink
 		// always passes. Checked before the WAL append so a rejected PUT
@@ -999,11 +1001,9 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.persist != nil {
-		if err := s.persist.logSnapshot(r.Context(), walOpPut, name, data); err != nil {
-			writeError(w, http.StatusInternalServerError, "logging snapshot put: %v", err)
-			return
-		}
+	if err := s.persist.logSnapshot(r.Context(), walOpPut, name, data); err != nil {
+		writeError(w, http.StatusInternalServerError, "logging snapshot put: %v", err)
+		return
 	}
 	s.mu.Lock()
 	s.ests[name] = est
@@ -1048,12 +1048,10 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	err := s.withEstimator(name, est, func() error {
-		if s.persist != nil {
-			// Logged before the config check: a rejected merge replays as
-			// the same deterministic rejection (see persist.go).
-			if err := s.persist.logSnapshot(r.Context(), walOpMerge, name, data); err != nil {
-				return err
-			}
+		// Logged before the config check: a rejected merge replays as the
+		// same deterministic rejection (see persist.go).
+		if err := s.persist.logSnapshot(r.Context(), walOpMerge, name, data); err != nil {
+			return err
 		}
 		return est.mergeSnapshot(data)
 	})

@@ -96,7 +96,7 @@ func (s *Server) dropSessionMark(session, key string, minIdle time.Duration, now
 	}
 	est, bound := s.lookup(key)
 	drop := func() error {
-		if bound && s.persist != nil {
+		if bound {
 			if err := s.persist.logSessionDrop(context.Background(), key, session); err != nil {
 				return err
 			}

@@ -379,16 +379,8 @@ func (s *Server) applyIngestBatch(ctx context.Context, name, session string, bat
 				return verr
 			}
 		}
-		if s.persist != nil {
-			var lerr error
-			if ent != nil {
-				lerr = s.persist.logIngest(ctx, name, session, batch)
-			} else {
-				lerr = s.persist.logUpdate(ctx, name, batch)
-			}
-			if lerr != nil {
-				return lerr
-			}
+		if err := s.persist.logBatch(ctx, name, session, batch); err != nil {
+			return err
 		}
 		for _, rec := range recs {
 			if aerr := est.applyRecord(rec); aerr != nil {
@@ -501,7 +493,8 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, rw *bufio.ReadW
 			return
 		}
 	}
-	tenant := s.keyTenant(key)
+	t, _ := splitTenant(key)
+	tenant := s.tenantLabel(t)
 	s.metrics.streamStarted(tenant)
 	defer s.metrics.streamEnded(tenant)
 	// Pin the mark for the stream's lifetime: an attached session is
@@ -617,7 +610,8 @@ func (s *Server) ingestOneBatch(ctx context.Context, key, session string, cluste
 	if err != nil {
 		return err
 	}
-	s.metrics.observeIngestBatch(s.keyTenant(key), deduped, applied)
+	t, _ := splitTenant(key)
+	s.metrics.observeIngestBatch(s.tenantLabel(t), deduped, applied)
 	return nil
 }
 
@@ -641,19 +635,6 @@ func streamErrorFor(err error) (ingest.ErrorCode, string) {
 		return ingest.CodeInternal, err.Error()
 	}
 	return ingest.CodeBadRequest, err.Error()
-}
-
-// keyTenant returns the bounded tenant metric label for a registry
-// key.
-func (s *Server) keyTenant(key string) string {
-	t, _ := splitTenant(key)
-	if t == "" || t == DefaultTenant {
-		return DefaultTenant
-	}
-	if s.tenants.get(t) != nil {
-		return t
-	}
-	return "other"
 }
 
 // ---- internal shard endpoints (cluster fan-out) ----

@@ -284,17 +284,13 @@ type tenantInfoResponse struct {
 	Estimators []budgetEntry `json:"estimators"`
 }
 
-// setTenantLocal installs a tenant config locally, logging it first when
-// persistence is on (binding-class change: exclusive gate).
+// setTenantLocal installs a tenant config locally, logging it first
+// (binding-class change: exclusive gate).
 func (s *Server) setTenantLocal(ctx context.Context, tenant string, cfg TenantConfig) error {
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
-	if s.persist != nil {
-		if err := s.persist.logTenant(ctx, walOpTenantPut, tenant, cfg); err != nil {
-			return err
-		}
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if err := s.persist.logTenant(ctx, walOpTenantPut, tenant, cfg); err != nil {
+		return err
 	}
 	s.tenants.set(tenant, cfg)
 	return nil
@@ -303,17 +299,13 @@ func (s *Server) setTenantLocal(ctx context.Context, tenant string, cfg TenantCo
 // deleteTenantLocal removes a tenant config locally (logged), reporting
 // whether it existed.
 func (s *Server) deleteTenantLocal(ctx context.Context, tenant string) (bool, error) {
-	if gate := s.mutGate(); gate != nil {
-		gate.Lock()
-		defer gate.Unlock()
-	}
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if s.tenants.get(tenant) == nil {
 		return false, nil
 	}
-	if s.persist != nil {
-		if err := s.persist.logTenant(ctx, walOpTenantDelete, tenant, TenantConfig{}); err != nil {
-			return true, err
-		}
+	if err := s.persist.logTenant(ctx, walOpTenantDelete, tenant, TenantConfig{}); err != nil {
+		return true, err
 	}
 	s.tenants.delete(tenant)
 	return true, nil
@@ -585,16 +577,13 @@ func requestTenant(r *http.Request) string {
 }
 
 // admitTenant runs the per-tenant admission gates (rate bucket, inflight
-// cap) for configured tenants. Internal fan-out sub-requests bypass them
-// - the edge node already charged the external request - as do the
-// global exemptions (/healthz, /metrics, /admin). It returns a release
-// func and true to serve, or writes the 429 itself and returns false.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if admitExempt(r) {
-		return func() {}, true
-	}
-	tenant := requestTenant(r)
-	if tenant == "" {
+// cap) when the request's tenant (requestTenant) is configured. Internal
+// fan-out sub-requests bypass them - the edge node already charged the
+// external request - as do the global exemptions (/healthz, /metrics,
+// /admin). It returns a release func and true to serve, or writes the 429
+// itself and returns false.
+func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request, tenant string) (release func(), ok bool) {
+	if admitExempt(r) || tenant == "" {
 		return func() {}, true
 	}
 	ts := s.tenants.get(tenant)

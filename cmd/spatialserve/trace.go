@@ -6,9 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	spatial "repro"
@@ -204,35 +204,25 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // not the response.
 func (c *clusterNode) fetchPeerTraceSegments(ctx context.Context, id trace.TraceID) []*trace.Segment {
 	m := c.map_()
-	peers := append([]cluster.Node(nil), m.Nodes...)
+	var peers []cluster.Node
+	for _, n := range m.Nodes {
+		if n.ID != c.selfID {
+			peers = append(peers, n)
+		}
+	}
 	for owner, url := range m.Replicas {
 		peers = append(peers, cluster.Node{ID: "replica:" + owner, URL: url})
 	}
-	perNode := make([][]*trace.Segment, len(peers))
-	var wg sync.WaitGroup
-	for i, n := range peers {
-		if n.ID == c.selfID {
-			continue
+	perNode, _ := cluster.Scatter(len(peers), func(i int) ([]*trace.Segment, error) {
+		n := peers[i]
+		resp, err := c.callNode(ctx, n, http.MethodGet, n.URL+"/admin/trace/"+id.String()+"?local=1", nil, internalHeader())
+		var body traceGetResponse
+		if err != nil || resp.Status != http.StatusOK || json.Unmarshal(resp.Body, &body) != nil {
+			return nil, nil
 		}
-		wg.Add(1)
-		go func(i int, n cluster.Node) {
-			defer wg.Done()
-			resp, err := c.callNode(ctx, n, http.MethodGet, n.URL+"/admin/trace/"+id.String()+"?local=1", nil, internalHeader())
-			if err != nil || resp.Status != http.StatusOK {
-				return
-			}
-			var body traceGetResponse
-			if json.Unmarshal(resp.Body, &body) == nil {
-				perNode[i] = body.Segments
-			}
-		}(i, n)
-	}
-	wg.Wait()
-	var out []*trace.Segment
-	for _, segs := range perNode {
-		out = append(out, segs...)
-	}
-	return out
+		return body.Segments, nil
+	})
+	return slices.Concat(perNode...)
 }
 
 // assembleTraceTree builds the span tree from a trace's segments:

@@ -208,7 +208,8 @@ func (s *Server) answerPeer(ft ingest.FrameType, body []byte) []byte {
 		}
 		answer = ingest.AppendError(nil, errCode, err.Error())
 	}
-	s.finishRequest(sp, op, "snapshot_get", s.keyTenant(q.base), code, time.Since(start), rid)
+	tenant, _ := splitTenant(q.base)
+	s.finishRequest(sp, op, "snapshot_get", s.tenantLabel(tenant), code, time.Since(start), rid)
 	return answer
 }
 

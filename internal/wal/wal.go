@@ -15,7 +15,7 @@
 //   - A torn final record - a record in the highest-numbered segment whose
 //     bytes run into end-of-file, or whose checksum fails with nothing
 //     after it - is the signature of a crash mid-append. It is tolerated:
-//     Open truncates it away and Replay stops cleanly in front of it.
+//     Open truncates it away before anything reads the log.
 //   - A corrupt record anywhere else (checksum mismatch followed by more
 //     data, or a malformed record in a non-final segment) is storage
 //     corruption. It is reported as an error, never silently skipped:
@@ -23,9 +23,9 @@
 //     state.
 //
 // Positions (segment, byte offset) name record boundaries. A checkpoint
-// stores the Pos returned by Pos or Rotate and later replays the suffix
-// with Replay; TruncateBefore discards segments wholly older than a
-// durable checkpoint.
+// stores the Pos returned by Pos or Rotate, and recovery reads the suffix
+// after it with ReadFrom on the reopened log; TruncateBefore discards
+// segments wholly older than a durable checkpoint.
 package wal
 
 import (
@@ -579,13 +579,15 @@ var ErrFuturePosition = errors.New("wal: read position beyond the log end")
 // records are delivered per call (at least one record is always delivered
 // when available); maxBytes <= 0 means no limit.
 //
-// This is the segment read API behind WAL shipping: replication followers
-// and rebalance moves tail a live log through it. Pending appends are
-// drained first, so every record acknowledged before the call is visible;
-// records are never torn (only positions at or before the drained end are
-// read). A `from` older than the oldest retained segment returns
-// ErrTruncatedHistory - the signal to re-bootstrap from a snapshot.
-// fn must not retain the payload slice.
+// This is the log's one reader: recovery reads the suffix after its
+// checkpoint through it (Open has already trimmed a torn tail), and
+// replication followers and rebalance moves tail a live log through it.
+// Pending appends are drained first, so every record acknowledged before
+// the call is visible; records are never torn (only positions at or
+// before the drained end are read), so any malformed record read is
+// corruption and errors. A `from` older than the oldest retained segment
+// returns ErrTruncatedHistory - the signal to re-bootstrap from a
+// snapshot. fn must not retain the payload slice.
 func (w *WAL) ReadFrom(from Pos, maxBytes int64, fn func(pos Pos, payload []byte) error) (Pos, error) {
 	w.mu.Lock()
 	if err := w.usableLocked(); err != nil {
@@ -615,26 +617,34 @@ func (w *WAL) ReadFrom(from Pos, maxBytes int64, fn func(pos Pos, payload []byte
 	if end.Less(from) {
 		return Pos{}, fmt.Errorf("%w: reading from %v, log ends at %v", ErrFuturePosition, from, end)
 	}
-	next := from
-	budget := maxBytes
-	seen := false
+	next, budget := from, maxBytes
+	deliver := func(pos Pos, payload []byte) error {
+		if err := fn(pos, payload); err != nil {
+			return err
+		}
+		frame := recHeaderSize + int64(len(payload))
+		next = Pos{Seg: pos.Seg, Off: pos.Off + frame}
+		if budget -= frame; maxBytes > 0 && budget <= 0 {
+			return errBudgetSpent
+		}
+		return nil
+	}
 	for i, seq := range seqs {
 		if seq < from.Seg || seq > end.Seg {
 			continue
 		}
-		if !seen && seq != from.Seg {
+		if seq != from.Seg && seqs[i-1] < from.Seg {
 			return Pos{}, fmt.Errorf("wal: segment %d holding read position %v is missing", from.Seg, from)
 		}
-		seen = true
-		if i > 0 && seqs[i-1] >= from.Seg && seq != seqs[i-1]+1 {
+		if seq != from.Seg && seq != seqs[i-1]+1 {
 			return Pos{}, fmt.Errorf("wal: segment gap between %d and %d", seqs[i-1], seq)
 		}
-		stop, err := w.readSegment(seq, &next, end, &budget, maxBytes > 0, fn)
+		err := w.readSegment(seq, max(next.Off, segHeaderSize), end, deliver)
+		if err == errBudgetSpent {
+			return next, nil
+		}
 		if err != nil {
 			return Pos{}, err
-		}
-		if stop {
-			return next, nil
 		}
 		if seq < end.Seg {
 			// Advance past this fully-read segment; the next one's records
@@ -645,142 +655,51 @@ func (w *WAL) ReadFrom(from Pos, maxBytes int64, fn func(pos Pos, payload []byte
 	return next, nil
 }
 
-// readSegment delivers the committed records of one segment from *next up
-// to the drained end, decrementing *budget per frame. It reports stop=true
-// when the byte budget is exhausted.
-func (w *WAL) readSegment(seq uint64, next *Pos, end Pos, budget *int64, budgeted bool, fn func(Pos, []byte) error) (stop bool, err error) {
+// errBudgetSpent stops a ReadFrom whose byte budget is exhausted.
+var errBudgetSpent = errors.New("wal: read budget spent")
+
+// readSegment delivers the committed records of segment seq from offset
+// off up to the drained end.
+func (w *WAL) readSegment(seq uint64, off int64, end Pos, fn func(Pos, []byte) error) error {
 	f, err := os.Open(segPath(w.opts.Dir, seq))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return false, fmt.Errorf("%w: segment %d removed mid-read", ErrTruncatedHistory, seq)
+			return fmt.Errorf("%w: segment %d removed mid-read", ErrTruncatedHistory, seq)
 		}
-		return false, err
+		return err
 	}
 	defer f.Close()
 	if err := checkSegHeader(f, seq); err != nil {
-		return false, err
+		return err
 	}
 	limit := end.Off
 	if seq < end.Seg {
 		info, err := f.Stat()
 		if err != nil {
-			return false, err
+			return err
 		}
 		limit = info.Size()
 	}
-	off := next.Off
-	if seq > next.Seg || off < segHeaderSize {
-		off = segHeaderSize
-	}
-	var buf []byte
-	for off < limit {
-		var hdr [recHeaderSize]byte
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return false, err
-		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[0:])
-		n := int64(binary.LittleEndian.Uint32(hdr[4:]))
-		if n > MaxRecordBytes || off+recHeaderSize+n > limit {
-			return false, fmt.Errorf("wal: segment %d offset %d: malformed committed record", seq, off)
-		}
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := f.ReadAt(buf, off+recHeaderSize); err != nil {
-			return false, err
-		}
-		if crc32.Checksum(buf, castagnoli) != wantCRC {
-			return false, fmt.Errorf("wal: segment %d offset %d: checksum mismatch on a committed record", seq, off)
-		}
-		if err := fn(Pos{Seg: seq, Off: off}, buf); err != nil {
-			return false, err
-		}
-		off += recHeaderSize + n
-		*next = Pos{Seg: seq, Off: off}
-		if budgeted {
-			*budget -= recHeaderSize + n
-			if *budget <= 0 {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
-}
-
-// Replay reads the log in dir from position `from` (the zero Pos means the
-// whole log) and calls fn with every record's position and payload. It
-// stops cleanly in front of a torn final record; any other malformed
-// record is an error. fn must not retain the payload slice.
-func Replay(dir string, from Pos, fn func(pos Pos, payload []byte) error) error {
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(seqs) == 0 {
-		if from.IsZero() {
-			return nil
-		}
-		return fmt.Errorf("wal: empty log cannot contain replay position %v", from)
-	}
-	if !from.IsZero() && from.Seg < seqs[0] {
-		return fmt.Errorf("wal: replay position %v predates the oldest segment %d (log truncated too far)", from, seqs[0])
-	}
-	for i, seq := range seqs {
-		if seq < from.Seg {
-			continue
-		}
-		if i > 0 && seq != seqs[i-1]+1 {
-			return fmt.Errorf("wal: segment gap between %d and %d", seqs[i-1], seq)
-		}
-		start := int64(segHeaderSize)
-		if seq == from.Seg && from.Off > start {
-			start = from.Off
-		}
-		if err := replaySegment(dir, seq, start, seq == seqs[len(seqs)-1], fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func replaySegment(dir string, seq uint64, start int64, last bool, fn func(Pos, []byte) error) error {
-	f, err := os.Open(segPath(dir, seq))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := info.Size()
-	if size < segHeaderSize {
-		if last {
-			return nil // torn during creation; Open rewrites it
-		}
-		return fmt.Errorf("wal: segment %d truncated below its header", seq)
-	}
-	if err := checkSegHeader(f, seq); err != nil {
-		return err
-	}
-	if start > size {
-		return fmt.Errorf("wal: replay offset %d beyond segment %d end %d", start, seq, size)
-	}
-	_, _, err = scanRecords(f, size, seq, start, last, fn)
+	_, _, err = scanRecords(f, limit, seq, off, false, fn)
 	return err
 }
 
-// scanRecords iterates the records of one segment from offset start,
-// returning the offset one past the last valid record and whether that
-// point is a tear (a torn final record follows it). fn may be nil.
+// scanRecords is the log's one record scanner: it delivers the records
+// of segment seq from offset start up to size (fn may be nil) and returns
+// the offset one past the last valid record and whether that point is a
+// tear (a torn final record follows it). Open checks the final segment's
+// tail with it, ReadFrom reads committed records with it.
 //
-// Tail-shaped damage - a frame running past end-of-file, an absurd length
-// field, or a checksum mismatch on the final record - is a tear, tolerated
-// only in the last segment. A checksum mismatch with more data after it is
+// Tail-shaped damage - a frame running past size, an absurd length
+// field, or a checksum mismatch on the final record - is a tear,
+// tolerated only where last is set (the final segment, read to its
+// end-of-file by Open). A checksum mismatch with more data after it is
 // corruption mid-segment and always errors: silently skipping it would
 // replay the records after it against the wrong prefix state.
 func scanRecords(f io.ReaderAt, size int64, seq uint64, start int64, last bool, fn func(Pos, []byte) error) (int64, bool, error) {
+	if start > size {
+		return start, false, fmt.Errorf("%w: offset %d lies beyond segment %d's end %d", ErrFuturePosition, start, seq, size)
+	}
 	off := start
 	var buf []byte
 	for off < size {
@@ -788,7 +707,7 @@ func scanRecords(f io.ReaderAt, size int64, seq uint64, start int64, last bool, 
 			if last {
 				return off, true, nil
 			}
-			return off, false, fmt.Errorf("wal: segment %d offset %d: %s in a non-final segment", seq, off, what)
+			return off, false, fmt.Errorf("wal: segment %d offset %d: %s in a non-final segment or inside the committed log", seq, off, what)
 		}
 		if size-off < recHeaderSize {
 			return tear("torn record header")
@@ -843,7 +762,7 @@ func writeSegHeader(f *os.File, seq uint64) error {
 func checkSegHeader(f io.ReaderAt, seq uint64) error {
 	var hdr [segHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return err
+		return fmt.Errorf("wal: segment %d: reading its header: %w", seq, err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != segMagic {
 		return fmt.Errorf("wal: segment %d: bad magic %#x", seq, m)

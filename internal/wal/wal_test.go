@@ -12,17 +12,30 @@ import (
 	"time"
 )
 
+// collect reads the log in dir from position from as recovery does:
+// Open (which trims a torn tail), then ReadFrom.
 func collect(t *testing.T, dir string, from Pos) (recs [][]byte, poss []Pos) {
 	t.Helper()
-	err := Replay(dir, from, func(p Pos, payload []byte) error {
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer w.Close()
+	recs, poss, err = readAll(w, from)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return recs, poss
+}
+
+// readAll reads every record of the open log w from position from.
+func readAll(w *WAL, from Pos) (recs [][]byte, poss []Pos, err error) {
+	_, err = w.ReadFrom(from, 0, func(p Pos, payload []byte) error {
 		recs = append(recs, append([]byte(nil), payload...))
 		poss = append(poss, p)
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	return recs, poss
+	return recs, poss, err
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -144,15 +157,20 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	// Replay stops cleanly in front of the tear.
-	got, _ := collect(t, dir, Pos{})
-	if len(got) != 9 {
-		t.Fatalf("replayed %d records through a torn tail, want 9", len(got))
-	}
-	// Open truncates the tear and appends continue.
-	w, err = Open(Options{Dir: dir})
+	// Open truncates the tear, reading stops in front of it, and appends
+	// continue after it.
+	var torn []string
+	w, err = Open(Options{Dir: dir, Logf: func(format string, args ...any) { torn = append(torn, fmt.Sprintf(format, args...)) }})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The last frame ("rec-9", 13 bytes) lost 3 bytes: 10 remain to trim.
+	if len(torn) != 1 || !strings.Contains(torn[0], "torn tail of 10 byte(s)") {
+		t.Fatalf("Open reported %q, want one 10-byte torn tail", torn)
+	}
+	got, _, err := readAll(w, Pos{})
+	if err != nil || len(got) != 9 {
+		t.Fatalf("read %d records through a torn tail (err %v), want 9", len(got), err)
 	}
 	if _, err := w.Append([]byte("post-tear")); err != nil {
 		t.Fatal(err)
@@ -182,13 +200,13 @@ func TestTornHeaderOnlySegment(t *testing.T) {
 	if err := os.WriteFile(segPath(dir, 2), []byte{0x4c, 0x41}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := collect(t, dir, Pos{})
-	if len(got) != 1 {
-		t.Fatalf("replayed %d records, want 1", len(got))
-	}
+	// Open rewrites the header; the log still reads as its one record.
 	w, err = Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, _, err := readAll(w, Pos{}); err != nil || len(got) != 1 {
+		t.Fatalf("read %d records (err %v), want 1", len(got), err)
 	}
 	if _, err := w.Append([]byte("two")); err != nil {
 		t.Fatal(err)
@@ -196,7 +214,7 @@ func TestTornHeaderOnlySegment(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = collect(t, dir, Pos{})
+	got, _ := collect(t, dir, Pos{})
 	if len(got) != 2 || string(got[1]) != "two" {
 		t.Fatalf("got %d records after header-only recovery", len(got))
 	}
@@ -228,14 +246,10 @@ func TestCorruptCRCMidSegmentErrors(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(dir, Pos{}, func(Pos, []byte) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("mid-segment corruption replayed without error: %v", err)
-	}
-	// Open must refuse it too (the damage is in the final segment but is
-	// not tail-shaped).
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("Open accepted a segment with mid-segment corruption")
+	// Open must refuse it: the damage is in the final segment but is not
+	// tail-shaped.
+	if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Open accepted a segment with mid-segment corruption: %v", err)
 	}
 }
 
@@ -264,9 +278,15 @@ func TestCorruptionInNonFinalSegmentErrors(t *testing.T) {
 	if err := os.Truncate(first, info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(dir, Pos{}, func(Pos, []byte) error { return nil })
+	// Open checks only the final segment; reading the first one errors.
+	w, err = Open(Options{Dir: dir, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	_, _, err = readAll(w, Pos{})
 	if err == nil || !strings.Contains(err.Error(), "non-final segment") {
-		t.Fatalf("non-final segment damage replayed without error: %v", err)
+		t.Fatalf("non-final segment damage read without error: %v", err)
 	}
 }
 
@@ -334,14 +354,14 @@ func TestRotateAndTruncateBefore(t *testing.T) {
 	if len(seqs) == 0 || seqs[0] != cut.Seg {
 		t.Fatalf("truncation left segments %v, want first = %d", seqs, cut.Seg)
 	}
-	got, _ := collect(t, dir, cut)
-	if len(got) != 5 || string(got[0]) != "post-0" {
-		t.Fatalf("post-truncation replay: %d records, first %q", len(got), got[0])
+	got, _, err := readAll(w, cut)
+	if err != nil || len(got) != 5 || string(got[0]) != "post-0" {
+		t.Fatalf("post-truncation read: %d records (err %v)", len(got), err)
 	}
-	// Replaying from a truncated-away position must error, not return a
+	// Reading from a truncated-away position must error, not return a
 	// partial stream.
-	if err := Replay(dir, Pos{Seg: 1, Off: segHeaderSize}, func(Pos, []byte) error { return nil }); err == nil {
-		t.Fatal("replay from a truncated position succeeded")
+	if _, _, err := readAll(w, Pos{Seg: 1, Off: segHeaderSize}); err == nil {
+		t.Fatal("read from a truncated position succeeded")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -377,15 +397,15 @@ func TestSyncAndFsyncMode(t *testing.T) {
 
 func TestEmptyAndMissingDirs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fresh", "nested")
-	if err := Replay(dir, Pos{}, func(Pos, []byte) error { return nil }); err != nil {
-		t.Fatalf("replaying a missing dir: %v", err)
-	}
 	w, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := w.Pos(); p.Seg != 1 || p.Off != segHeaderSize {
 		t.Fatalf("fresh log position %v", p)
+	}
+	if got, _, err := readAll(w, Pos{}); err != nil || len(got) != 0 {
+		t.Fatalf("reading a fresh log: %d records, err %v", len(got), err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -526,6 +546,31 @@ func TestReadFromTruncatedHistory(t *testing.T) {
 	n := 0
 	if _, err := w.ReadFrom(cut, 0, func(Pos, []byte) error { n++; return nil }); err != nil || n != 1 {
 		t.Fatalf("read from cut: n=%d err=%v", n, err)
+	}
+}
+
+// TestReadFromPastSegmentEnd checks that a position past the end of a
+// non-final segment - history the log does not hold - is
+// ErrFuturePosition, not a silent skip to the next segment's records.
+func TestReadFromPastSegmentEnd(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	_, err = w.ReadFrom(Pos{Seg: 1, Off: 1000}, 0, func(Pos, []byte) error { n++; return nil })
+	if !errors.Is(err, ErrFuturePosition) || n != 0 {
+		t.Fatalf("reading past segment 1's end: %d records, err %v; want none and ErrFuturePosition", n, err)
 	}
 }
 
