@@ -21,7 +21,9 @@ import (
 // of 64, and one whose rows are too wide for 11 levels to fit in 64 KB.
 // 1 and 257 instances are not multiples of four, so the vector kernel's
 // scalar tail runs; at 257 the second dimension's families also start at
-// a bank slot that is not a multiple of four.
+// a bank slot that is not a multiple of four. The 3-d and 4-d
+// configurations take every kind past the unrolled d <= 2 folds, the 4-d
+// one under a mix of level caps.
 var memoConfigs = []Config{
 	{Dims: 2, LogDomain: []int{8, 8}, Instances: 256, Groups: 4},
 	{Dims: 2, LogDomain: []int{11, 11}, Instances: 256, Groups: 4},
@@ -33,6 +35,8 @@ var memoConfigs = []Config{
 	{Dims: 1, LogDomain: []int{14}, Instances: 1024, Groups: 8},
 	{Dims: 2, LogDomain: []int{16, 16}, Instances: 1, Groups: 1},
 	{Dims: 2, LogDomain: []int{14, 14}, Instances: 257, Groups: 1},
+	{Dims: 3, LogDomain: []int{10, 12, 9}, Instances: 64, Groups: 4},
+	{Dims: 4, LogDomain: []int{8, 11, 6, 12}, MaxLevel: []int{5, -1, 6, 3}, Instances: 72, Groups: 4},
 }
 
 // TestSignPlaneLimits pins how many levels fit in one dimension's 64 KB.
@@ -248,33 +252,106 @@ func readyRows(p *Plan) int {
 	return n
 }
 
-// TestSignPlaneAllocs: a warm JoinSketch.Insert allocates nothing, also
-// while it fills rows; only each plane's first use allocates.
-func TestSignPlaneAllocs(t *testing.T) {
-	p := MustPlan(Config{Dims: 2, LogDomain: []int{14, 14}, Instances: 1024, Groups: 8, Seed: freshSeed()})
-	s := p.NewJoinSketch()
-	r := rand.New(rand.NewPCG(3, 3))
-	rects := make([]geo.HyperRect, 512)
-	for i := range rects {
-		rects[i] = randRect(r, p)
+// testSketch gives every sketch type one shape for the table-driven
+// tests below: its counters, its count, an insert that takes the
+// rectangle or the point its kind reads, and its encoding.
+type testSketch struct {
+	counters []int64
+	count    *int64
+	insert   func(rect geo.HyperRect, pt geo.Point) error
+	marshal  func() ([]byte, error)
+}
+
+// sketchKinds are the five sketch kinds, by name.
+var sketchKinds = []string{"join", "ce", "range", "point", "box"}
+
+func newTestSketch(p *Plan, kind string) testSketch {
+	switch kind {
+	case "join":
+		s := p.NewJoinSketch()
+		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
+	case "ce":
+		s := p.NewCESketch()
+		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
+	case "range":
+		s := p.NewRangeSketch()
+		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
+	case "point":
+		s := p.NewPointSketch()
+		return testSketch{s.counters, &s.count, func(_ geo.HyperRect, pt geo.Point) error { return s.Insert(pt) }, s.MarshalBinary}
 	}
-	i := 0
-	insert := func() {
-		if err := s.Insert(rects[i%len(rects)]); err != nil {
-			t.Fatal(err)
+	s := p.NewBoxSketch()
+	return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
+}
+
+// refLetters returns one object's per-dimension letter sums for a sketch
+// kind, from the scalar reference xi.Family: rect feeds every kind but
+// the point kind, which reads pt.
+func refLetters(p *Plan, kind string, rect geo.HyperRect, pt geo.Point) [][][]int64 {
+	letters := make([][][]int64, p.cfg.Dims)
+	for i := range letters {
+		dom, ml := p.doms[i], p.maxLevel[i]
+		if kind == "point" {
+			letters[i] = [][]int64{refSums(p, i, dom.PointCoverMax(pt[i], ml, nil))}
+			continue
 		}
-		i++
+		iv := rect[i]
+		cover := dom.CoverMax(iv.Lo, iv.Hi, ml, nil)
+		ptLo, ptHi := dom.PointCoverMax(iv.Lo, ml, nil), dom.PointCoverMax(iv.Hi, ml, nil)
+		I := refSums(p, i, cover)
+		switch kind {
+		case "join":
+			letters[i] = [][]int64{I, refSums(p, i, ptLo, ptHi)}
+		case "ce":
+			letters[i] = [][]int64{I, refSums(p, i, ptLo, ptHi),
+				refSums(p, i, []uint64{dom.LeafID(iv.Lo)}), refSums(p, i, []uint64{dom.LeafID(iv.Hi)})}
+		case "range":
+			letters[i] = [][]int64{I, refSums(p, i, ptHi)}
+		case "box":
+			letters[i] = [][]int64{I}
+		}
 	}
-	insert()
-	filled := readyRows(p)
-	if allocs := testing.AllocsPerRun(100, insert); allocs != 0 {
-		t.Errorf("Insert allocates %v times per call while filling rows", allocs)
-	}
-	if readyRows(p) <= filled {
-		t.Fatalf("no rows filled during the measured inserts (%d ready before, %d after)", filled, readyRows(p))
-	}
-	if allocs := testing.AllocsPerRun(len(rects), insert); allocs != 0 {
-		t.Errorf("warm Insert allocates %v times per call", allocs)
+	return letters
+}
+
+// TestSignPlaneAllocs: a warm insert allocates nothing, for every sketch
+// kind at d = 1, 2 and 4, also while it fills rows; only each plane's
+// first use allocates.
+func TestSignPlaneAllocs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Dims: 1, LogDomain: []int{14}, Instances: 1024, Groups: 8},
+		{Dims: 2, LogDomain: []int{14, 14}, Instances: 1024, Groups: 8},
+		{Dims: 4, LogDomain: []int{8, 9, 10, 11}, Instances: 128, Groups: 8},
+	} {
+		for _, kind := range sketchKinds {
+			cfg.Seed = freshSeed()
+			p := MustPlan(cfg)
+			s := newTestSketch(p, kind)
+			r := rand.New(rand.NewPCG(3, 3))
+			rects := make([]geo.HyperRect, 512)
+			pts := make([]geo.Point, len(rects))
+			for i := range rects {
+				rects[i], pts[i] = randRect(r, p), randPoint(r, p)
+			}
+			i := 0
+			insert := func() {
+				if err := s.insert(rects[i%len(rects)], pts[i%len(pts)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			insert()
+			filled := readyRows(p)
+			if allocs := testing.AllocsPerRun(100, insert); allocs != 0 {
+				t.Errorf("%d-d %s: insert allocates %v times per call while filling rows", cfg.Dims, kind, allocs)
+			}
+			if readyRows(p) <= filled {
+				t.Fatalf("%d-d %s: no rows filled during the measured inserts (%d ready before, %d after)", cfg.Dims, kind, filled, readyRows(p))
+			}
+			if allocs := testing.AllocsPerRun(len(rects), insert); allocs != 0 {
+				t.Errorf("%d-d %s: warm insert allocates %v times per call", cfg.Dims, kind, allocs)
+			}
+		}
 	}
 }
 
@@ -321,24 +398,27 @@ func TestPlanInterning(t *testing.T) {
 	}
 }
 
-// TestPlanSharedConcurrent: goroutines insert into separate sketches of one
-// configuration, filling the shared sign planes, while others estimate
-// ranges on a sketch of the same plan. Counters and marshalled bytes equal
-// a sequential build.
+// TestPlanSharedConcurrent: goroutines insert into separate sketches of
+// one configuration, one writer per sketch kind, filling the shared sign
+// planes, while others estimate ranges on a sketch of the same plan.
+// Counters and marshalled bytes equal a sequential build.
 func TestPlanSharedConcurrent(t *testing.T) {
 	cfg := Config{Dims: 2, LogDomain: []int{13, 13}, Instances: 192, Groups: 4, Seed: freshSeed()}
 	p := MustPlan(cfg)
 	r := rand.New(rand.NewPCG(9, 9))
-	const writers, perWriter = 4, 60
-	inputs := make([][]geo.HyperRect, writers)
-	for w := range inputs {
+	const perWriter = 60
+	writers := len(sketchKinds)
+	rects := make([][]geo.HyperRect, writers)
+	pts := make([][]geo.Point, writers)
+	for w := range rects {
 		for k := 0; k < perWriter; k++ {
-			inputs[w] = append(inputs[w], randRect(r, p))
+			rects[w] = append(rects[w], randRect(r, p))
+			pts[w] = append(pts[w], randPoint(r, p))
 		}
 	}
 	queries := []geo.HyperRect{randRect(r, p), randRect(r, p), randRect(r, p)}
 	reader := p.NewRangeSketch()
-	for _, rect := range inputs[0] {
+	for _, rect := range rects[0] {
 		if err := reader.Insert(rect); err != nil {
 			t.Fatal(err)
 		}
@@ -351,21 +431,21 @@ func TestPlanSharedConcurrent(t *testing.T) {
 		}
 	}
 
-	got := make([]*JoinSketch, writers)
+	got := make([]testSketch, writers)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		got[w] = p.NewJoinSketch()
+	for w, kind := range sketchKinds {
+		got[w] = newTestSketch(p, kind)
 		wg.Add(1)
-		go func(s *JoinSketch, rects []geo.HyperRect) {
+		go func(s testSketch, rects []geo.HyperRect, pts []geo.Point) {
 			defer wg.Done()
-			for _, rect := range rects {
-				if err := s.Insert(rect); err != nil {
+			for k := range rects {
+				if err := s.insert(rects[k], pts[k]); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(got[w], inputs[w])
+		}(got[w], rects[w], pts[w])
 	}
 	var readers sync.WaitGroup
 	for k := 0; k < 2; k++ {
@@ -393,30 +473,26 @@ func TestPlanSharedConcurrent(t *testing.T) {
 	readers.Wait()
 
 	// The sequential reference evaluates every id with xi.Family.
-	for w, s := range got {
-		ref := p.NewJoinSketch()
-		for _, rect := range inputs[w] {
-			ref.buf.load(p, rect)
-			letters := make([][][]int64, cfg.Dims)
-			for i := range rect {
-				letters[i] = [][]int64{refSums(p, i, ref.buf.cover[i]), refSums(p, i, ref.buf.ptLo[i], ref.buf.ptHi[i])}
-			}
-			refFold(ref.counters, letters, 1)
-			ref.count++
+	for w, kind := range sketchKinds {
+		ref := newTestSketch(p, kind)
+		for k := range rects[w] {
+			refFold(ref.counters, refLetters(p, kind, rects[w][k], pts[w][k]), 1)
+			*ref.count++
 		}
+		s := got[w]
 		if !reflect.DeepEqual(s.counters, ref.counters) {
-			t.Fatalf("writer %d: counters differ from the sequential reference", w)
+			t.Fatalf("%s writer: counters differ from the sequential reference", kind)
 		}
-		gb, err := s.MarshalBinary()
+		gb, err := s.marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := ref.MarshalBinary()
+		rb, err := ref.marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gb, rb) {
-			t.Fatalf("writer %d: Marshal bytes differ from the sequential reference", w)
+			t.Fatalf("%s writer: Marshal bytes differ from the sequential reference", kind)
 		}
 	}
 }
