@@ -542,10 +542,13 @@ func (s *Server) handleWalShip(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		// Both cases mean the follower's position names history this log
+		// Each case means the follower's position names history this log
 		// does not hold (truncated away, or lost with an unsynced tail on
-		// a crash-restarted leader): 410 sends it back to bootstrap.
-		if errors.Is(err, wal.ErrTruncatedHistory) || errors.Is(err, wal.ErrFuturePosition) {
+		// a crash-restarted leader, which may have rewritten the offset
+		// with records of other lengths): 410 sends it back to bootstrap.
+		// A failed or closed log keeps its 500, so followers do not
+		// bootstrap in a loop against a sick leader.
+		if errors.Is(err, wal.ErrTruncatedHistory) || errors.Is(err, wal.ErrFuturePosition) || errors.Is(err, wal.ErrNoRecordAt) {
 			writeError(w, http.StatusGone, "%v", err)
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -522,6 +523,103 @@ func TestReplicaRebootstrapUnderReads(t *testing.T) {
 		t.Fatalf("leader served %d bootstraps, want 2 (the start and the re-bootstrap)", n)
 	}
 	requireSameState(t, "re-bootstrapped follower", stateOf(t, follower), stateOf(t, leader))
+}
+
+// TestReplicaRebootstrapsInsideRewrittenRecord: a follower holds every
+// record of its leader's log. The leader stops abruptly, its last segment
+// loses the tail of a record the follower already applied (the unsynced
+// tail a host crash drops), and the leader, restarted on the same data
+// dir and URL, logs records of other lengths past the follower's
+// position. That position now lies inside a record of the rewritten log:
+// the leader must answer 410, not 500, so the follower re-bootstraps and
+// ends with the leader's state instead of retrying the position for good.
+func TestReplicaRebootstrapsInsideRewrittenRecord(t *testing.T) {
+	const dom = 1 << 12
+	ldir := t.TempDir()
+	leader, err := NewPersistentServer(PersistOptions{DataDir: ldir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh := httptest.NewServer(leader)
+	addr := lh.Listener.Addr().String()
+	mustDo(t, "POST", lh.URL+"/v1/estimators", mustJSON(t, createRequest{Name: "r", Kind: "range",
+		Config: configRequest{Dims: 1, DomainSize: dom, Seed: 9, Instances: 16, Groups: 4}}), http.StatusCreated)
+	rng := rand.New(rand.NewSource(71))
+	// update logs one record of n rectangles through h.
+	update := func(h http.Handler, n int) {
+		t.Helper()
+		rects := make([][][2]uint64, n)
+		for i := range rects {
+			lo := rng.Uint64() % (dom - 2)
+			rects[i] = [][2]uint64{{lo, lo + 1}}
+		}
+		req := httptest.NewRequest("POST", "/v1/estimators/r/update", bytes.NewReader(mustJSON(t, updateRequest{Rects: rects})))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("update: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		update(leader, 1)
+	}
+	follower, fh := startFollower(t, t.TempDir(), lh.URL, 20*time.Millisecond)
+	for i := 0; i < 5; i++ {
+		update(leader, 1) // shipped through the tail
+	}
+	waitReplicaCaughtUp(t, lh.URL, fh.URL)
+	held := leader.persist.w.Pos()
+
+	// Abrupt stop, then a torn tail inside the last record.
+	lh.Close()
+	if err := leader.persist.close(true); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(ldir, walSubdir, "*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("leader segments: %v, %v", segs, err)
+	}
+	last := segs[len(segs)-1]
+	info, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, info.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restarted leader logs longer records before it listens again,
+	// so the follower's next poll meets the rewritten log.
+	leader2, err := NewPersistentServer(PersistOptions{DataDir: ldir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		update(leader2, 3)
+	}
+	boundary := false
+	if _, err := leader2.persist.w.ReadFrom(wal.Pos{}, 0, func(pos wal.Pos, _ []byte) error {
+		boundary = boundary || pos == held
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if boundary || !held.Less(leader2.persist.w.Pos()) {
+		t.Fatalf("setup: follower position %v is a record boundary of, or past, the rewritten log ending at %v", held, leader2.persist.w.Pos())
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh2 := &httptest.Server{Listener: ln, Config: &http.Server{Handler: leader2}}
+	lh2.Start()
+	t.Cleanup(func() {
+		lh2.Close()
+		leader2.Close()
+	})
+
+	waitReplicaCaughtUp(t, lh2.URL, fh.URL)
+	requireSameState(t, "follower after the leader rewrote its tail", stateOf(t, follower), stateOf(t, leader2))
 }
 
 // bootstrapSeeds returns a valid bootstrap body and the same image in

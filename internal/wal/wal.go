@@ -572,6 +572,12 @@ var ErrTruncatedHistory = errors.New("wal: position predates the oldest retained
 // bootstrap, not a retry.
 var ErrFuturePosition = errors.New("wal: read position beyond the log end")
 
+// ErrNoRecordAt reports a read position inside the log at which no
+// record decodes: it is not a record boundary. A reader lands there when
+// it holds records a crashed leader lost and then rewrote with other
+// lengths; like ErrFuturePosition, the remedy is a fresh bootstrap.
+var ErrNoRecordAt = errors.New("wal: no record decodes at the read position")
+
 // ReadFrom reads committed records of the OPEN log from position `from`
 // (the zero Pos means the beginning), calling fn with each record's
 // position and payload, and returns the position one past the last record
@@ -701,13 +707,22 @@ func scanRecords(f io.ReaderAt, size int64, seq uint64, start int64, last bool, 
 		return start, false, fmt.Errorf("%w: offset %d lies beyond segment %d's end %d", ErrFuturePosition, start, seq, size)
 	}
 	off := start
+	// A read of the committed log (last unset) that finds no record at
+	// its very first offset was handed a position that is no record
+	// boundary.
+	noRecord := func(err error) error {
+		if !last && off == start {
+			return fmt.Errorf("%w: %w", ErrNoRecordAt, err)
+		}
+		return err
+	}
 	var buf []byte
 	for off < size {
 		tear := func(what string) (int64, bool, error) {
 			if last {
 				return off, true, nil
 			}
-			return off, false, fmt.Errorf("wal: segment %d offset %d: %s in a non-final segment or inside the committed log", seq, off, what)
+			return off, false, noRecord(fmt.Errorf("wal: segment %d offset %d: %s in a non-final segment or inside the committed log", seq, off, what))
 		}
 		if size-off < recHeaderSize {
 			return tear("torn record header")
@@ -738,7 +753,7 @@ func scanRecords(f io.ReaderAt, size int64, seq uint64, start int64, last bool, 
 				// the disk.
 				return off, true, nil
 			}
-			return off, false, fmt.Errorf("wal: segment %d offset %d: checksum mismatch on a record followed by more data (corruption, not a torn tail); refusing to skip records - if the damaged suffix is known to be unacknowledged, truncate the segment file to offset %d by hand", seq, off, off)
+			return off, false, noRecord(fmt.Errorf("wal: segment %d offset %d: checksum mismatch on a record followed by more data (corruption, not a torn tail); refusing to skip records - if the damaged suffix is known to be unacknowledged, truncate the segment file to offset %d by hand", seq, off, off))
 		}
 		if fn != nil {
 			if err := fn(Pos{Seg: seq, Off: off}, buf); err != nil {

@@ -574,6 +574,29 @@ func TestReadFromPastSegmentEnd(t *testing.T) {
 	}
 }
 
+// TestReadFromInsideRecord: a position inside a committed record - no
+// record boundary - is ErrNoRecordAt, whatever garbage its bytes decode
+// to, while the boundary itself reads.
+func TestReadFromInsideRecord(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append([]byte("one record of some length")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.ReadFrom(Pos{Seg: 1, Off: segHeaderSize}, 0, func(Pos, []byte) error { return nil }); err != nil {
+		t.Fatalf("reading from the record boundary: %v", err)
+	}
+	for _, off := range []int64{segHeaderSize + 1, segHeaderSize + 4, segHeaderSize + recHeaderSize} {
+		_, err := w.ReadFrom(Pos{Seg: 1, Off: off}, 0, func(Pos, []byte) error { return nil })
+		if !errors.Is(err, ErrNoRecordAt) {
+			t.Errorf("reading from 1:%d inside the record: err %v, want ErrNoRecordAt", off, err)
+		}
+	}
+}
+
 func TestReadFromSeesDrainedAppends(t *testing.T) {
 	// ReadFrom drains the group-commit queue first, so a record appended
 	// (acknowledged) before the call is always delivered, even when the
