@@ -57,8 +57,9 @@ type kindSpec struct {
 	shape func(p *params) (shape, error)
 	// guarantee sizes (k1, k2) for Sizing.Guarantee by the kind's lemma.
 	guarantee func(sh shape, g core.Guarantee, s Sizing) (k1, k2 int, err error)
-	// cardinality is the estimate kernel of the two-input kinds.
-	cardinality func(s shard) (core.Estimate, error)
+	// cardinality is the estimate kernel of the two-input kinds, over
+	// the two sides' sketches.
+	cardinality func(x, y *core.Sketch) (core.Estimate, error)
 }
 
 // sideSpec is one input of an estimator kind.
@@ -68,8 +69,9 @@ type sideSpec struct {
 	// input maps a checked public object to its sketch input: the
 	// endpoint transformation, an eps-ball or the containment reduction.
 	// nil passes the object through.
-	input  func(p *params, o object) object
-	sketch *sketchType
+	input func(p *params, o object) object
+	// kind is the side's row of the core letter table.
+	kind core.Kind
 }
 
 // object is one geometric object, public or sketch-side: exactly one
@@ -79,61 +81,38 @@ type object struct {
 	pt   geo.Point
 }
 
-// sketch is what the lifecycle uses of every core sketch type.
-type sketch interface {
-	Plan() *core.Plan
-	Count() int64
-	MarshalBinary() ([]byte, error)
+// update feeds o into sk: inserted, or deleted when del.
+func (o object) update(sk *core.Sketch, del bool) error {
+	switch {
+	case o.pt != nil && del:
+		return sk.DeletePoint(o.pt)
+	case o.pt != nil:
+		return sk.InsertPoint(o.pt)
+	case del:
+		return sk.Delete(o.rect)
+	}
+	return sk.Insert(o.rect)
+}
+
+// insertObjects bulk-loads objs - all points or all rectangles - into sk.
+func insertObjects(sk *core.Sketch, objs []object) error {
+	if len(objs) > 0 && objs[0].pt != nil {
+		pts := make([]geo.Point, len(objs))
+		for j, o := range objs {
+			pts[j] = o.pt
+		}
+		return sk.InsertPoints(pts)
+	}
+	rects := make([]geo.HyperRect, len(objs))
+	for j, o := range objs {
+		rects[j] = o.rect
+	}
+	return sk.InsertAll(rects)
 }
 
 // shard is one ingest shard's state: one core sketch per input side, in
 // the kind's side order.
-type shard []sketch
-
-// sketchType is one core sketch type with its constructor, SPK1 decoder,
-// merge and updates erased to sketch and object.
-type sketchType struct {
-	make      func(*core.Plan) sketch
-	decode    func([]byte) (sketch, error)
-	merge     func(dst, src sketch) error
-	update    func(sk sketch, o object, del bool) error
-	insertAll func(sk sketch, objs []object) error
-}
-
-// sketchTypeOf builds the sketchType of a core sketch S over inputs T,
-// which get reads from an object.
-func sketchTypeOf[T any, S interface {
-	sketch
-	Merge(S) error
-	Insert(T) error
-	Delete(T) error
-	InsertAll([]T) error
-}](get func(object) T, mk func(*core.Plan) S, decode func([]byte) (S, error)) *sketchType {
-	return &sketchType{
-		make: func(p *core.Plan) sketch { return mk(p) },
-		decode: func(b []byte) (sketch, error) {
-			s, err := decode(b)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
-		merge: func(dst, src sketch) error { return dst.(S).Merge(src.(S)) },
-		update: func(sk sketch, o object, del bool) error {
-			if del {
-				return sk.(S).Delete(get(o))
-			}
-			return sk.(S).Insert(get(o))
-		},
-		insertAll: func(sk sketch, objs []object) error {
-			xs := make([]T, len(objs))
-			for i, o := range objs {
-				xs[i] = get(o)
-			}
-			return sk.(S).InsertAll(xs)
-		},
-	}
-}
+type shard []*core.Sketch
 
 // estimator is the lifecycle every public estimator type embeds.
 type estimator struct {
@@ -188,7 +167,7 @@ func (e *estimator) init(k *kindSpec, p params) error {
 func (e *estimator) newShard() shard {
 	s := make(shard, len(e.k.sides))
 	for i := range s {
-		s[i] = e.k.sides[i].sketch.make(e.plan)
+		s[i] = e.plan.NewSketch(e.k.sides[i].kind)
 	}
 	return s
 }
@@ -196,7 +175,7 @@ func (e *estimator) newShard() shard {
 // mergeShard folds src's counters into dst (exact, by linearity).
 func (e *estimator) mergeShard(dst, src shard) error {
 	for i := range dst {
-		if err := e.k.sides[i].sketch.merge(dst[i], src[i]); err != nil {
+		if err := dst[i].Merge(src[i]); err != nil {
 			return err
 		}
 	}
@@ -346,8 +325,8 @@ func (e *estimator) Apply(rec UpdateRecord) error {
 	if err != nil {
 		return err
 	}
-	in, del, st := e.input(i, o), rec.Op == OpDelete, e.k.sides[i].sketch
-	return e.st.ingest(func(s shard) error { return st.update(s[i], in, del) })
+	in, del := e.input(i, o), rec.Op == OpDelete
+	return e.st.ingest(func(s shard) error { return in.update(s[i], del) })
 }
 
 // ValidateRecord checks rec against this estimator's input contract -
@@ -393,8 +372,7 @@ func (e *estimator) insertAll(side UpdateSide, objs []object) error {
 	for j, o := range objs {
 		objs[j] = e.input(i, o)
 	}
-	st := e.k.sides[i].sketch
-	return e.st.ingest(func(s shard) error { return st.insertAll(s[i], objs) })
+	return e.st.ingest(func(s shard) error { return insertObjects(s[i], objs) })
 }
 
 // header returns the snapshot header of this estimator's side: its full
@@ -507,9 +485,9 @@ func (e *estimator) mergeBlobs(h snapHeader, blobs [][]byte, side snapSide) erro
 	if len(blobs) != hi-lo {
 		return fmt.Errorf("spatial: %v snapshot carries %d sub-sketches, want %d", h.kind, len(blobs), hi-lo)
 	}
-	sks := make([]sketch, len(blobs))
+	sks := make([]*core.Sketch, len(blobs))
 	for j, b := range blobs {
-		sk, err := e.k.sides[lo+j].sketch.decode(b)
+		sk, err := core.UnmarshalSketch(e.k.sides[lo+j].kind, b)
 		if err != nil {
 			return err
 		}
@@ -523,7 +501,7 @@ func (e *estimator) mergeBlobs(h snapHeader, blobs [][]byte, side snapSide) erro
 	}
 	return e.st.ingestFirst(func(s shard) error {
 		for j, sk := range sks {
-			if err := e.k.sides[lo+j].sketch.merge(s[lo+j], sk); err != nil {
+			if err := s[lo+j].Merge(sk); err != nil {
 				return err
 			}
 		}
@@ -550,7 +528,7 @@ func (e *pairEstimator) Cardinality() (Estimate, error) {
 // guaranteed to be the ones the estimate was computed against
 // (Cardinality followed by a count read can interleave with updates).
 func (e *pairEstimator) CardinalityWithCounts() (est Estimate, left, right int64, err error) {
-	return e.memo(memoCardinality, nil, e.k.cardinality)
+	return e.memo(memoCardinality, nil, func(s shard) (core.Estimate, error) { return e.k.cardinality(s[0], s[1]) })
 }
 
 // Selectivity estimates Cardinality divided by the product of the two

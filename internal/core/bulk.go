@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -33,7 +32,7 @@ var bulkWorkers = func(n int) int {
 // makes Merge exact.
 //
 // work must be safe to run concurrently against the shared plan and
-// must allocate any per-worker scratch itself. The first worker writes
+// must take any per-worker scratch itself. The first worker writes
 // straight into counters; small loads skip the fan-out entirely.
 func shardBulk(n int, counters []int64, work func(start, end int, dst []int64)) {
 	workers := bulkWorkers(n)
@@ -68,43 +67,3 @@ func shardBulk(n int, counters []int64, work func(start, end int, dst []int64)) 
 		}
 	}
 }
-
-// mergeSketch is the shared body of every sketch's Merge: reject foreign
-// plans, then add counters and counts (exact by linearity).
-func mergeSketch(dstPlan, srcPlan *Plan, dst, src []int64, dstCount *int64, srcCount int64) error {
-	if !samePlan(dstPlan, srcPlan) {
-		return fmt.Errorf("core: cannot merge sketches from different plans")
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	*dstCount += srcCount
-	return nil
-}
-
-// letterSums is the scratch of one batched counter update: per (dimension,
-// letter) a contiguous plane of Instances partial sums, filled id-major by
-// Plan.sumSigns and then folded into the counters instance by
-// instance.
-type letterSums struct {
-	letters int
-	inst    int
-	planes  []int64 // [dim*letters + letter][inst]
-}
-
-func newLetterSums(dims, letters, instances int) *letterSums {
-	return &letterSums{
-		letters: letters,
-		inst:    instances,
-		planes:  make([]int64, dims*letters*instances),
-	}
-}
-
-// plane returns the (dim, letter) accumulator plane.
-func (ls *letterSums) plane(dim, letter int) []int64 {
-	off := (dim*ls.letters + letter) * ls.inst
-	return ls.planes[off : off+ls.inst]
-}
-
-// reset zeroes every plane.
-func (ls *letterSums) reset() { clear(ls.planes) }

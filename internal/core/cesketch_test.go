@@ -43,7 +43,7 @@ func TestCEStrict1D(t *testing.T) {
 	s := denseIntervals(2, 50, dom)
 	want := float64(exact.JoinCount(r, s))
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 30000, Groups: 4, Seed: 5})
-	x, y := p.NewCESketch(), p.NewCESketch()
+	x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	if err := x.InsertAll(r); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCEStrictCases(t *testing.T) {
 	}
 	for i, c := range cases {
 		p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 40000, Groups: 4, Seed: uint64(100 + i)})
-		x, y := p.NewCESketch(), p.NewCESketch()
+		x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 		if err := x.Insert(c.r); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestCEExtended1D(t *testing.T) {
 	s := denseIntervals(8, 50, dom)
 	want := float64(exact.JoinCountExtBrute(r, s))
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 30000, Groups: 4, Seed: 9})
-	x, y := p.NewCESketch(), p.NewCESketch()
+	x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	if err := x.InsertAll(r); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCEExtended1D(t *testing.T) {
 // strict one does not.
 func TestCEExtendedCases(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 40000, Groups: 4, Seed: 55})
-	x, y := p.NewCESketch(), p.NewCESketch()
+	x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	if err := x.Insert(geo.Span1D(0, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCEStrict2D(t *testing.T) {
 	s := denseRects(4, 35, dom)
 	want := float64(exact.JoinCount(r, s))
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{4, 4}, Instances: 16000, Groups: 4, Seed: 12})
-	x, y := p.NewCESketch(), p.NewCESketch()
+	x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	if err := x.InsertAll(r); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCEExtended2D(t *testing.T) {
 	s := denseRects(14, 35, dom)
 	want := float64(exact.JoinCountExtBrute(r, s))
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{4, 4}, Instances: 16000, Groups: 4, Seed: 15})
-	x, y := p.NewCESketch(), p.NewCESketch()
+	x, y := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	if err := x.InsertAll(r); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCEExtended2D(t *testing.T) {
 // TestCEInsertDelete: CE sketches support exact deletion too.
 func TestCEInsertDelete(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 30, Groups: 5, Seed: 1})
-	a, b := p.NewCESketch(), p.NewCESketch()
+	a, b := p.NewSketch(KindCE), p.NewSketch(KindCE)
 	data := denseIntervals(5, 20, 30)
 	if err := a.InsertAll(data); err != nil {
 		t.Fatal(err)
@@ -214,15 +214,15 @@ func TestCEInsertDelete(t *testing.T) {
 
 func TestCEValidation(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1})
-	s := p.NewCESketch()
+	s := p.NewSketch(KindCE)
 	if err := s.Insert(geo.Span1D(0, 20)); err == nil {
 		t.Error("out-of-domain insert should fail")
 	}
 	q := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 2})
-	if _, err := EstimateJoinCE(s, q.NewCESketch()); err == nil {
+	if _, err := EstimateJoinCE(s, q.NewSketch(KindCE)); err == nil {
 		t.Error("cross-plan estimate should fail")
 	}
-	if _, err := EstimateJoinExtCE(s, q.NewCESketch()); err == nil {
+	if _, err := EstimateJoinExtCE(s, q.NewSketch(KindCE)); err == nil {
 		t.Error("cross-plan estimate should fail")
 	}
 }

@@ -3,19 +3,24 @@
 // them (Das, Gehrke, Riedewald, "Approximation Techniques for Spatial
 // Data", SIGMOD 2004).
 //
-// The package provides, for d-dimensional hyper-rectangle data:
+// The paper's atomic sketches are one construction: per instance, one
+// counter per letter string, each the product over dimensions of xi-sums
+// over that letter's dyadic ids. The package has one sketch type, Sketch,
+// whose Kind is a row of one letter table (letterTable):
 //
-//   - JoinSketch: the {I,E}^d atomic sketch set of Sections 3.1-3.2 with
-//     the join estimators of Theorems 1-3 (strict overlap, Assumption 1 or
+//   - KindJoin: {I,E}^d (Sections 3.1-3.2), read by the join estimators
+//     of Theorems 1-3 (strict overlap, Assumption 1 or
 //     endpoint-transformed inputs);
-//   - CESketch: the {I,E,L,U}^d sketch set of Appendices B.1/C that handles
-//     common endpoints explicitly, with both the strict (Lemma 13) and
-//     extended (Definition 4) join estimators;
-//   - PointSketch/BoxSketch: the two-sketch estimator of Lemmas 7-8 for
-//     epsilon-joins and containment joins;
-//   - RangeSketch: the optimized range-query estimator of Lemma 9;
-//   - boosting (median of means, Section 2.3) and the Theorem 1 sizing
-//     rules (Plan*, Words*).
+//   - KindCE: {I,E,L,U}^d (Appendices B.1/C), which handles common
+//     endpoints explicitly, read by the strict (Lemma 13) and extended
+//     (Definition 4) join estimators;
+//   - KindPoint and KindBox: one letter each, the two-sketch estimator of
+//     Lemmas 7-8 for epsilon-joins and containment joins;
+//   - KindRange: {I,U}^d, the optimized range-query estimator of Lemma 9.
+//
+// One update path, one fold, one bulk loader, one Merge and one binary
+// codec serve every kind. The package also provides boosting (median of
+// means, Section 2.3) and the Theorem 1 sizing rules (Plan*, Words*).
 //
 // All sketches support inserts and deletes, are buildable in one pass, and
 // are deterministic in their configuration seed.
@@ -117,7 +122,7 @@ type Plan struct {
 	maxLevel []int
 	bank     *xi.Bank    // [dim*Instances + inst]
 	planes   []signPlane // per dimension
-	scratch  sync.Pool   // of *EstScratch; see GetScratch
+	scratch  scratchPool // see GetScratch
 }
 
 // planKey identifies a configuration in the plan table: every field of
@@ -258,32 +263,6 @@ func (p *Plan) Instances() int { return p.cfg.Instances }
 
 // Groups returns the number of median groups (k2).
 func (p *Plan) Groups() int { return p.cfg.Groups }
-
-// coverBuf holds scratch cover id lists for one object, reused across
-// instances so covers are computed once per object (they do not depend on
-// the instance).
-type coverBuf struct {
-	cover [][]uint64 // canonical interval cover per dim
-	ptLo  [][]uint64 // point cover of the lower endpoint per dim
-	ptHi  [][]uint64 // point cover of the upper endpoint per dim
-}
-
-func newCoverBuf(d int) *coverBuf {
-	return &coverBuf{
-		cover: make([][]uint64, d),
-		ptLo:  make([][]uint64, d),
-		ptHi:  make([][]uint64, d),
-	}
-}
-
-// load computes the covers of rect into the buffer.
-func (b *coverBuf) load(p *Plan, rect geo.HyperRect) {
-	for i, iv := range rect {
-		b.cover[i] = p.doms[i].CoverMax(iv.Lo, iv.Hi, p.maxLevel[i], b.cover[i][:0])
-		b.ptLo[i] = p.doms[i].PointCoverMax(iv.Lo, p.maxLevel[i], b.ptLo[i][:0])
-		b.ptHi[i] = p.doms[i].PointCoverMax(iv.Hi, p.maxLevel[i], b.ptHi[i][:0])
-	}
-}
 
 // checkRect validates a hyper-rectangle against the plan's domains.
 func (p *Plan) checkRect(rect geo.HyperRect) error {

@@ -12,6 +12,9 @@ import (
 // bit-identical counters (sketches are deterministic linear projections of
 // their input given the seed).
 
+// allKinds are the five sketch kinds, in SPK1 code order.
+var allKinds = []Kind{KindJoin, KindCE, KindPoint, KindBox, KindRange}
+
 func equivPlan(t *testing.T, dims int) *Plan {
 	t.Helper()
 	logDom := make([]int, dims)
@@ -27,90 +30,86 @@ func equivRects(dims, n int, seed uint64) []geo.HyperRect {
 	return datagen.MustRects(datagen.Spec{N: n, Dims: dims, Domain: 256, Seed: seed})
 }
 
-// TestCEInsertAllMatchesSequential: the sharded CE bulk path is
-// bit-identical to repeated Insert.
-func TestCEInsertAllMatchesSequential(t *testing.T) {
-	p := equivPlan(t, 2)
-	rects := equivRects(2, 300, 21)
-	seq := p.NewCESketch()
-	for _, r := range rects {
-		if err := seq.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bulk := p.NewCESketch()
-	if err := bulk.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Count() != bulk.Count() {
-		t.Fatalf("counts differ: %d vs %d", seq.Count(), bulk.Count())
-	}
-	for i := range seq.counters {
-		if seq.counters[i] != bulk.counters[i] {
-			t.Fatalf("CE counter %d differs: %d vs %d", i, seq.counters[i], bulk.counters[i])
-		}
-	}
-}
-
-// TestRangeInsertAllMatchesSequential: same property for RangeSketch.
-func TestRangeInsertAllMatchesSequential(t *testing.T) {
-	p := equivPlan(t, 2)
-	rects := equivRects(2, 300, 22)
-	seq := p.NewRangeSketch()
-	for _, r := range rects {
-		if err := seq.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bulk := p.NewRangeSketch()
-	if err := bulk.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.counters {
-		if seq.counters[i] != bulk.counters[i] {
-			t.Fatalf("range counter %d differs: %d vs %d", i, seq.counters[i], bulk.counters[i])
-		}
-	}
-}
-
-// TestPointBoxInsertAllMatchesSequential: same property for the two-sketch
-// estimator's sketches.
-func TestPointBoxInsertAllMatchesSequential(t *testing.T) {
-	p := equivPlan(t, 2)
-	rects := equivRects(2, 300, 23)
+// corners maps each rectangle to the point a KindPoint sketch takes in its
+// place: the lower end of its even dimensions, the upper end of its odd
+// ones.
+func corners(rects []geo.HyperRect) []geo.Point {
 	pts := make([]geo.Point, len(rects))
-	for i, r := range rects {
-		pts[i] = geo.Point{r[0].Lo, r[1].Hi}
+	for k, r := range rects {
+		pts[k] = make(geo.Point, len(r))
+		for i, iv := range r {
+			pts[k][i] = iv.Lo
+			if i%2 == 1 {
+				pts[k][i] = iv.Hi
+			}
+		}
 	}
+	return pts
+}
 
-	seqP, bulkP := p.NewPointSketch(), p.NewPointSketch()
-	for _, pt := range pts {
-		if err := seqP.Insert(pt); err != nil {
+// insertEach inserts rects into s one at a time, their corners for a
+// KindPoint sketch.
+func insertEach(s *Sketch, rects []geo.HyperRect) error {
+	pts := corners(rects)
+	for k, r := range rects {
+		var err error
+		if s.Kind() == KindPoint {
+			err = s.InsertPoint(pts[k])
+		} else {
+			err = s.Insert(r)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertBulk bulk-loads rects into s, their corners for a KindPoint
+// sketch.
+func insertBulk(s *Sketch, rects []geo.HyperRect) error {
+	if s.Kind() == KindPoint {
+		return s.InsertPoints(corners(rects))
+	}
+	return s.InsertAll(rects)
+}
+
+// sameSketch fails t unless got and want hold equal counts and counters.
+func sameSketch(t *testing.T, what string, got, want *Sketch) {
+	t.Helper()
+	if got.Count() != want.Count() {
+		t.Fatalf("%s: %v counts differ: %d vs %d", what, want.Kind(), got.Count(), want.Count())
+	}
+	for i := range want.counters {
+		if got.counters[i] != want.counters[i] {
+			t.Fatalf("%s: %v counter %d differs: %d vs %d", what, want.Kind(), i, got.counters[i], want.counters[i])
+		}
+	}
+}
+
+// TestInsertAllMatchesSequential: for every kind, the parallel bulk path
+// produces exactly the same counters and count as repeated inserts.
+func TestInsertAllMatchesSequential(t *testing.T) {
+	join := MustPlan(Config{Dims: 2, LogDomain: []int{6, 6}, Instances: 64, Groups: 4, Seed: 5})
+	for _, tc := range []struct {
+		kind  Kind
+		p     *Plan
+		rects []geo.HyperRect
+	}{
+		{KindJoin, join, datagen.MustRects(datagen.Spec{N: 700, Dims: 2, Domain: 64, Seed: 3})},
+		{KindCE, equivPlan(t, 2), equivRects(2, 300, 21)},
+		{KindRange, equivPlan(t, 2), equivRects(2, 300, 22)},
+		{KindPoint, equivPlan(t, 2), equivRects(2, 300, 23)},
+		{KindBox, equivPlan(t, 2), equivRects(2, 300, 23)},
+	} {
+		seq, bulk := tc.p.NewSketch(tc.kind), tc.p.NewSketch(tc.kind)
+		if err := insertEach(seq, tc.rects); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := bulkP.InsertAll(pts); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqP.counters {
-		if seqP.counters[i] != bulkP.counters[i] {
-			t.Fatalf("point counter %d differs", i)
-		}
-	}
-
-	seqB, bulkB := p.NewBoxSketch(), p.NewBoxSketch()
-	for _, r := range rects {
-		if err := seqB.Insert(r); err != nil {
+		if err := insertBulk(bulk, tc.rects); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := bulkB.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqB.counters {
-		if seqB.counters[i] != bulkB.counters[i] {
-			t.Fatalf("box counter %d differs", i)
-		}
+		sameSketch(t, "bulk load", bulk, seq)
 	}
 }
 
@@ -120,19 +119,19 @@ func TestPointBoxInsertAllMatchesSequential(t *testing.T) {
 func TestShardedMergeMatchesSequential(t *testing.T) {
 	p := equivPlan(t, 2)
 	rects := equivRects(2, 400, 24)
-	want := p.NewJoinSketch()
+	want := p.NewSketch(KindJoin)
 	for _, r := range rects {
 		if err := want.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const shards = 5
-	merged := p.NewJoinSketch()
+	merged := p.NewSketch(KindJoin)
 	per := (len(rects) + shards - 1) / shards
 	for s := 0; s < shards; s++ {
 		lo := s * per
 		hi := min(lo+per, len(rects))
-		sh := p.NewJoinSketch()
+		sh := p.NewSketch(KindJoin)
 		if err := sh.InsertAll(rects[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
@@ -140,21 +139,14 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if merged.Count() != want.Count() {
-		t.Fatalf("merged count %d, want %d", merged.Count(), want.Count())
-	}
-	for i := range want.counters {
-		if merged.counters[i] != want.counters[i] {
-			t.Fatalf("counter %d differs after sharded merge: %d vs %d", i, merged.counters[i], want.counters[i])
-		}
-	}
+	sameSketch(t, "sharded merge", merged, want)
 }
 
 // TestShardedBulkForcedWorkers pins the worker count above 1 so the
 // goroutine fan-out, private shards and shard merge run even on single-CPU
 // hosts (where bulkWorkers would otherwise collapse every load to the
-// sequential branch), and checks bit-identity against repeated Insert for
-// every sketch type.
+// sequential branch), and checks bit-identity against repeated inserts for
+// every sketch kind.
 func TestShardedBulkForcedWorkers(t *testing.T) {
 	orig := bulkWorkers
 	bulkWorkers = func(int) int { return 4 }
@@ -162,64 +154,65 @@ func TestShardedBulkForcedWorkers(t *testing.T) {
 
 	p := equivPlan(t, 2)
 	rects := equivRects(2, 130, 25) // not a multiple of 4, exercises ragged chunks
-	pts := make([]geo.Point, len(rects))
-	for i, r := range rects {
-		pts[i] = geo.Point{r[0].Lo, r[1].Hi}
-	}
-
-	jSeq, jBulk := p.NewJoinSketch(), p.NewJoinSketch()
-	cSeq, cBulk := p.NewCESketch(), p.NewCESketch()
-	rSeq, rBulk := p.NewRangeSketch(), p.NewRangeSketch()
-	bSeq, bBulk := p.NewBoxSketch(), p.NewBoxSketch()
-	pSeq, pBulk := p.NewPointSketch(), p.NewPointSketch()
-	for _, r := range rects {
-		for _, err := range []error{jSeq.Insert(r), cSeq.Insert(r), rSeq.Insert(r), bSeq.Insert(r)} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, pt := range pts {
-		if err := pSeq.Insert(pt); err != nil {
+	for _, k := range allKinds {
+		seq, bulk := p.NewSketch(k), p.NewSketch(k)
+		if err := insertEach(seq, rects); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, err := range []error{jBulk.InsertAll(rects), cBulk.InsertAll(rects),
-		rBulk.InsertAll(rects), bBulk.InsertAll(rects), pBulk.InsertAll(pts)} {
-		if err != nil {
+		if err := insertBulk(bulk, rects); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for name, pair := range map[string][2][]int64{
-		"join":  {jSeq.counters, jBulk.counters},
-		"ce":    {cSeq.counters, cBulk.counters},
-		"range": {rSeq.counters, rBulk.counters},
-		"box":   {bSeq.counters, bBulk.counters},
-		"point": {pSeq.counters, pBulk.counters},
-	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("%s counter %d differs under forced 4-worker bulk: %d vs %d",
-					name, i, pair[1][i], pair[0][i])
-			}
-		}
+		sameSketch(t, "forced 4-worker bulk", bulk, seq)
 	}
 }
 
-// TestMergeRejectsForeignPlans: every sketch type refuses cross-plan merge.
+// TestMergeRejectsForeignPlans: every sketch kind refuses a cross-plan
+// merge, and a merge of another kind - a join and a range sketch of one
+// plan have the same counter count.
 func TestMergeRejectsForeignPlans(t *testing.T) {
 	a := equivPlan(t, 1)
 	b := MustPlan(Config{Dims: 1, LogDomain: []int{8}, Instances: 48, Groups: 4, Seed: 999})
-	if err := a.NewCESketch().Merge(b.NewCESketch()); err == nil {
-		t.Error("CE cross-plan merge should fail")
+	for _, k := range allKinds {
+		if err := a.NewSketch(k).Merge(b.NewSketch(k)); err == nil {
+			t.Errorf("%v cross-plan merge should fail", k)
+		}
 	}
-	if err := a.NewRangeSketch().Merge(b.NewRangeSketch()); err == nil {
-		t.Error("range cross-plan merge should fail")
+	if err := a.NewSketch(KindJoin).Merge(a.NewSketch(KindRange)); err == nil {
+		t.Error("merging a range sketch into a join sketch should fail")
 	}
-	if err := a.NewPointSketch().Merge(b.NewPointSketch()); err == nil {
-		t.Error("point cross-plan merge should fail")
+	if err := a.NewSketch(KindPoint).Merge(a.NewSketch(KindBox)); err == nil {
+		t.Error("merging a box sketch into a point sketch should fail")
 	}
-	if err := a.NewBoxSketch().Merge(b.NewBoxSketch()); err == nil {
-		t.Error("box cross-plan merge should fail")
+}
+
+// TestKindChecks: every estimator refuses sketches of the wrong kinds, and
+// every kind refuses the other input shape.
+func TestKindChecks(t *testing.T) {
+	p := equivPlan(t, 2)
+	join, ce, rng := p.NewSketch(KindJoin), p.NewSketch(KindCE), p.NewSketch(KindRange)
+	pts, boxes := p.NewSketch(KindPoint), p.NewSketch(KindBox)
+	for name, f := range map[string]func() (Estimate, error){
+		"EstimateJoin(join, range)":        func() (Estimate, error) { return EstimateJoin(join, rng) },
+		"EstimateJoin(ce, ce)":             func() (Estimate, error) { return EstimateJoin(ce, ce) },
+		"EstimateJoinCE(join, join)":       func() (Estimate, error) { return EstimateJoinCE(join, join) },
+		"EstimateJoinExtCE(range, range)":  func() (Estimate, error) { return EstimateJoinExtCE(rng, rng) },
+		"EstimatePointInBox(box, point)":   func() (Estimate, error) { return EstimatePointInBox(boxes, pts) },
+		"EstimatePointInBox(point, point)": func() (Estimate, error) { return EstimatePointInBox(pts, pts) },
+		"range.EstimateSelfJoin":           rng.EstimateSelfJoin,
+		"join.EstimateRange":               func() (Estimate, error) { return join.EstimateRange(geo.Rect(0, 1, 0, 1)) },
+	} {
+		if _, err := f(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	for _, k := range allKinds {
+		s := p.NewSketch(k)
+		rectErr, pointErr := s.Insert(geo.Rect(1, 2, 3, 4)), s.InsertPoint(geo.Point{1, 2})
+		if (rectErr == nil) == (k == KindPoint) || (pointErr == nil) != (k == KindPoint) {
+			t.Errorf("%v: Insert(rect) = %v, InsertPoint(pt) = %v", k, rectErr, pointErr)
+		}
+		if s.Count() != 1 {
+			t.Errorf("%v: count %d after one accepted insert", k, s.Count())
+		}
 	}
 }

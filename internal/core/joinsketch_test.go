@@ -63,8 +63,8 @@ func TestFigure2CounterConstruction(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 1, LogDomain: []int{2}, Instances: 32, Groups: 4, Seed: 11,
 	})
-	x := p.NewJoinSketch()
-	y := p.NewJoinSketch()
+	x := p.NewSketch(KindJoin)
+	y := p.NewSketch(KindJoin)
 	if err := x.Insert(geo.Span1D(0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFigure2Expectation(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 1, LogDomain: []int{2}, Instances: 60000, Groups: 4, Seed: 3,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	// No endpoint transformation needed: r=[0,2], s=[1,3] share no
 	// endpoints (Assumption 1 holds as in the paper's example).
 	if err := x.Insert(geo.Span1D(0, 2)); err != nil {
@@ -126,7 +126,7 @@ func TestJoin1DUnbiased(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 1, LogDomain: logDomains(1, dom), Instances: 30000, Groups: 4, Seed: 7,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := x.InsertAll(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestJoin1DSharedEndpointsViaTransform(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 1, LogDomain: logDomains(1, 16), Instances: 30000, Groups: 4, Seed: 99,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := x.InsertAll(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestJoin2DUnbiased(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 2, LogDomain: logDomains(2, dom), Instances: 12000, Groups: 4, Seed: 8,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := x.InsertAll(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestJoin3DUnbiased(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 3, LogDomain: logDomains(3, dom), Instances: 8000, Groups: 4, Seed: 21,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := x.InsertAll(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestJoinMaxLevelUnbiased(t *testing.T) {
 			Dims: 1, LogDomain: logDomains(1, dom), MaxLevel: []int{ml},
 			Instances: 20000, Groups: 4, Seed: uint64(40 + ml),
 		})
-		x, y := p.NewJoinSketch(), p.NewJoinSketch()
+		x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 		if err := x.InsertAll(tr); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestVarianceWithinBound(t *testing.T) {
 	p := MustPlan(Config{
 		Dims: 1, LogDomain: logDomains(1, dom), Instances: 20000, Groups: 4, Seed: 63,
 	})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := x.InsertAll(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +298,11 @@ func TestInsertDeleteInverse(t *testing.T) {
 	base := datagen.MustRects(datagen.Spec{N: 30, Dims: 2, Domain: dom, Seed: 71})
 	extra := datagen.MustRects(datagen.Spec{N: 10, Dims: 2, Domain: dom, Seed: 72})
 
-	ref := p.NewJoinSketch()
+	ref := p.NewSketch(KindJoin)
 	if err := ref.InsertAll(base); err != nil {
 		t.Fatal(err)
 	}
-	sk := p.NewJoinSketch()
+	sk := p.NewSketch(KindJoin)
 	if err := sk.InsertAll(base); err != nil {
 		t.Fatal(err)
 	}
@@ -324,34 +324,6 @@ func TestInsertDeleteInverse(t *testing.T) {
 	}
 }
 
-// TestInsertAllMatchesSequential: the parallel bulk path produces exactly
-// the same counters as repeated Insert.
-func TestInsertAllMatchesSequential(t *testing.T) {
-	const dom = 64
-	p := MustPlan(Config{
-		Dims: 2, LogDomain: []int{6, 6}, Instances: 64, Groups: 4, Seed: 5,
-	})
-	rects := datagen.MustRects(datagen.Spec{N: 700, Dims: 2, Domain: dom, Seed: 3})
-	seq := p.NewJoinSketch()
-	for _, r := range rects {
-		if err := seq.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bulk := p.NewJoinSketch()
-	if err := bulk.InsertAll(rects); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Count() != bulk.Count() {
-		t.Fatalf("counts differ: %d vs %d", seq.Count(), bulk.Count())
-	}
-	for i := range seq.counters {
-		if seq.counters[i] != bulk.counters[i] {
-			t.Fatalf("counter %d differs: %d vs %d", i, seq.counters[i], bulk.counters[i])
-		}
-	}
-}
-
 // TestMergeEqualsUnion: merging sketches of two streams equals sketching
 // the concatenated stream.
 func TestMergeEqualsUnion(t *testing.T) {
@@ -360,7 +332,7 @@ func TestMergeEqualsUnion(t *testing.T) {
 	})
 	a := datagen.MustRects(datagen.Spec{N: 25, Dims: 1, Domain: 256, Seed: 1})
 	b := datagen.MustRects(datagen.Spec{N: 35, Dims: 1, Domain: 256, Seed: 2})
-	sa, sb := p.NewJoinSketch(), p.NewJoinSketch()
+	sa, sb := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	if err := sa.InsertAll(a); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +342,7 @@ func TestMergeEqualsUnion(t *testing.T) {
 	if err := sa.Merge(sb); err != nil {
 		t.Fatal(err)
 	}
-	union := p.NewJoinSketch()
+	union := p.NewSketch(KindJoin)
 	if err := union.InsertAll(append(append([]geo.HyperRect{}, a...), b...)); err != nil {
 		t.Fatal(err)
 	}
@@ -384,32 +356,8 @@ func TestMergeEqualsUnion(t *testing.T) {
 	}
 	// Merging across plans must fail.
 	other := MustPlan(Config{Dims: 1, LogDomain: []int{8}, Instances: 40, Groups: 4, Seed: 14})
-	if err := sa.Merge(other.NewJoinSketch()); err == nil {
+	if err := sa.Merge(other.NewSketch(KindJoin)); err == nil {
 		t.Fatal("cross-plan merge should fail")
-	}
-}
-
-func TestCloneAndReset(t *testing.T) {
-	p := MustPlan(Config{Dims: 1, LogDomain: []int{6}, Instances: 12, Groups: 4, Seed: 2})
-	s := p.NewJoinSketch()
-	if err := s.Insert(geo.Span1D(3, 9)); err != nil {
-		t.Fatal(err)
-	}
-	c := s.Clone()
-	if err := c.Insert(geo.Span1D(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Count() != 1 || c.Count() != 2 {
-		t.Fatalf("clone not independent: %d, %d", s.Count(), c.Count())
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("reset count")
-	}
-	for i := range c.counters {
-		if c.counters[i] != 0 {
-			t.Fatal("reset should zero counters")
-		}
 	}
 }
 
@@ -429,7 +377,7 @@ func TestValidationErrors(t *testing.T) {
 		}
 	}
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1})
-	s := p.NewJoinSketch()
+	s := p.NewSketch(KindJoin)
 	if err := s.Insert(geo.Span1D(0, 16)); err == nil {
 		t.Error("out-of-domain insert should fail")
 	}
@@ -440,7 +388,7 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("inverted interval should fail")
 	}
 	q := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 2})
-	if _, err := EstimateJoin(s, q.NewJoinSketch()); err == nil {
+	if _, err := EstimateJoin(s, q.NewSketch(KindJoin)); err == nil {
 		t.Error("cross-plan estimate should fail")
 	}
 }

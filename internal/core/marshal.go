@@ -14,14 +14,9 @@ import (
 // is in docs/SNAPSHOT_FORMAT.md. Encoding appends into one pre-sized slice
 // and decoding indexes the input, so neither allocates per field.
 
-const (
-	marshalMagic   = 0x53504b31 // "SPK1"
-	kindJoinSketch = 1
-	kindCESketch   = 2
-	kindPoint      = 3
-	kindBox        = 4
-	kindRange      = 5
-)
+// marshalMagic opens every serialized sketch; the kind code (Kind)
+// follows it.
+const marshalMagic = 0x53504b31 // "SPK1"
 
 var le = binary.LittleEndian
 
@@ -123,186 +118,66 @@ func unmarshalConfig(r *reader) (Config, error) {
 	return c, nil
 }
 
-// countersPerInstance returns how many counters one instance of the given
-// sketch kind stores, so a serialized header can be cross-checked against
-// its counter payload before any header-sized allocation happens.
-func countersPerInstance(kind uint32, dims int) uint64 {
-	switch kind {
-	case kindJoinSketch, kindRange:
-		return 1 << uint(dims)
-	case kindCESketch:
-		return uint64(pow4(dims))
-	case kindPoint, kindBox:
-		return 1
-	}
-	return 0
-}
-
-func marshalSketch(kind uint32, cfg Config, count int64, counters []int64) ([]byte, error) {
-	b := make([]byte, 0, 2*4+configSize(cfg)+2*8+8*len(counters))
+// MarshalBinary serializes the sketch together with its configuration.
+func (s *Sketch) MarshalBinary() ([]byte, error) {
+	cfg := s.plan.cfg
+	b := make([]byte, 0, 2*4+configSize(cfg)+2*8+8*len(s.counters))
 	b = le.AppendUint32(b, marshalMagic)
-	b = le.AppendUint32(b, kind)
+	b = le.AppendUint32(b, uint32(s.kind))
 	b = marshalConfig(b, cfg)
-	b = le.AppendUint64(b, uint64(count))
-	b = le.AppendUint64(b, uint64(len(counters)))
-	for _, c := range counters {
+	b = le.AppendUint64(b, uint64(s.count))
+	b = le.AppendUint64(b, uint64(len(s.counters)))
+	for _, c := range s.counters {
 		b = le.AppendUint64(b, uint64(c))
 	}
 	return b, nil
 }
 
-// unmarshalSketch parses a serialized sketch of the given kind up to its
-// counter payload, which it returns undecoded: exactly 8 bytes per
-// declared counter, a sub-slice of data.
-func unmarshalSketch(kind uint32, data []byte) (Config, int64, []byte, error) {
+// UnmarshalSketch reconstructs a sketch of kind k (and its plan) from
+// MarshalBinary output. A sketch of any other kind is refused.
+func UnmarshalSketch(k Kind, data []byte) (*Sketch, error) {
 	r := &reader{b: data}
-	magic, gotKind := r.u32(), r.u32()
+	magic, kind := r.u32(), Kind(r.u32())
 	if r.short {
-		return Config{}, 0, nil, errTruncated
+		return nil, errTruncated
 	}
 	if magic != marshalMagic {
-		return Config{}, 0, nil, fmt.Errorf("core: bad sketch magic %#x", magic)
+		return nil, fmt.Errorf("core: bad sketch magic %#x", magic)
 	}
-	if gotKind != kind {
-		return Config{}, 0, nil, fmt.Errorf("core: sketch kind %d, want %d", gotKind, kind)
+	if kind != k || !k.valid() {
+		return nil, fmt.Errorf("core: sketch kind %d, want %d", uint32(kind), uint32(k))
 	}
 	cfg, err := unmarshalConfig(r)
 	if err != nil {
-		return Config{}, 0, nil, err
+		return nil, err
 	}
 	count, n := int64(r.u64()), r.u64()
 	if r.short {
-		return Config{}, 0, nil, errTruncated
+		return nil, errTruncated
 	}
 	if n > uint64(len(r.b)/8) {
-		return Config{}, 0, nil, fmt.Errorf("core: truncated sketch: %d counters declared, %d bytes left", n, len(r.b))
+		return nil, fmt.Errorf("core: truncated sketch: %d counters declared, %d bytes left", n, len(r.b))
 	}
 	if uint64(len(r.b)) != 8*n {
-		return Config{}, 0, nil, fmt.Errorf("core: %d trailing bytes after the sketch's counters", uint64(len(r.b))-8*n)
+		return nil, fmt.Errorf("core: %d trailing bytes after the sketch's counters", uint64(len(r.b))-8*n)
 	}
 	// Cross-check the declared instance count against the counter payload
-	// BEFORE the caller builds a plan: a corrupted ~60-byte header claiming
+	// BEFORE building a plan: a corrupted ~60-byte header claiming
 	// Instances = 1<<40 must be rejected here, not by a multi-terabyte
 	// xi-bank allocation in NewPlan. Instances is already bounded by
 	// maxWireInstances and dims by MaxDims, so the product cannot overflow.
-	if want := uint64(cfg.Instances) * countersPerInstance(kind, cfg.Dims); n != want {
-		return Config{}, 0, nil, fmt.Errorf("core: sketch declares %d counters, config (%d instances, %d dims) requires %d",
+	if want := uint64(cfg.Instances) * uint64(k.countersPerInstance(cfg.Dims)); n != want {
+		return nil, fmt.Errorf("core: sketch declares %d counters, config (%d instances, %d dims) requires %d",
 			n, cfg.Instances, cfg.Dims, want)
-	}
-	return cfg, count, r.b[:8*n], nil
-}
-
-// decodeSketch rebuilds a sketch of the given kind from MarshalBinary
-// output: it plans the decoded configuration, lets newSketch allocate the
-// empty sketch on that plan, and fills the counter slice and count
-// newSketch returns.
-func decodeSketch(kind uint32, data []byte, newSketch func(*Plan) ([]int64, *int64)) error {
-	cfg, count, raw, err := unmarshalSketch(kind, data)
-	if err != nil {
-		return err
 	}
 	p, err := NewPlan(cfg)
 	if err != nil {
-		return err
-	}
-	counters, dstCount := newSketch(p)
-	if len(counters) != len(raw)/8 {
-		return fmt.Errorf("core: counter count %d does not match config (%d)", len(raw)/8, len(counters))
-	}
-	for i := range counters {
-		counters[i] = int64(le.Uint64(raw[8*i:]))
-	}
-	*dstCount = count
-	return nil
-}
-
-// MarshalBinary serializes the sketch together with its configuration.
-func (s *JoinSketch) MarshalBinary() ([]byte, error) {
-	return marshalSketch(kindJoinSketch, s.plan.cfg, s.count, s.counters)
-}
-
-// UnmarshalJoinSketch reconstructs a JoinSketch (and its plan) from
-// MarshalBinary output.
-func UnmarshalJoinSketch(data []byte) (*JoinSketch, error) {
-	var s *JoinSketch
-	err := decodeSketch(kindJoinSketch, data, func(p *Plan) ([]int64, *int64) {
-		s = p.NewJoinSketch()
-		return s.counters, &s.count
-	})
-	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// MarshalBinary serializes the sketch together with its configuration.
-func (s *CESketch) MarshalBinary() ([]byte, error) {
-	return marshalSketch(kindCESketch, s.plan.cfg, s.count, s.counters)
-}
-
-// UnmarshalCESketch reconstructs a CESketch from MarshalBinary output.
-func UnmarshalCESketch(data []byte) (*CESketch, error) {
-	var s *CESketch
-	err := decodeSketch(kindCESketch, data, func(p *Plan) ([]int64, *int64) {
-		s = p.NewCESketch()
-		return s.counters, &s.count
-	})
-	if err != nil {
-		return nil, err
+	s := p.NewSketch(k)
+	for i := range s.counters {
+		s.counters[i] = int64(le.Uint64(r.b[8*i:]))
 	}
-	return s, nil
-}
-
-// MarshalBinary serializes the sketch together with its configuration.
-func (s *PointSketch) MarshalBinary() ([]byte, error) {
-	return marshalSketch(kindPoint, s.plan.cfg, s.count, s.counters)
-}
-
-// UnmarshalPointSketch reconstructs a PointSketch from MarshalBinary output.
-func UnmarshalPointSketch(data []byte) (*PointSketch, error) {
-	var s *PointSketch
-	err := decodeSketch(kindPoint, data, func(p *Plan) ([]int64, *int64) {
-		s = p.NewPointSketch()
-		return s.counters, &s.count
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// MarshalBinary serializes the sketch together with its configuration.
-func (s *BoxSketch) MarshalBinary() ([]byte, error) {
-	return marshalSketch(kindBox, s.plan.cfg, s.count, s.counters)
-}
-
-// UnmarshalBoxSketch reconstructs a BoxSketch from MarshalBinary output.
-func UnmarshalBoxSketch(data []byte) (*BoxSketch, error) {
-	var s *BoxSketch
-	err := decodeSketch(kindBox, data, func(p *Plan) ([]int64, *int64) {
-		s = p.NewBoxSketch()
-		return s.counters, &s.count
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// MarshalBinary serializes the sketch together with its configuration.
-func (s *RangeSketch) MarshalBinary() ([]byte, error) {
-	return marshalSketch(kindRange, s.plan.cfg, s.count, s.counters)
-}
-
-// UnmarshalRangeSketch reconstructs a RangeSketch from MarshalBinary output.
-func UnmarshalRangeSketch(data []byte) (*RangeSketch, error) {
-	var s *RangeSketch
-	err := decodeSketch(kindRange, data, func(p *Plan) ([]int64, *int64) {
-		s = p.NewRangeSketch()
-		return s.counters, &s.count
-	})
-	if err != nil {
-		return nil, err
-	}
+	s.count = count
 	return s, nil
 }

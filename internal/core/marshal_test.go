@@ -9,150 +9,95 @@ import (
 	"repro/internal/datagen"
 )
 
-func TestJoinSketchMarshalRoundTrip(t *testing.T) {
-	p := MustPlan(Config{
+// TestSketchMarshalRoundTrip: every kind decodes to its own kind, plan,
+// count and counters, and the reconstructed plan derives identical
+// families - estimates on round-tripped sketches equal those on the
+// originals.
+func TestSketchMarshalRoundTrip(t *testing.T) {
+	join := MustPlan(Config{
 		Dims: 2, LogDomain: []int{6, 6}, MaxLevel: []int{4, 6},
 		Instances: 24, Groups: 4, Seed: 0xfeed,
 	})
-	s := p.NewJoinSketch()
-	if err := s.InsertAll(datagen.MustRects(datagen.Spec{N: 40, Dims: 2, Domain: 64, Seed: 1})); err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalJoinSketch(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != s.Count() {
-		t.Fatalf("count %d != %d", got.Count(), s.Count())
-	}
-	for i := range s.counters {
-		if got.counters[i] != s.counters[i] {
-			t.Fatalf("counter %d differs", i)
+	ce := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 12, Groups: 4, Seed: 3})
+	small := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 8, Groups: 4, Seed: 4})
+	roundTrip := func(s *Sketch) *Sketch {
+		t.Helper()
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The reconstructed plan produces identical families: estimates on the
-	// round-tripped pair must equal estimates on the originals.
-	y := p.NewJoinSketch()
-	if err := y.InsertAll(datagen.MustRects(datagen.Spec{N: 30, Dims: 2, Domain: 64, Seed: 2})); err != nil {
-		t.Fatal(err)
-	}
-	yData, err := y.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotY, err := UnmarshalJoinSketch(yData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := EstimateJoin(s, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := EstimateJoin(got, gotY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orig.Value != rt.Value {
-		t.Fatalf("estimate changed across serialization: %g vs %g", orig.Value, rt.Value)
-	}
-}
-
-func TestCESketchMarshalRoundTrip(t *testing.T) {
-	p := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 12, Groups: 4, Seed: 3})
-	s := p.NewCESketch()
-	if err := s.Insert(geo.Span1D(2, 9)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalCESketch(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.counters {
-		if got.counters[i] != s.counters[i] {
-			t.Fatalf("counter %d differs", i)
+		got, err := UnmarshalSketch(s.Kind(), data)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.Kind() != s.Kind() || got.Plan() != s.Plan() {
+			t.Fatalf("%v sketch decoded as a %v sketch of another plan", s.Kind(), got.Kind())
+		}
+		sameSketch(t, "round trip", got, s)
+		return got
 	}
-}
-
-func TestPointBoxRangeMarshalRoundTrip(t *testing.T) {
-	p := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 8, Groups: 4, Seed: 4})
-	pt := p.NewPointSketch()
-	if err := pt.Insert(geo.Point{3, 7}); err != nil {
-		t.Fatal(err)
-	}
-	ptData, _ := pt.MarshalBinary()
-	gotPt, err := UnmarshalPointSketch(ptData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotPt.Count() != 1 || gotPt.counters[0] != pt.counters[0] {
-		t.Fatal("point sketch round trip failed")
-	}
-
-	bx := p.NewBoxSketch()
-	if err := bx.Insert(geo.Rect(1, 5, 2, 9)); err != nil {
-		t.Fatal(err)
-	}
-	bxData, _ := bx.MarshalBinary()
-	gotBx, err := UnmarshalBoxSketch(bxData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBx.counters[0] != bx.counters[0] {
-		t.Fatal("box sketch round trip failed")
-	}
-
-	rg := p.NewRangeSketch()
-	if err := rg.Insert(geo.Rect(1, 5, 2, 9)); err != nil {
-		t.Fatal(err)
-	}
-	rgData, _ := rg.MarshalBinary()
-	gotRg, err := UnmarshalRangeSketch(rgData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geo.Rect(0, 8, 0, 8)
-	a, err := rg.EstimateRange(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := gotRg.EstimateRange(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != b.Value {
-		t.Fatal("range sketch round trip changed estimates")
+	for _, tc := range []struct {
+		kind  Kind
+		p     *Plan
+		rects []geo.HyperRect
+	}{
+		{KindJoin, join, datagen.MustRects(datagen.Spec{N: 40, Dims: 2, Domain: 64, Seed: 1})},
+		{KindCE, ce, []geo.HyperRect{geo.Span1D(2, 9)}},
+		{KindPoint, small, []geo.HyperRect{geo.Rect(3, 4, 6, 7)}}, // the point {3, 7}
+		{KindBox, small, []geo.HyperRect{geo.Rect(1, 5, 2, 9)}},
+		{KindRange, small, []geo.HyperRect{geo.Rect(1, 5, 2, 9)}},
+	} {
+		s := tc.p.NewSketch(tc.kind)
+		if err := insertBulk(s, tc.rects); err != nil {
+			t.Fatal(err)
+		}
+		got := roundTrip(s)
+		var orig, rt Estimate
+		var err, rtErr error
+		switch tc.kind {
+		case KindJoin:
+			y := tc.p.NewSketch(KindJoin)
+			if err := y.InsertAll(datagen.MustRects(datagen.Spec{N: 30, Dims: 2, Domain: 64, Seed: 2})); err != nil {
+				t.Fatal(err)
+			}
+			orig, err = EstimateJoin(s, y)
+			rt, rtErr = EstimateJoin(got, roundTrip(y))
+		case KindRange:
+			q := geo.Rect(0, 8, 0, 8)
+			orig, err = s.EstimateRange(q)
+			rt, rtErr = got.EstimateRange(q)
+		default:
+			continue
+		}
+		if err != nil || rtErr != nil {
+			t.Fatal(err, rtErr)
+		}
+		if orig.Value != rt.Value {
+			t.Fatalf("%v estimate changed across serialization: %g vs %g", tc.kind, orig.Value, rt.Value)
+		}
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1})
-	s := p.NewJoinSketch()
+	s := p.NewSketch(KindJoin)
 	data, _ := s.MarshalBinary()
 
-	if _, err := UnmarshalJoinSketch(nil); err == nil {
+	if _, err := UnmarshalSketch(KindJoin, nil); err == nil {
 		t.Error("nil data should fail")
 	}
-	if _, err := UnmarshalJoinSketch(data[:8]); err == nil {
+	if _, err := UnmarshalSketch(KindJoin, data[:8]); err == nil {
 		t.Error("truncated data should fail")
 	}
 	// Wrong kind: a CE payload fed to the join decoder.
-	ce, _ := p.NewCESketch().MarshalBinary()
-	if _, err := UnmarshalJoinSketch(ce); err == nil {
+	ce, _ := p.NewSketch(KindCE).MarshalBinary()
+	if _, err := UnmarshalSketch(KindJoin, ce); err == nil {
 		t.Error("kind mismatch should fail")
 	}
 	// Corrupt magic.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if _, err := UnmarshalJoinSketch(bad); err == nil {
+	if _, err := UnmarshalSketch(KindJoin, bad); err == nil {
 		t.Error("bad magic should fail")
 	}
 }
@@ -163,16 +108,16 @@ func TestUnmarshalErrors(t *testing.T) {
 // the counters, are refused rather than dropped.
 func TestUnmarshalNonCanonicalRejected(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1}) // uncapped: flag 0
-	data, _ := p.NewJoinSketch().MarshalBinary()
-	if _, err := UnmarshalJoinSketch(data); err != nil {
+	data, _ := p.NewSketch(KindJoin).MarshalBinary()
+	if _, err := UnmarshalSketch(KindJoin, data); err != nil {
 		t.Fatal(err)
 	}
 	flag := bytes.Clone(data)
 	binary.LittleEndian.PutUint32(flag[16:], 2) // past magic, kind, dims and logDomain[0]
-	if _, err := UnmarshalJoinSketch(flag); err == nil {
+	if _, err := UnmarshalSketch(KindJoin, flag); err == nil {
 		t.Error("level-cap flag 2 decoded")
 	}
-	if _, err := UnmarshalJoinSketch(append(bytes.Clone(data), 0)); err == nil {
+	if _, err := UnmarshalSketch(KindJoin, append(bytes.Clone(data), 0)); err == nil {
 		t.Error("trailing byte decoded")
 	}
 }
@@ -182,7 +127,7 @@ func TestUnmarshalNonCanonicalRejected(t *testing.T) {
 // counter-payload cross-check BEFORE NewPlan attempts the matching
 // (multi-terabyte) xi-bank allocation.
 func TestUnmarshalHugeInstancesRejected(t *testing.T) {
-	craft := func(kind uint32, instances, groups, declaredCounters uint64) []byte {
+	craft := func(kind Kind, instances, groups, declaredCounters uint64) []byte {
 		var w bytes.Buffer
 		binary.Write(&w, binary.LittleEndian, uint32(marshalMagic))
 		binary.Write(&w, binary.LittleEndian, kind)
@@ -198,14 +143,8 @@ func TestUnmarshalHugeInstancesRejected(t *testing.T) {
 		return w.Bytes()
 	}
 
-	decoders := map[uint32]func([]byte) error{
-		kindJoinSketch: func(b []byte) error { _, err := UnmarshalJoinSketch(b); return err },
-		kindCESketch:   func(b []byte) error { _, err := UnmarshalCESketch(b); return err },
-		kindPoint:      func(b []byte) error { _, err := UnmarshalPointSketch(b); return err },
-		kindBox:        func(b []byte) error { _, err := UnmarshalBoxSketch(b); return err },
-		kindRange:      func(b []byte) error { _, err := UnmarshalRangeSketch(b); return err },
-	}
-	for kind, dec := range decoders {
+	for _, kind := range allKinds {
+		dec := func(b []byte) error { _, err := UnmarshalSketch(kind, b); return err }
 		// ~60-byte payload claiming 2^40 instances: must error, not OOM.
 		if err := dec(craft(kind, 1<<40, 1, 1)); err == nil {
 			t.Errorf("kind %d: 2^40-instance header decoded", kind)

@@ -18,9 +18,9 @@ func TestEpsJoinUnbiased(t *testing.T) {
 	want := float64(exact.EpsJoinCount(a, b, eps, exact.LInf))
 
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 20000, Groups: 4, Seed: 43})
-	pts := p.NewPointSketch()
-	boxes := p.NewBoxSketch()
-	if err := pts.InsertAll(a); err != nil {
+	pts := p.NewSketch(KindPoint)
+	boxes := p.NewSketch(KindBox)
+	if err := pts.InsertPoints(a); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range b {
@@ -48,8 +48,8 @@ func TestEpsJoinOtherDims(t *testing.T) {
 			logDom[i] = 4
 		}
 		p := MustPlan(Config{Dims: dims, LogDomain: logDom, Instances: 20000, Groups: 4, Seed: uint64(70 + dims)})
-		pts, boxes := p.NewPointSketch(), p.NewBoxSketch()
-		if err := pts.InsertAll(a); err != nil {
+		pts, boxes := p.NewSketch(KindPoint), p.NewSketch(KindBox)
+		if err := pts.InsertPoints(a); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range b {
@@ -76,9 +76,9 @@ func TestContainmentUnbiased(t *testing.T) {
 	// The reduction doubles dimensionality: 1-d containment -> 2-d
 	// point-in-box.
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{4, 4}, Instances: 25000, Groups: 4, Seed: 83})
-	pts, boxes := p.NewPointSketch(), p.NewBoxSketch()
+	pts, boxes := p.NewSketch(KindPoint), p.NewSketch(KindBox)
 	for _, a := range r {
-		if err := pts.Insert(ContainmentPoint(a)); err != nil {
+		if err := pts.InsertPoint(ContainmentPoint(a)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,19 +118,19 @@ func TestContainmentMappings(t *testing.T) {
 // TestPointBoxInsertDelete: deletes restore exact state.
 func TestPointBoxInsertDelete(t *testing.T) {
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 40, Groups: 4, Seed: 4})
-	a, b := p.NewPointSketch(), p.NewPointSketch()
+	a, b := p.NewSketch(KindPoint), p.NewSketch(KindPoint)
 	pts := datagen.MustPoints(datagen.Spec{N: 30, Dims: 2, Domain: 32, Seed: 5})
-	if err := a.InsertAll(pts); err != nil {
+	if err := a.InsertPoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InsertAll(pts); err != nil {
+	if err := b.InsertPoints(pts); err != nil {
 		t.Fatal(err)
 	}
 	extra := geo.Point{7, 9}
-	if err := b.Insert(extra); err != nil {
+	if err := b.InsertPoint(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Delete(extra); err != nil {
+	if err := b.DeletePoint(extra); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.counters {
@@ -139,7 +139,7 @@ func TestPointBoxInsertDelete(t *testing.T) {
 		}
 	}
 
-	ba, bb := p.NewBoxSketch(), p.NewBoxSketch()
+	ba, bb := p.NewSketch(KindBox), p.NewSketch(KindBox)
 	boxes := datagen.MustRects(datagen.Spec{N: 20, Dims: 2, Domain: 32, Seed: 6})
 	if err := ba.InsertAll(boxes); err != nil {
 		t.Fatal(err)
@@ -169,19 +169,19 @@ func TestPointBoxInsertDelete(t *testing.T) {
 
 func TestPointBoxValidation(t *testing.T) {
 	p := MustPlan(Config{Dims: 2, LogDomain: []int{4, 4}, Instances: 4, Groups: 2, Seed: 1})
-	pts := p.NewPointSketch()
-	if err := pts.Insert(geo.Point{99, 0}); err == nil {
+	pts := p.NewSketch(KindPoint)
+	if err := pts.InsertPoint(geo.Point{99, 0}); err == nil {
 		t.Error("out-of-domain point should fail")
 	}
-	if err := pts.Insert(geo.Point{1}); err == nil {
+	if err := pts.InsertPoint(geo.Point{1}); err == nil {
 		t.Error("wrong dims should fail")
 	}
-	boxes := p.NewBoxSketch()
+	boxes := p.NewSketch(KindBox)
 	if err := boxes.Insert(geo.Rect(0, 99, 0, 1)); err == nil {
 		t.Error("out-of-domain box should fail")
 	}
 	q := MustPlan(Config{Dims: 2, LogDomain: []int{4, 4}, Instances: 4, Groups: 2, Seed: 2})
-	if _, err := EstimatePointInBox(pts, q.NewBoxSketch()); err == nil {
+	if _, err := EstimatePointInBox(pts, q.NewSketch(KindBox)); err == nil {
 		t.Error("cross-plan estimate should fail")
 	}
 }

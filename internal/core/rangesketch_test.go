@@ -18,7 +18,7 @@ func TestRange1DUnbiased(t *testing.T) {
 	want := float64(exact.RangeCount(rects, q))
 
 	p := MustPlan(Config{Dims: 1, LogDomain: logDomains(1, dom), Instances: 30000, Groups: 4, Seed: 92})
-	s := p.NewRangeSketch()
+	s := p.NewSketch(KindRange)
 	for _, r := range rects {
 		if err := s.Insert(geo.TransformKeepRect(r)); err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestRange1DSharedEndpoints(t *testing.T) {
 	want := float64(exact.RangeCount(rects, q))
 
 	p := MustPlan(Config{Dims: 1, LogDomain: logDomains(1, 16), Instances: 40000, Groups: 4, Seed: 93})
-	s := p.NewRangeSketch()
+	s := p.NewSketch(KindRange)
 	for _, r := range rects {
 		if err := s.Insert(geo.TransformKeepRect(r)); err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRange2DUnbiased(t *testing.T) {
 	want := float64(exact.RangeCount(rects, q))
 
 	p := MustPlan(Config{Dims: 2, LogDomain: logDomains(2, dom), Instances: 20000, Groups: 4, Seed: 95})
-	s := p.NewRangeSketch()
+	s := p.NewSketch(KindRange)
 	for _, r := range rects {
 		if err := s.Insert(geo.TransformKeepRect(r)); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestRangeMatchesJoinSpecialCase(t *testing.T) {
 	}
 
 	p := MustPlan(Config{Dims: 1, LogDomain: logDomains(1, dom), Instances: 30000, Groups: 4, Seed: 97})
-	x, y := p.NewJoinSketch(), p.NewJoinSketch()
+	x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 	for _, r := range rects {
 		if err := x.Insert(geo.TransformKeepRect(r)); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRangeMatchesJoinSpecialCase(t *testing.T) {
 // TestRangeInsertDelete: deletion restores state exactly.
 func TestRangeInsertDelete(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{6}, Instances: 30, Groups: 5, Seed: 3})
-	a, b := p.NewRangeSketch(), p.NewRangeSketch()
+	a, b := p.NewSketch(KindRange), p.NewSketch(KindRange)
 	data := datagen.MustRects(datagen.Spec{N: 25, Dims: 1, Domain: 64, Seed: 4})
 	if err := a.InsertAll(data); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestRangeInsertDelete(t *testing.T) {
 
 func TestRangeValidation(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{4}, Instances: 4, Groups: 2, Seed: 1})
-	s := p.NewRangeSketch()
+	s := p.NewSketch(KindRange)
 	if err := s.Insert(geo.Span1D(0, 20)); err == nil {
 		t.Error("out-of-domain insert should fail")
 	}

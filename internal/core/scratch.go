@@ -1,19 +1,23 @@
 package core
 
-// EstScratch is the reusable scratch of the estimate kernels: per-instance
-// Z values, the boost median working copy, and (for range queries) the
-// query-side cover buffers and letter-sum planes. Scratches are pooled on
-// the Plan (sizes are fixed by the plan's configuration), so steady-state
-// estimation does no per-query allocation beyond the GroupMeans diagnostic
-// slice of the returned Estimate.
+import "sync"
+
+// EstScratch is the reusable scratch of the update and estimate kernels:
+// one object's cover buffer and letter-sum planes (every update, and the
+// query side of range estimates), the per-instance Z values and the boost
+// median working copy. Scratches are pooled on the Plan (sizes are fixed
+// by the plan's configuration), so a sketch holds only its counters, a
+// warm update allocates nothing, and steady-state estimation allocates
+// nothing beyond the GroupMeans diagnostic slice of the returned
+// Estimate.
 //
 // A scratch must only be used with sketches of the plan it was taken from,
 // and must not be used concurrently; take one per goroutine.
 type EstScratch struct {
-	zs    []float64   // per-instance Z values
-	med   []float64   // boost median working copy
-	qb    *coverBuf   // query-side covers (range kernel)
-	qsums *letterSums // query-side letter sums (range kernel)
+	cb   *coverBuf  // one object's id lists
+	sums letterSums // its letter planes
+	zs   []float64  // per-instance Z values
+	med  []float64  // boost median working copy
 
 	// Flattened common-endpoint pairing expansion (estimateCE): per term the
 	// X- and Y-side counter offsets and the signed coefficient.
@@ -21,19 +25,52 @@ type EstScratch struct {
 	ceCoeff    []float64
 }
 
-// GetScratch takes an estimate scratch from the plan's pool, allocating a
-// fresh (empty) one when the pool is dry. Components are sized lazily on
-// first use, so a scratch only pays for the kernels that touch it.
+// maxIdleScratch bounds the scratches a plan keeps for reuse.
+const maxIdleScratch = 16
+
+// scratchPool is a plan's free list of scratches. It is not a sync.Pool:
+// that drops its items at every other GC (and one Put in four under the
+// race detector), and a warm update must allocate nothing.
+type scratchPool struct {
+	mu   sync.Mutex
+	idle []*EstScratch
+}
+
+// GetScratch takes a scratch from the plan's pool, allocating a fresh
+// (empty) one when the pool is dry. Components are sized lazily on first
+// use, so a scratch only pays for the kernels that touch it.
 func (p *Plan) GetScratch() *EstScratch {
-	if v := p.scratch.Get(); v != nil {
-		return v.(*EstScratch)
+	sp := &p.scratch
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if n := len(sp.idle); n > 0 {
+		sc := sp.idle[n-1]
+		sp.idle = sp.idle[:n-1]
+		return sc
 	}
 	return &EstScratch{}
 }
 
 // PutScratch returns a scratch to the plan's pool. The caller must not use
 // sc afterwards.
-func (p *Plan) PutScratch(sc *EstScratch) { p.scratch.Put(sc) }
+func (p *Plan) PutScratch(sc *EstScratch) {
+	sp := &p.scratch
+	sp.mu.Lock()
+	if len(sp.idle) < maxIdleScratch {
+		sp.idle = append(sp.idle, sc)
+	}
+	sp.mu.Unlock()
+}
+
+// letterBufs returns the cover buffer and the letter-sum planes, shaped
+// for the given letters per dimension.
+func (sc *EstScratch) letterBufs(p *Plan, letters int) (*coverBuf, *letterSums) {
+	if sc.cb == nil {
+		sc.cb = newCoverBuf(p.cfg.Dims)
+	}
+	sc.sums.size(p.cfg.Dims, letters, p.cfg.Instances)
+	return sc.cb, &sc.sums
+}
 
 // instSums returns the per-instance Z accumulator, sized to the plan.
 func (sc *EstScratch) instSums(p *Plan) []float64 {
@@ -49,16 +86,6 @@ func (sc *EstScratch) medianBuf(p *Plan) []float64 {
 		sc.med = make([]float64, p.cfg.Groups)
 	}
 	return sc.med
-}
-
-// queryCovers returns the query-side cover buffer and letter-sum planes of
-// the range kernel, sized to the plan.
-func (sc *EstScratch) queryCovers(p *Plan) (*coverBuf, *letterSums) {
-	if sc.qb == nil {
-		sc.qb = newCoverBuf(p.cfg.Dims)
-		sc.qsums = newLetterSums(p.cfg.Dims, 2, p.cfg.Instances)
-	}
-	return sc.qb, sc.qsums
 }
 
 // ceTerms returns the flattened pairing-expansion arrays with room for n

@@ -16,7 +16,7 @@ func TestEstimateSelfJoinUnbiased(t *testing.T) {
 		Instances: 20000, Groups: 4, Seed: 77,
 	})
 	rects := datagen.MustRects(datagen.Spec{N: 60, Dims: 1, Domain: 128, Seed: 9, MeanLen: []float64{12}})
-	s := p.NewJoinSketch()
+	s := p.NewSketch(KindJoin)
 	if err := s.InsertAll(rects); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,10 @@ func TestEstimateSelfJoinUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := s.EstimateSelfJoin()
+	est, err := s.EstimateSelfJoin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertUnbiased(t, "selfjoin-estimate", est, want.Total)
 	// Power: the estimate must clearly distinguish SJ from, say, 2*SJ.
 	if math.Abs(est.Value-want.Total) > 0.5*want.Total {
@@ -39,7 +42,7 @@ func TestEstimateSelfJoin2D(t *testing.T) {
 		Instances: 12000, Groups: 4, Seed: 78,
 	})
 	rects := datagen.MustRects(datagen.Spec{N: 40, Dims: 2, Domain: 32, Seed: 10})
-	s := p.NewJoinSketch()
+	s := p.NewSketch(KindJoin)
 	if err := s.InsertAll(rects); err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +50,17 @@ func TestEstimateSelfJoin2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertUnbiased(t, "selfjoin-estimate-2d", s.EstimateSelfJoin(), want.Total)
+	est, err := s.EstimateSelfJoin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUnbiased(t, "selfjoin-estimate-2d", est, want.Total)
 }
 
 // TestEstimateSelfJoinEmpty: an empty sketch estimates zero.
 func TestEstimateSelfJoinEmpty(t *testing.T) {
 	p := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 8, Groups: 4, Seed: 1})
-	if got := p.NewJoinSketch().EstimateSelfJoin().Value; got != 0 {
-		t.Fatalf("empty self-join estimate = %g", got)
+	if got, err := p.NewSketch(KindJoin).EstimateSelfJoin(); err != nil || got.Value != 0 {
+		t.Fatalf("empty self-join estimate = %g, %v", got.Value, err)
 	}
 }

@@ -130,13 +130,14 @@ func TestSignPlanesMatchFamily(t *testing.T) {
 		p := MustPlan(cfg)
 		r := rand.New(rand.NewPCG(uint64(ci), 7))
 		d := cfg.Dims
-		join, ce, rng := p.NewJoinSketch(), p.NewCESketch(), p.NewRangeSketch()
-		pts, boxes := p.NewPointSketch(), p.NewBoxSketch()
-		wantJoin := make([]int64, len(join.counters))
-		wantCE := make([]int64, len(ce.counters))
-		wantRange := make([]int64, len(rng.counters))
-		wantPts := make([]int64, len(pts.counters))
-		wantBoxes := make([]int64, len(boxes.counters))
+		sks := make([]*Sketch, len(allKinds))
+		want := make([][]int64, len(allKinds))
+		for k, kind := range allKinds {
+			sks[k] = p.NewSketch(kind)
+			want[k] = make([]int64, len(sks[k].counters))
+		}
+		rng := sks[len(sks)-1] // allKinds ends with KindRange
+		wantRange := want[len(want)-1]
 
 		var rects []geo.HyperRect
 		var points []geo.Point
@@ -150,52 +151,19 @@ func TestSignPlanesMatchFamily(t *testing.T) {
 				rect, pt = rects[k], points[k]
 				rects = append(rects[:k], rects[k+1:]...)
 				points = append(points[:k], points[k+1:]...)
-				for _, err := range []error{join.Delete(rect), ce.Delete(rect), rng.Delete(rect), pts.Delete(pt), boxes.Delete(rect)} {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
 			} else {
 				rects, points = append(rects, rect), append(points, pt)
-				for _, err := range []error{join.Insert(rect), ce.Insert(rect), rng.Insert(rect), pts.Insert(pt), boxes.Insert(rect)} {
-					if err != nil {
-						t.Fatal(err)
-					}
+			}
+			for k, s := range sks {
+				if err := update(s, rect, pt, sign); err != nil {
+					t.Fatal(err)
 				}
+				refFold(want[k], refLetters(p, s.Kind(), rect, pt), sign)
 			}
-			joinL, ceL, rangeL := make([][][]int64, d), make([][][]int64, d), make([][][]int64, d)
-			ptL, boxL := make([][][]int64, d), make([][][]int64, d)
-			for i, iv := range rect {
-				dom, ml := p.doms[i], p.maxLevel[i]
-				cover := dom.CoverMax(iv.Lo, iv.Hi, ml, nil)
-				ptLo, ptHi := dom.PointCoverMax(iv.Lo, ml, nil), dom.PointCoverMax(iv.Hi, ml, nil)
-				I, E, U := refSums(p, i, cover), refSums(p, i, ptLo, ptHi), refSums(p, i, ptHi)
-				leafLo := refSums(p, i, []uint64{dom.LeafID(iv.Lo)})
-				leafHi := refSums(p, i, []uint64{dom.LeafID(iv.Hi)})
-				joinL[i] = [][]int64{I, E}
-				ceL[i] = [][]int64{I, E, leafLo, leafHi}
-				rangeL[i] = [][]int64{I, U}
-				boxL[i] = [][]int64{I}
-				ptL[i] = [][]int64{refSums(p, i, dom.PointCoverMax(pt[i], ml, nil))}
-			}
-			refFold(wantJoin, joinL, sign)
-			refFold(wantCE, ceL, sign)
-			refFold(wantRange, rangeL, sign)
-			refFold(wantPts, ptL, sign)
-			refFold(wantBoxes, boxL, sign)
 		}
-		for _, c := range []struct {
-			name      string
-			got, want []int64
-		}{
-			{"join", join.counters, wantJoin},
-			{"ce", ce.counters, wantCE},
-			{"range", rng.counters, wantRange},
-			{"point", pts.counters, wantPts},
-			{"box", boxes.counters, wantBoxes},
-		} {
-			if !reflect.DeepEqual(c.got, c.want) {
-				t.Fatalf("config %d (%v): %s counters differ from the xi.Family reference", ci, cfg, c.name)
+		for k, s := range sks {
+			if !reflect.DeepEqual(s.counters, want[k]) {
+				t.Fatalf("config %d (%v): %v counters differ from the xi.Family reference", ci, cfg, s.Kind())
 			}
 		}
 
@@ -252,46 +220,28 @@ func readyRows(p *Plan) int {
 	return n
 }
 
-// testSketch gives every sketch type one shape for the table-driven
-// tests below: its counters, its count, an insert that takes the
-// rectangle or the point its kind reads, and its encoding.
-type testSketch struct {
-	counters []int64
-	count    *int64
-	insert   func(rect geo.HyperRect, pt geo.Point) error
-	marshal  func() ([]byte, error)
-}
-
-// sketchKinds are the five sketch kinds, by name.
-var sketchKinds = []string{"join", "ce", "range", "point", "box"}
-
-func newTestSketch(p *Plan, kind string) testSketch {
-	switch kind {
-	case "join":
-		s := p.NewJoinSketch()
-		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
-	case "ce":
-		s := p.NewCESketch()
-		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
-	case "range":
-		s := p.NewRangeSketch()
-		return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
-	case "point":
-		s := p.NewPointSketch()
-		return testSketch{s.counters, &s.count, func(_ geo.HyperRect, pt geo.Point) error { return s.Insert(pt) }, s.MarshalBinary}
+// update inserts (sign +1) or deletes (sign -1) one object: pt for a
+// KindPoint sketch, rect for every other kind.
+func update(s *Sketch, rect geo.HyperRect, pt geo.Point, sign int64) error {
+	switch {
+	case s.Kind() == KindPoint && sign > 0:
+		return s.InsertPoint(pt)
+	case s.Kind() == KindPoint:
+		return s.DeletePoint(pt)
+	case sign > 0:
+		return s.Insert(rect)
 	}
-	s := p.NewBoxSketch()
-	return testSketch{s.counters, &s.count, func(r geo.HyperRect, _ geo.Point) error { return s.Insert(r) }, s.MarshalBinary}
+	return s.Delete(rect)
 }
 
 // refLetters returns one object's per-dimension letter sums for a sketch
 // kind, from the scalar reference xi.Family: rect feeds every kind but
 // the point kind, which reads pt.
-func refLetters(p *Plan, kind string, rect geo.HyperRect, pt geo.Point) [][][]int64 {
+func refLetters(p *Plan, kind Kind, rect geo.HyperRect, pt geo.Point) [][][]int64 {
 	letters := make([][][]int64, p.cfg.Dims)
 	for i := range letters {
 		dom, ml := p.doms[i], p.maxLevel[i]
-		if kind == "point" {
+		if kind == KindPoint {
 			letters[i] = [][]int64{refSums(p, i, dom.PointCoverMax(pt[i], ml, nil))}
 			continue
 		}
@@ -300,14 +250,14 @@ func refLetters(p *Plan, kind string, rect geo.HyperRect, pt geo.Point) [][][]in
 		ptLo, ptHi := dom.PointCoverMax(iv.Lo, ml, nil), dom.PointCoverMax(iv.Hi, ml, nil)
 		I := refSums(p, i, cover)
 		switch kind {
-		case "join":
+		case KindJoin:
 			letters[i] = [][]int64{I, refSums(p, i, ptLo, ptHi)}
-		case "ce":
+		case KindCE:
 			letters[i] = [][]int64{I, refSums(p, i, ptLo, ptHi),
 				refSums(p, i, []uint64{dom.LeafID(iv.Lo)}), refSums(p, i, []uint64{dom.LeafID(iv.Hi)})}
-		case "range":
+		case KindRange:
 			letters[i] = [][]int64{I, refSums(p, i, ptHi)}
-		case "box":
+		case KindBox:
 			letters[i] = [][]int64{I}
 		}
 	}
@@ -323,10 +273,10 @@ func TestSignPlaneAllocs(t *testing.T) {
 		{Dims: 2, LogDomain: []int{14, 14}, Instances: 1024, Groups: 8},
 		{Dims: 4, LogDomain: []int{8, 9, 10, 11}, Instances: 128, Groups: 8},
 	} {
-		for _, kind := range sketchKinds {
+		for _, kind := range allKinds {
 			cfg.Seed = freshSeed()
 			p := MustPlan(cfg)
-			s := newTestSketch(p, kind)
+			s := p.NewSketch(kind)
 			r := rand.New(rand.NewPCG(3, 3))
 			rects := make([]geo.HyperRect, 512)
 			pts := make([]geo.Point, len(rects))
@@ -335,7 +285,7 @@ func TestSignPlaneAllocs(t *testing.T) {
 			}
 			i := 0
 			insert := func() {
-				if err := s.insert(rects[i%len(rects)], pts[i%len(pts)]); err != nil {
+				if err := update(s, rects[i%len(rects)], pts[i%len(pts)], +1); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -343,13 +293,13 @@ func TestSignPlaneAllocs(t *testing.T) {
 			insert()
 			filled := readyRows(p)
 			if allocs := testing.AllocsPerRun(100, insert); allocs != 0 {
-				t.Errorf("%d-d %s: insert allocates %v times per call while filling rows", cfg.Dims, kind, allocs)
+				t.Errorf("%d-d %v: insert allocates %v times per call while filling rows", cfg.Dims, kind, allocs)
 			}
 			if readyRows(p) <= filled {
-				t.Fatalf("%d-d %s: no rows filled during the measured inserts (%d ready before, %d after)", cfg.Dims, kind, filled, readyRows(p))
+				t.Fatalf("%d-d %v: no rows filled during the measured inserts (%d ready before, %d after)", cfg.Dims, kind, filled, readyRows(p))
 			}
 			if allocs := testing.AllocsPerRun(len(rects), insert); allocs != 0 {
-				t.Errorf("%d-d %s: warm insert allocates %v times per call", cfg.Dims, kind, allocs)
+				t.Errorf("%d-d %v: warm insert allocates %v times per call", cfg.Dims, kind, allocs)
 			}
 		}
 	}
@@ -407,7 +357,7 @@ func TestPlanSharedConcurrent(t *testing.T) {
 	p := MustPlan(cfg)
 	r := rand.New(rand.NewPCG(9, 9))
 	const perWriter = 60
-	writers := len(sketchKinds)
+	writers := len(allKinds)
 	rects := make([][]geo.HyperRect, writers)
 	pts := make([][]geo.Point, writers)
 	for w := range rects {
@@ -417,7 +367,7 @@ func TestPlanSharedConcurrent(t *testing.T) {
 		}
 	}
 	queries := []geo.HyperRect{randRect(r, p), randRect(r, p), randRect(r, p)}
-	reader := p.NewRangeSketch()
+	reader := p.NewSketch(KindRange)
 	for _, rect := range rects[0] {
 		if err := reader.Insert(rect); err != nil {
 			t.Fatal(err)
@@ -431,16 +381,16 @@ func TestPlanSharedConcurrent(t *testing.T) {
 		}
 	}
 
-	got := make([]testSketch, writers)
+	got := make([]*Sketch, writers)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for w, kind := range sketchKinds {
-		got[w] = newTestSketch(p, kind)
+	for w, kind := range allKinds {
+		got[w] = p.NewSketch(kind)
 		wg.Add(1)
-		go func(s testSketch, rects []geo.HyperRect, pts []geo.Point) {
+		go func(s *Sketch, rects []geo.HyperRect, pts []geo.Point) {
 			defer wg.Done()
 			for k := range rects {
-				if err := s.insert(rects[k], pts[k]); err != nil {
+				if err := update(s, rects[k], pts[k], +1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -473,26 +423,26 @@ func TestPlanSharedConcurrent(t *testing.T) {
 	readers.Wait()
 
 	// The sequential reference evaluates every id with xi.Family.
-	for w, kind := range sketchKinds {
-		ref := newTestSketch(p, kind)
+	for w, kind := range allKinds {
+		ref := p.NewSketch(kind)
 		for k := range rects[w] {
 			refFold(ref.counters, refLetters(p, kind, rects[w][k], pts[w][k]), 1)
-			*ref.count++
+			ref.count++
 		}
 		s := got[w]
 		if !reflect.DeepEqual(s.counters, ref.counters) {
-			t.Fatalf("%s writer: counters differ from the sequential reference", kind)
+			t.Fatalf("%v writer: counters differ from the sequential reference", kind)
 		}
-		gb, err := s.marshal()
+		gb, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := ref.marshal()
+		rb, err := ref.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gb, rb) {
-			t.Fatalf("%s writer: Marshal bytes differ from the sequential reference", kind)
+			t.Fatalf("%v writer: Marshal bytes differ from the sequential reference", kind)
 		}
 	}
 }
@@ -510,7 +460,7 @@ func interned(cfg Config) bool {
 func TestPlanInternEntryDropped(t *testing.T) {
 	cfg := Config{Dims: 1, LogDomain: []int{10}, Instances: 64, Groups: 4, Seed: 0xdead}
 	func() {
-		s := MustPlan(cfg).NewJoinSketch()
+		s := MustPlan(cfg).NewSketch(KindJoin)
 		if err := s.Insert(geo.HyperRect{{Lo: 3, Hi: 700}}); err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +468,7 @@ func TestPlanInternEntryDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := UnmarshalJoinSketch(data)
+		restored, err := UnmarshalSketch(KindJoin, data)
 		if err != nil {
 			t.Fatal(err)
 		}

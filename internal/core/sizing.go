@@ -100,7 +100,7 @@ func JoinWordsPerRelation(dims int) float64 {
 // common-endpoints instance: 4^d counters (the {I,E,L,U}^d letter strings
 // of Appendix C) plus half the d shared seed words.
 func CEJoinWordsPerRelation(dims int) float64 {
-	return float64(pow4(dims)) + float64(dims)/2
+	return float64(KindCE.countersPerInstance(dims)) + float64(dims)/2
 }
 
 // PointBoxWordsPerRelation returns the per-relation share of one Lemma 8
@@ -147,6 +147,40 @@ func InstancesForBudget(dims int, budgetWords int, groups int) int {
 // sketch pair: instances * JoinWordsPerInstancePair.
 func JoinSpaceWords(dims, instances int) int {
 	return instances * JoinWordsPerInstancePair(dims)
+}
+
+// CESelfJoinWeight returns the paper's SJ(R) accounting for CE sketches in
+// one dimension: SJ(X_I) + 2*SJ(X_L) + 2*SJ(X_U) (Appendix C). Provided as
+// a helper for variance reasoning; exact SJ terms come from internal/exact.
+func CESelfJoinWeight(sjI, sjL, sjU float64) float64 {
+	return sjI + 2*sjL + 2*sjU
+}
+
+// PlanCEJoinInstances sizes the 1-d strict common-endpoint estimator per
+// Lemma 13: Var[Z] <= 2 * SJ(R) * SJ(S) with the CESelfJoinWeight
+// accounting, so k1 = ceil(8 * 2 * sjR * sjS / (eps^2 * E^2)). The paper
+// proves the bound for one dimension; for d > 1 this planner applies the
+// same form with the Theorem 3 dimensional factor as a documented
+// heuristic.
+func PlanCEJoinInstances(dims int, g Guarantee, sjR, sjS, resultLowerBound float64) (k1, k2 int, err error) {
+	if err := g.validate(); err != nil {
+		return 0, 0, err
+	}
+	if !(sjR > 0 && sjS > 0 && resultLowerBound > 0) {
+		return 0, 0, fmt.Errorf("core: self-join sizes and result bound must be positive")
+	}
+	factor := 2.0
+	if dims > 1 {
+		factor = 2 * JoinVarianceFactor(dims) * 4 // heuristic extension, see doc
+	}
+	k1f := math.Ceil(8 * factor * sjR * sjS / (g.Eps * g.Eps * resultLowerBound * resultLowerBound))
+	if k1f < 1 {
+		k1f = 1
+	}
+	if k1f > 1<<30 {
+		return 0, 0, fmt.Errorf("core: guarantee requires %g instances", k1f)
+	}
+	return int(k1f), PlanGroups(g.Phi), nil
 }
 
 // PlanEpsJoinInstances sizes the epsilon-join estimator of Lemma 8:

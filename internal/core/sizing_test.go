@@ -185,7 +185,7 @@ func TestGuaranteeEndToEnd(t *testing.T) {
 			Dims: 1, LogDomain: logDomains(1, dom),
 			Instances: k1 * k2, Groups: k2, Seed: uint64(300 + trial),
 		})
-		x, y := p.NewJoinSketch(), p.NewJoinSketch()
+		x, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
 		if err := x.InsertAll(tr); err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func (e *JoinEstimator) CardinalityExtendedWithCounts() (est Estimate, left, rig
 		return Estimate{}, 0, 0, fmt.Errorf("spatial: extended join requires ModeCommonEndpoints")
 	}
 	return e.memo(memoExtended, nil, func(s shard) (core.Estimate, error) {
-		return core.EstimateJoinExtCE(s[0].(*core.CESketch), s[1].(*core.CESketch))
+		return core.EstimateJoinExtCE(s[0], s[1])
 	})
 }
 
@@ -134,7 +134,7 @@ func (e *JoinEstimator) selfJoin(i int) (Estimate, error) {
 		return Estimate{}, fmt.Errorf("spatial: self-join estimation is supported in ModeTransform only")
 	}
 	est, _, _, err := e.memo(memoSelfJoinLeft+i, nil, func(s shard) (core.Estimate, error) {
-		return s[i].(*core.JoinSketch).EstimateSelfJoin(), nil
+		return s[i].EstimateSelfJoin()
 	})
 	return est, err
 }

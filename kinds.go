@@ -9,56 +9,43 @@ import (
 
 // The table of estimator kinds: everything the four estimators do
 // differently - their sides, the transform each side applies, the core
-// sketch types, the plan geometry, the word accounting, the Guarantee
+// sketch kinds, the plan geometry, the word accounting, the Guarantee
 // planner and the estimate kernel - read by the one lifecycle of
 // estimator.go. A join has two entries, one per Mode, because the mode
 // changes its sketches and its domain.
-
-// The core sketch types, erased for the lifecycle.
-var (
-	joinSketches  = sketchTypeOf(rectOf, (*core.Plan).NewJoinSketch, core.UnmarshalJoinSketch)
-	ceSketches    = sketchTypeOf(rectOf, (*core.Plan).NewCESketch, core.UnmarshalCESketch)
-	rangeSketches = sketchTypeOf(rectOf, (*core.Plan).NewRangeSketch, core.UnmarshalRangeSketch)
-	pointSketches = sketchTypeOf(pointOf, (*core.Plan).NewPointSketch, core.UnmarshalPointSketch)
-	boxSketches   = sketchTypeOf(rectOf, (*core.Plan).NewBoxSketch, core.UnmarshalBoxSketch)
-)
 
 var (
 	joinKind = kindSpec{
 		kind: KindJoin, maxDims: core.MaxDims, extent: true,
 		sides: []sideSpec{
-			{side: SideLeft, input: keep, sketch: joinSketches},
-			{side: SideRight, input: shrink, sketch: joinSketches},
+			{side: SideLeft, input: keep, kind: core.KindJoin},
+			{side: SideRight, input: shrink, kind: core.KindJoin},
 		},
 		shape: func(p *params) (shape, error) {
 			return shape{dims: p.dims, logDomain: log2ceil(geo.TransformDomain(p.domainSize)),
 				maxLevel: resolveMaxLevel(p.maxLevel, p.domainSize), words: core.JoinWordsPerRelation(p.dims)}, nil
 		},
-		guarantee: planJoin,
-		cardinality: func(s shard) (core.Estimate, error) {
-			return core.EstimateJoin(s[0].(*core.JoinSketch), s[1].(*core.JoinSketch))
-		},
+		guarantee:   planJoin,
+		cardinality: core.EstimateJoin,
 	}
 	// joinCEKind is a join in ModeCommonEndpoints: the endpoint sketches
 	// of Appendix C over the untransformed domain.
 	joinCEKind = kindSpec{
 		kind: KindJoin, maxDims: core.MaxDims, extent: true,
 		sides: []sideSpec{
-			{side: SideLeft, sketch: ceSketches},
-			{side: SideRight, sketch: ceSketches},
+			{side: SideLeft, kind: core.KindCE},
+			{side: SideRight, kind: core.KindCE},
 		},
 		shape: func(p *params) (shape, error) {
 			return shape{dims: p.dims, logDomain: log2ceil(p.domainSize),
 				maxLevel: resolveMaxLevel(p.maxLevel, p.domainSize), words: core.CEJoinWordsPerRelation(p.dims)}, nil
 		},
-		guarantee: planJoin,
-		cardinality: func(s shard) (core.Estimate, error) {
-			return core.EstimateJoinCE(s[0].(*core.CESketch), s[1].(*core.CESketch))
-		},
+		guarantee:   planJoin,
+		cardinality: core.EstimateJoinCE,
 	}
 	rangeKind = kindSpec{
 		kind: KindRange, maxDims: core.MaxDims,
-		sides: []sideSpec{{side: SideData, input: keep, sketch: rangeSketches}},
+		sides: []sideSpec{{side: SideData, input: keep, kind: core.KindRange}},
 		shape: func(p *params) (shape, error) {
 			return shape{dims: p.dims, logDomain: log2ceil(geo.TransformDomain(p.domainSize)),
 				maxLevel: resolveMaxLevel(p.maxLevel, p.domainSize), words: core.RangeWordsPerInstance(p.dims)}, nil
@@ -75,8 +62,8 @@ var (
 	epsJoinKind = kindSpec{
 		kind: KindEpsJoin, maxDims: core.MaxDims,
 		sides: []sideSpec{
-			{side: SideLeft, points: true, sketch: pointSketches},
-			{side: SideRight, points: true, input: ball, sketch: boxSketches},
+			{side: SideLeft, points: true, kind: core.KindPoint},
+			{side: SideRight, points: true, input: ball, kind: core.KindBox},
 		},
 		shape: func(p *params) (shape, error) {
 			if p.eps >= p.domainSize {
@@ -86,22 +73,22 @@ var (
 				maxLevel: epsResolveCap(p.maxLevel, p.eps), words: core.PointBoxWordsPerRelation(p.dims)}, nil
 		},
 		guarantee:   planPointBox,
-		cardinality: estimatePointInBox,
+		cardinality: core.EstimatePointInBox,
 	}
 	// containmentKind works in the doubled dimensionality of the B.2
 	// reduction.
 	containmentKind = kindSpec{
 		kind: KindContainment, maxDims: core.MaxDims / 2,
 		sides: []sideSpec{
-			{side: SideInner, input: containmentPoint, sketch: pointSketches},
-			{side: SideOuter, input: containmentBox, sketch: boxSketches},
+			{side: SideInner, input: containmentPoint, kind: core.KindPoint},
+			{side: SideOuter, input: containmentBox, kind: core.KindBox},
 		},
 		shape: func(p *params) (shape, error) {
 			return shape{dims: 2 * p.dims, logDomain: log2ceil(p.domainSize),
 				maxLevel: resolveMaxLevel(p.maxLevel, p.domainSize), words: core.PointBoxWordsPerRelation(2 * p.dims)}, nil
 		},
 		guarantee:   planPointBox,
-		cardinality: estimatePointInBox,
+		cardinality: core.EstimatePointInBox,
 	}
 )
 
@@ -121,9 +108,6 @@ func kindOf(k Kind, m Mode) *kindSpec {
 	}
 	return &containmentKind
 }
-
-func rectOf(o object) geo.HyperRect { return o.rect }
-func pointOf(o object) geo.Point    { return o.pt }
 
 // keep and shrink are the Section 5.2 endpoint transformation: the left
 // (or data) side keeps its objects, the right (or query) side shrinks.
@@ -153,10 +137,4 @@ func planJoin(sh shape, g core.Guarantee, s Sizing) (int, int, error) {
 // joins by Lemma 8, at the plan's dimensionality.
 func planPointBox(sh shape, g core.Guarantee, s Sizing) (int, int, error) {
 	return core.PlanEpsJoinInstances(sh.dims, g, s.SelfJoinLeft, s.SelfJoinRight, s.ResultLowerBound)
-}
-
-// estimatePointInBox is the Lemma 8 kernel of epsilon- and containment
-// joins.
-func estimatePointInBox(s shard) (core.Estimate, error) {
-	return core.EstimatePointInBox(s[0].(*core.PointSketch), s[1].(*core.BoxSketch))
 }

@@ -92,7 +92,7 @@ func (e *RangeEstimator) queryView(q geo.HyperRect) (est Estimate, count int64, 
 		return Estimate{}, 0, err
 	}
 	est, count, _, err = e.memo(memoRange, q, func(s shard) (core.Estimate, error) {
-		return s[0].(*core.RangeSketch).EstimateRange(geo.TransformShrinkRect(q))
+		return s[0].EstimateRange(geo.TransformShrinkRect(q))
 	})
 	return est, count, err
 }
@@ -136,7 +136,7 @@ func (e *RangeEstimator) EstimateBatch(qs []geo.HyperRect) ([]Estimate, int64, e
 	out := make([]Estimate, len(qs))
 	var count int64
 	err := e.view(func(v viewRef[shard]) error {
-		s := v.state[0].(*core.RangeSketch)
+		s := v.state[0]
 		sc := e.plan.GetScratch()
 		defer e.plan.PutScratch(sc)
 		for i, q := range qs {
