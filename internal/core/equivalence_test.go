@@ -52,13 +52,7 @@ func corners(rects []geo.HyperRect) []geo.Point {
 func insertEach(s *Sketch, rects []geo.HyperRect) error {
 	pts := corners(rects)
 	for k, r := range rects {
-		var err error
-		if s.Kind() == KindPoint {
-			err = s.InsertPoint(pts[k])
-		} else {
-			err = s.Insert(r)
-		}
-		if err != nil {
+		if err := update(s, r, pts[k], +1); err != nil {
 			return err
 		}
 	}
@@ -68,7 +62,7 @@ func insertEach(s *Sketch, rects []geo.HyperRect) error {
 // insertBulk bulk-loads rects into s, their corners for a KindPoint
 // sketch.
 func insertBulk(s *Sketch, rects []geo.HyperRect) error {
-	if s.Kind() == KindPoint {
+	if s.kind == KindPoint {
 		return s.InsertPoints(corners(rects))
 	}
 	return s.InsertAll(rects)
@@ -78,11 +72,11 @@ func insertBulk(s *Sketch, rects []geo.HyperRect) error {
 func sameSketch(t *testing.T, what string, got, want *Sketch) {
 	t.Helper()
 	if got.Count() != want.Count() {
-		t.Fatalf("%s: %v counts differ: %d vs %d", what, want.Kind(), got.Count(), want.Count())
+		t.Fatalf("%s: %v counts differ: %d vs %d", what, want.kind, got.Count(), want.Count())
 	}
 	for i := range want.counters {
 		if got.counters[i] != want.counters[i] {
-			t.Fatalf("%s: %v counter %d differs: %d vs %d", what, want.Kind(), i, got.counters[i], want.counters[i])
+			t.Fatalf("%s: %v counter %d differs: %d vs %d", what, want.kind, i, got.counters[i], want.counters[i])
 		}
 	}
 }

@@ -26,12 +26,12 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnmarshalSketch(s.Kind(), data)
+		got, err := UnmarshalSketch(s.kind, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Kind() != s.Kind() || got.Plan() != s.Plan() {
-			t.Fatalf("%v sketch decoded as a %v sketch of another plan", s.Kind(), got.Kind())
+		if got.kind != s.kind || got.Plan() != s.Plan() {
+			t.Fatalf("%v sketch decoded as a %v sketch of another plan", s.kind, got.kind)
 		}
 		sameSketch(t, "round trip", got, s)
 		return got

@@ -158,12 +158,12 @@ func TestSignPlanesMatchFamily(t *testing.T) {
 				if err := update(s, rect, pt, sign); err != nil {
 					t.Fatal(err)
 				}
-				refFold(want[k], refLetters(p, s.Kind(), rect, pt), sign)
+				refFold(want[k], refLetters(p, s.kind, rect, pt), sign)
 			}
 		}
 		for k, s := range sks {
 			if !reflect.DeepEqual(s.counters, want[k]) {
-				t.Fatalf("config %d (%v): %v counters differ from the xi.Family reference", ci, cfg, s.Kind())
+				t.Fatalf("config %d (%v): %v counters differ from the xi.Family reference", ci, cfg, s.kind)
 			}
 		}
 
@@ -224,9 +224,9 @@ func readyRows(p *Plan) int {
 // KindPoint sketch, rect for every other kind.
 func update(s *Sketch, rect geo.HyperRect, pt geo.Point, sign int64) error {
 	switch {
-	case s.Kind() == KindPoint && sign > 0:
+	case s.kind == KindPoint && sign > 0:
 		return s.InsertPoint(pt)
-	case s.Kind() == KindPoint:
+	case s.kind == KindPoint:
 		return s.DeletePoint(pt)
 	case sign > 0:
 		return s.Insert(rect)

@@ -116,9 +116,6 @@ func (p *Plan) NewSketch(k Kind) *Sketch {
 // Plan returns the plan the sketch was built from.
 func (s *Sketch) Plan() *Plan { return s.plan }
 
-// Kind returns the sketch's kind.
-func (s *Sketch) Kind() Kind { return s.kind }
-
 // Count returns the current number of objects summarized (inserts minus
 // deletes), the denominator of selectivity.
 func (s *Sketch) Count() int64 { return s.count }
@@ -229,9 +226,9 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// coverBuf holds one object's id lists, [source bit][dimension], reused
-// across objects. Covers do not depend on the instance, so each is
-// computed once per object.
+// coverBuf holds one object's id lists, indexed by a source's bit
+// position and then by dimension, reused across objects. Covers do not
+// depend on the instance, so each is computed once per object.
 type coverBuf [numSources][][]uint64
 
 func newCoverBuf(d int) *coverBuf {
