@@ -81,30 +81,45 @@ func sameSketch(t *testing.T, what string, got, want *Sketch) {
 	}
 }
 
-// TestInsertAllMatchesSequential: for every kind, the parallel bulk path
-// produces exactly the same counters and count as repeated inserts.
-func TestInsertAllMatchesSequential(t *testing.T) {
-	join := MustPlan(Config{Dims: 2, LogDomain: []int{6, 6}, Instances: 64, Groups: 4, Seed: 5})
-	for _, tc := range []struct {
-		kind  Kind
-		p     *Plan
-		rects []geo.HyperRect
-	}{
-		{KindJoin, join, datagen.MustRects(datagen.Spec{N: 700, Dims: 2, Domain: 64, Seed: 3})},
-		{KindCE, equivPlan(t, 2), equivRects(2, 300, 21)},
-		{KindRange, equivPlan(t, 2), equivRects(2, 300, 22)},
-		{KindPoint, equivPlan(t, 2), equivRects(2, 300, 23)},
-		{KindBox, equivPlan(t, 2), equivRects(2, 300, 23)},
-	} {
-		seq, bulk := tc.p.NewSketch(tc.kind), tc.p.NewSketch(tc.kind)
-		if err := insertEach(seq, tc.rects); err != nil {
-			t.Fatal(err)
-		}
-		if err := insertBulk(bulk, tc.rects); err != nil {
-			t.Fatal(err)
-		}
-		sameSketch(t, "bulk load", bulk, seq)
+// bulkMatchesSequential fails t unless bulk-loading rects into a fresh
+// kind sketch of p gives exactly the counters and count of repeated
+// inserts.
+func bulkMatchesSequential(t *testing.T, kind Kind, p *Plan, rects []geo.HyperRect) {
+	t.Helper()
+	seq, bulk := p.NewSketch(kind), p.NewSketch(kind)
+	if err := insertEach(seq, rects); err != nil {
+		t.Fatal(err)
 	}
+	if err := insertBulk(bulk, rects); err != nil {
+		t.Fatal(err)
+	}
+	sameSketch(t, "bulk load", bulk, seq)
+}
+
+// TestInsertAllMatchesSequential: the parallel join bulk path produces
+// exactly the same counters and count as repeated inserts.
+func TestInsertAllMatchesSequential(t *testing.T) {
+	p := MustPlan(Config{Dims: 2, LogDomain: []int{6, 6}, Instances: 64, Groups: 4, Seed: 5})
+	bulkMatchesSequential(t, KindJoin, p, datagen.MustRects(datagen.Spec{N: 700, Dims: 2, Domain: 64, Seed: 3}))
+}
+
+// TestCEInsertAllMatchesSequential: same property for a KindCE sketch.
+func TestCEInsertAllMatchesSequential(t *testing.T) {
+	bulkMatchesSequential(t, KindCE, equivPlan(t, 2), equivRects(2, 300, 21))
+}
+
+// TestRangeInsertAllMatchesSequential: same property for a KindRange
+// sketch.
+func TestRangeInsertAllMatchesSequential(t *testing.T) {
+	bulkMatchesSequential(t, KindRange, equivPlan(t, 2), equivRects(2, 300, 22))
+}
+
+// TestPointBoxInsertAllMatchesSequential: same property for the two-sketch
+// estimator's KindPoint and KindBox sketches.
+func TestPointBoxInsertAllMatchesSequential(t *testing.T) {
+	p, rects := equivPlan(t, 2), equivRects(2, 300, 23)
+	bulkMatchesSequential(t, KindPoint, p, rects)
+	bulkMatchesSequential(t, KindBox, p, rects)
 }
 
 // TestShardedMergeMatchesSequential: splitting a stream across K separately

@@ -9,72 +9,95 @@ import (
 	"repro/internal/datagen"
 )
 
-// TestSketchMarshalRoundTrip: every kind decodes to its own kind, plan,
-// count and counters, and the reconstructed plan derives identical
-// families - estimates on round-tripped sketches equal those on the
-// originals.
-func TestSketchMarshalRoundTrip(t *testing.T) {
-	join := MustPlan(Config{
+// roundTrip marshals s and decodes it, failing t unless the result has
+// s's kind, plan, count and counters.
+func roundTrip(t *testing.T, s *Sketch) *Sketch {
+	t.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalSketch(s.kind, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.kind != s.kind || got.Plan() != s.Plan() {
+		t.Fatalf("%v sketch decoded as a %v sketch of another plan", s.kind, got.kind)
+	}
+	sameSketch(t, "round trip", got, s)
+	return got
+}
+
+// TestJoinSketchMarshalRoundTrip: a join sketch survives SPK1, and the
+// reconstructed plan derives identical families - the join estimate on a
+// round-tripped pair equals the one on the originals.
+func TestJoinSketchMarshalRoundTrip(t *testing.T) {
+	p := MustPlan(Config{
 		Dims: 2, LogDomain: []int{6, 6}, MaxLevel: []int{4, 6},
 		Instances: 24, Groups: 4, Seed: 0xfeed,
 	})
-	ce := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 12, Groups: 4, Seed: 3})
-	small := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 8, Groups: 4, Seed: 4})
-	roundTrip := func(s *Sketch) *Sketch {
-		t.Helper()
-		data, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalSketch(s.kind, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.kind != s.kind || got.Plan() != s.Plan() {
-			t.Fatalf("%v sketch decoded as a %v sketch of another plan", s.kind, got.kind)
-		}
-		sameSketch(t, "round trip", got, s)
-		return got
+	s, y := p.NewSketch(KindJoin), p.NewSketch(KindJoin)
+	if err := s.InsertAll(datagen.MustRects(datagen.Spec{N: 40, Dims: 2, Domain: 64, Seed: 1})); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		kind  Kind
-		p     *Plan
-		rects []geo.HyperRect
-	}{
-		{KindJoin, join, datagen.MustRects(datagen.Spec{N: 40, Dims: 2, Domain: 64, Seed: 1})},
-		{KindCE, ce, []geo.HyperRect{geo.Span1D(2, 9)}},
-		{KindPoint, small, []geo.HyperRect{geo.Rect(3, 4, 6, 7)}}, // the point {3, 7}
-		{KindBox, small, []geo.HyperRect{geo.Rect(1, 5, 2, 9)}},
-		{KindRange, small, []geo.HyperRect{geo.Rect(1, 5, 2, 9)}},
-	} {
-		s := tc.p.NewSketch(tc.kind)
-		if err := insertBulk(s, tc.rects); err != nil {
-			t.Fatal(err)
-		}
-		got := roundTrip(s)
-		var orig, rt Estimate
-		var err, rtErr error
-		switch tc.kind {
-		case KindJoin:
-			y := tc.p.NewSketch(KindJoin)
-			if err := y.InsertAll(datagen.MustRects(datagen.Spec{N: 30, Dims: 2, Domain: 64, Seed: 2})); err != nil {
-				t.Fatal(err)
-			}
-			orig, err = EstimateJoin(s, y)
-			rt, rtErr = EstimateJoin(got, roundTrip(y))
-		case KindRange:
-			q := geo.Rect(0, 8, 0, 8)
-			orig, err = s.EstimateRange(q)
-			rt, rtErr = got.EstimateRange(q)
-		default:
-			continue
-		}
-		if err != nil || rtErr != nil {
-			t.Fatal(err, rtErr)
-		}
-		if orig.Value != rt.Value {
-			t.Fatalf("%v estimate changed across serialization: %g vs %g", tc.kind, orig.Value, rt.Value)
-		}
+	if err := y.InsertAll(datagen.MustRects(datagen.Spec{N: 30, Dims: 2, Domain: 64, Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := EstimateJoin(s, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := EstimateJoin(roundTrip(t, s), roundTrip(t, y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig.Value != rt.Value {
+		t.Fatalf("estimate changed across serialization: %g vs %g", orig.Value, rt.Value)
+	}
+}
+
+// TestCESketchMarshalRoundTrip: same round trip for a KindCE sketch.
+func TestCESketchMarshalRoundTrip(t *testing.T) {
+	p := MustPlan(Config{Dims: 1, LogDomain: []int{5}, Instances: 12, Groups: 4, Seed: 3})
+	s := p.NewSketch(KindCE)
+	if err := s.Insert(geo.Span1D(2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, s)
+}
+
+// TestPointBoxRangeMarshalRoundTrip: same round trip for KindPoint,
+// KindBox and KindRange sketches, and the range estimate on the
+// round-tripped range sketch equals the one on the original.
+func TestPointBoxRangeMarshalRoundTrip(t *testing.T) {
+	p := MustPlan(Config{Dims: 2, LogDomain: []int{5, 5}, Instances: 8, Groups: 4, Seed: 4})
+	pt := p.NewSketch(KindPoint)
+	if err := pt.InsertPoint(geo.Point{3, 7}); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, pt)
+
+	bx := p.NewSketch(KindBox)
+	if err := bx.Insert(geo.Rect(1, 5, 2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, bx)
+
+	rg := p.NewSketch(KindRange)
+	if err := rg.Insert(geo.Rect(1, 5, 2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	q := geo.Rect(0, 8, 0, 8)
+	a, err := rg.EstimateRange(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := roundTrip(t, rg).EstimateRange(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Value != b.Value {
+		t.Fatalf("range estimate changed across serialization: %g vs %g", a.Value, b.Value)
 	}
 }
 
